@@ -22,6 +22,7 @@ use mpi_sim::datatype::BasicType;
 use mpi_sim::types::ReduceOp;
 use mpi_sim::{Env, FaultPlan, World, WorldConfig};
 use pilgrim::{PilgrimConfig, PilgrimTracer};
+use pilgrim_bench::flag;
 
 /// Deterministic wildcard-free workload (allreduce + ring sendrecv).
 fn workload(env: &mut Env, iters: usize) {
@@ -128,22 +129,6 @@ fn run_one(
         calls_in_trace: trace.rank_lengths.iter().sum(),
         trace_bytes: trace.serialize().len(),
     }
-}
-
-fn parse_num(v: &str) -> Option<u64> {
-    match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => v.parse().ok(),
-    }
-}
-
-fn flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1).and_then(|v| parse_num(v)).unwrap_or_else(|| {
-            eprintln!("{name} needs a numeric value");
-            exit(2)
-        })
-    })
 }
 
 fn main() {

@@ -32,7 +32,7 @@
 //! runs the sweep twice and diffs the output.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::path::Path;
 use std::process::exit;
@@ -40,7 +40,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pilgrim::net::NetFrame;
+use pilgrim::frame::FrameReader;
+use pilgrim::net::{read_handshake_frame, NetFrame};
 use pilgrim::recover::RecoveryState;
 use pilgrim::wal::encode_frame;
 use pilgrim::{
@@ -48,8 +49,7 @@ use pilgrim::{
     NetClient, NetClientConfig, NetServerConfig, PilgrimConfig, PilgrimTracer, RetryPolicy,
     SegmentSink, NET_MAGIC, NET_VERSION,
 };
-
-const WORKLOADS: [&str; 4] = ["stencil2d", "stencil3d", "lu", "mg"];
+use pilgrim_bench::{flag, WORKLOADS};
 
 /// Decode-size cap handed to every cell's collector; the bounded-memory
 /// gate asserts the peak connection buffer stayed under it (plus one
@@ -59,15 +59,6 @@ const FRAME_CAP: usize = 1 << 20;
 static PANICS: AtomicU64 = AtomicU64::new(0);
 static DONE: AtomicBool = AtomicBool::new(false);
 
-fn flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("{name} needs a numeric value");
-            exit(2)
-        })
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Hostile peers
 // ---------------------------------------------------------------------------
@@ -76,45 +67,14 @@ fn flag(args: &[String], name: &str) -> Option<u64> {
 /// server prefixes it on its first frame only). Returns `None` on
 /// close, timeout, or anything unparseable — an adversary doesn't care.
 fn read_peer_frame(stream: &mut TcpStream, expect_magic: bool) -> Option<NetFrame> {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(2000)));
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        let mut pos = 0usize;
-        let body = if expect_magic {
-            if buf.len() < 4 {
-                match stream.read(&mut chunk) {
-                    Ok(0) | Err(_) => return None,
-                    Ok(n) => {
-                        buf.extend_from_slice(&chunk[..n]);
-                        continue;
-                    }
-                }
-            }
-            if &buf[..4] != NET_MAGIC {
-                return None;
-            }
-            &buf[4..]
-        } else {
-            &buf[..]
-        };
-        match pilgrim::wal::split_frame(body, &mut pos) {
-            Some(Ok((kind, payload))) => return NetFrame::decode(kind, payload).ok(),
-            Some(Err(_)) => return None,
-            None => match stream.read(&mut chunk) {
-                Ok(0) | Err(_) => return None,
-                Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            },
-        }
-    }
+    let mut rbuf = FrameReader::new(usize::MAX);
+    read_handshake_frame(stream, &mut rbuf, Duration::from_millis(2000), expect_magic)
 }
 
 /// Completes a `magic + Hello` → `Challenge?` exchange and returns the
 /// server's first frame. `None` when the server hung up first.
 fn send_hello(stream: &mut TcpStream, client_id: u64) -> Option<NetFrame> {
-    let mut hello = NET_MAGIC.to_vec();
-    hello.extend_from_slice(&NetFrame::Hello { version: NET_VERSION, client_id }.encode());
-    stream.write_all(&hello).ok()?;
+    stream.write_all(&NetFrame::Hello { version: NET_VERSION, client_id }.encode_first()).ok()?;
     read_peer_frame(stream, true)
 }
 
@@ -214,9 +174,7 @@ fn run_adversary(addr: &str, plan: &AdversaryPlan, peer: u64, key: Option<&AuthK
             // One byte of a valid hello every 25 ms: slower than the
             // collector's patience, fast enough to defeat a naive
             // "no bytes at all" idle check.
-            let mut hello = NET_MAGIC.to_vec();
-            hello.extend_from_slice(&NetFrame::Hello { version: NET_VERSION, client_id }.encode());
-            for b in hello {
+            for b in (NetFrame::Hello { version: NET_VERSION, client_id }).encode_first() {
                 if stream.write_all(&[b]).is_err() {
                     break;
                 }

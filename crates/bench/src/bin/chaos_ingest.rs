@@ -30,17 +30,7 @@ use std::sync::Arc;
 use pilgrim::{
     IngestConfig, IngestFaultPlan, IngestSession, PilgrimConfig, PilgrimTracer, SegmentSink,
 };
-
-const WORKLOADS: [&str; 4] = ["stencil2d", "stencil3d", "lu", "mg"];
-
-fn flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("{name} needs a numeric value");
-            exit(2)
-        })
-    })
-}
+use pilgrim_bench::{flag, WORKLOADS};
 
 /// Sweep-wide knobs, fixed across every cell.
 #[derive(Clone, Copy)]

@@ -36,17 +36,7 @@ use pilgrim::{
     serve, IngestConfig, IngestSession, NetClient, NetClientConfig, NetFaultPlan, NetServerConfig,
     PilgrimConfig, PilgrimTracer, RetryPolicy, SegmentSink,
 };
-
-const WORKLOADS: [&str; 4] = ["stencil2d", "stencil3d", "lu", "mg"];
-
-fn flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("{name} needs a numeric value");
-            exit(2)
-        })
-    })
-}
+use pilgrim_bench::{flag, WORKLOADS};
 
 #[derive(Clone, Copy)]
 struct Sweep {

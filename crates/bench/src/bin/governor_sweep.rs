@@ -15,7 +15,7 @@
 use mpi_sim::{Env, World, WorldConfig};
 use mpi_workloads::adversarial::adversarial_seeded;
 use pilgrim::{DegradationStage, PilgrimConfig, PilgrimTracer, TimingMode};
-use pilgrim_bench::run_raw;
+use pilgrim_bench::{flag, run_raw};
 
 struct SweepRow {
     budget: Option<usize>,
@@ -49,15 +49,6 @@ fn run_one(nranks: usize, iters: usize, seed: u64, budget: Option<usize>) -> Swe
         .count();
     let trace = tracers[0].take_output().trace.expect("rank 0 trace");
     SweepRow { budget, peak_bytes, stage, transitions, seals, trace_bytes: trace.serialize().len() }
-}
-
-fn flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("{name} needs a numeric value");
-            std::process::exit(2)
-        })
-    })
 }
 
 fn main() {

@@ -31,35 +31,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pilgrim::{IngestConfig, IngestSession, JobDesc, PilgrimConfig};
+use pilgrim_bench::{flag, gate, GateArgs, GateRow, GateSpec, WORKLOADS};
 
-const WORKLOADS: [&str; 4] = ["stencil2d", "stencil3d", "lu", "mg"];
-
-/// Allowed slowdown vs the committed baseline before the gate fails.
-const REGRESSION_FLOOR: f64 = 0.9;
-
-/// Rows that finish faster than this are scheduler-noise-dominated (a
-/// single preemption swings them past the 10% floor) and are reported
-/// but not gated. A real regression that slows such a row down pushes
-/// its wall time past the threshold — and shows on the bigger rows too.
-const MIN_GATE_WALL_MS: f64 = 10.0;
-
-fn flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("{name} needs a numeric value");
-            exit(2)
-        })
-    })
-}
-
-fn path_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("{name} needs a path");
-            exit(2)
-        })
-    })
-}
+const GATE: GateSpec =
+    GateSpec { bench: "ingest_bench", key: "jobs", rate: "calls_per_sec", min_wall_ms: 10.0 };
 
 struct Row {
     jobs: usize,
@@ -116,50 +91,14 @@ fn run_sweep(ranks: usize, iters: usize, shards: usize, max_jobs: usize) -> Vec<
     rows
 }
 
-/// Pulls `"key":<number>` out of a flat JSON object body. The baseline
-/// is our own schema-1 output, so a field scan is all the parsing the
-/// gate needs (and keeps serde out of the bench crate).
-fn json_num(obj: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = obj.find(&needle)? + needle.len();
-    let rest = &obj[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Baseline rows as `(jobs, calls_per_sec)` from a schema-1
-/// `BENCH_ingest.json` document.
-fn baseline_rows(doc: &str) -> Vec<(usize, f64)> {
-    let Some(at) = doc.find("\"rows\":[") else { return Vec::new() };
-    let body = &doc[at + "\"rows\":[".len()..];
-    let mut out = Vec::new();
-    for obj in body.split('{').skip(1) {
-        let obj = obj.split('}').next().unwrap_or("");
-        if let (Some(jobs), Some(cps)) = (json_num(obj, "jobs"), json_num(obj, "calls_per_sec")) {
-            out.push((jobs as usize, cps));
-        }
-    }
-    out
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let ranks = flag(&args, "--ranks").unwrap_or(4) as usize;
     let iters = flag(&args, "--iters").unwrap_or(40) as usize;
     let shards = flag(&args, "--shards").unwrap_or(4) as usize;
     let max_jobs = flag(&args, "--max-jobs").unwrap_or(16) as usize;
-    let json_out = path_flag(&args, "--json-out");
-    let check_against = path_flag(&args, "--check-against");
-    let reps = flag(&args, "--reps").unwrap_or(if check_against.is_some() { 2 } else { 1 }).max(1)
-        as usize;
-    let keep_min = match path_flag(&args, "--stat").as_deref() {
-        None | Some("best") => false,
-        Some("min") => true,
-        Some(other) => {
-            eprintln!("--stat must be best or min, got {other}");
-            exit(2)
-        }
-    };
+    let gate_args = GateArgs::parse(&args);
+    let reps = gate_args.reps;
 
     println!(
         "ingest_bench: {ranks}-rank jobs, {iters} iters, {shards} shards (rotating {}), {reps} \
@@ -168,16 +107,8 @@ fn main() {
         if reps == 1 { "" } else { "s" }
     );
 
-    // Per row, keep one rep: the best calls/sec (default; the gate's
-    // noise damper) or the worst (`--stat min`; the baseline recorder).
-    let mut best: Vec<Row> = run_sweep(ranks, iters, shards, max_jobs);
-    for _ in 1..reps {
-        for (slot, fresh) in best.iter_mut().zip(run_sweep(ranks, iters, shards, max_jobs)) {
-            if (fresh.calls_per_sec > slot.calls_per_sec) != keep_min {
-                *slot = fresh;
-            }
-        }
-    }
+    let best: Vec<Row> =
+        gate_args.best_of(|| run_sweep(ranks, iters, shards, max_jobs), |r| r.calls_per_sec);
 
     println!("| concurrent jobs | wall (ms) | calls | calls/sec | jobs/sec | backpressure |");
     println!("|---:|---:|---:|---:|---:|---:|");
@@ -200,59 +131,17 @@ fn main() {
         ));
     }
 
-    if let Some(path) = json_out {
-        let doc = format!(
-            "{{\"schema\":1,\"bench\":\"ingest\",\"ranks\":{ranks},\"iters\":{iters},\
-             \"shards\":{shards},\"rows\":[{}]}}\n",
-            rows.join(",")
-        );
-        if let Err(e) = std::fs::write(&path, doc) {
-            eprintln!("cannot write {path}: {e}");
-            exit(1)
-        }
-        println!("wrote {path}");
-    }
+    gate_args.write_json(&format!(
+        "{{\"schema\":1,\"bench\":\"ingest\",\"ranks\":{ranks},\"iters\":{iters},\
+         \"shards\":{shards},\"rows\":[{}]}}\n",
+        rows.join(",")
+    ));
 
-    if let Some(path) = check_against {
-        let doc = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            exit(1)
-        });
-        let baseline = baseline_rows(&doc);
-        if baseline.is_empty() {
-            eprintln!("baseline {path} has no rows");
-            exit(1)
-        }
-        let mut regressed = 0usize;
-        for (jobs, base_cps) in baseline {
-            let Some(fresh) = best.iter().find(|r| r.jobs == jobs) else {
-                // Baseline rows past --max-jobs are out of this run's
-                // scope (the quick gate sweeps a prefix of the sweep
-                // that produced the baseline).
-                continue;
-            };
-            let floor = base_cps * REGRESSION_FLOOR;
-            let noisy = fresh.wall_ms < MIN_GATE_WALL_MS;
-            let verdict = if noisy {
-                "skipped (sub-10ms row, noise-dominated)"
-            } else if fresh.calls_per_sec < floor {
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!(
-                "check {jobs} jobs: {:.0} calls/s vs baseline {base_cps:.0} (floor {floor:.0}) \
-                 {verdict}",
-                fresh.calls_per_sec
-            );
-            if !noisy && fresh.calls_per_sec < floor {
-                regressed += 1;
-            }
-        }
-        if regressed > 0 {
-            eprintln!("ingest_bench: {regressed} row(s) regressed >10% vs {path}");
-            exit(1)
-        }
-        println!("ingest_bench: no row regressed >10% vs {path}");
+    if let Some(path) = &gate_args.check_against {
+        let fresh: Vec<GateRow> = best
+            .iter()
+            .map(|r| GateRow { key: r.jobs.to_string(), wall_ms: r.wall_ms, rate: r.calls_per_sec })
+            .collect();
+        gate(&GATE, path, &fresh);
     }
 }

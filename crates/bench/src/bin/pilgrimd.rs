@@ -51,35 +51,7 @@ use pilgrim::{
     serve, AuthKey, GlobalTrace, IngestConfig, IngestSession, JobDesc, NetClient, NetClientConfig,
     NetFaultPlan, NetServerConfig, PilgrimConfig, PilgrimTracer, RetryPolicy, SegmentSink,
 };
-
-const WORKLOADS: [&str; 4] = ["stencil2d", "stencil3d", "lu", "mg"];
-
-fn flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("{name} needs a numeric value");
-            exit(2)
-        })
-    })
-}
-
-fn fflag(args: &[String], name: &str) -> Option<f64> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("{name} needs a numeric value");
-            exit(2)
-        })
-    })
-}
-
-fn sflag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("{name} needs a value");
-            exit(2)
-        })
-    })
-}
+use pilgrim_bench::{fflag, flag, sflag, WORKLOADS};
 
 /// Reads `--auth-key-file` when present; a missing or empty key file is
 /// a usage error (exit 2), not something to silently run without.

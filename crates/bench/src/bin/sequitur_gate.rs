@@ -22,34 +22,13 @@
 //! the *worst* rep anchors the baseline at the low end of the noise
 //! band, so only a whole-distribution shift trips the gate.
 
-use std::process::exit;
 use std::time::Instant;
 
+use pilgrim_bench::{flag, gate, GateArgs, GateRow, GateSpec};
 use pilgrim_sequitur::Grammar;
 
-/// Allowed slowdown vs the committed baseline before the gate fails.
-const REGRESSION_FLOOR: f64 = 0.9;
-
-/// Rows faster than this are scheduler-noise-dominated and not gated.
-const MIN_GATE_WALL_MS: f64 = 5.0;
-
-fn flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("{name} needs a numeric value");
-            exit(2)
-        })
-    })
-}
-
-fn path_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).map(|i| {
-        args.get(i + 1).cloned().unwrap_or_else(|| {
-            eprintln!("{name} needs a path");
-            exit(2)
-        })
-    })
-}
+const GATE: GateSpec =
+    GateSpec { bench: "sequitur_gate", key: "shape", rate: "symbols_per_sec", min_wall_ms: 5.0 };
 
 /// Deterministic synthetic streams shaped like real traces. Every shape
 /// is a pure function of its index so reps and machines agree on input.
@@ -127,70 +106,18 @@ fn run_sweep(symbols: usize) -> Vec<Row> {
         .collect()
 }
 
-/// Pulls `"key":<number>` out of a flat JSON object body (the baseline
-/// is our own schema-1 output; no serde needed).
-fn json_num(obj: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = obj.find(&needle)? + needle.len();
-    let rest = &obj[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn json_field<'d>(obj: &'d str, key: &str) -> Option<&'d str> {
-    let needle = format!("\"{key}\":\"");
-    let at = obj.find(&needle)? + needle.len();
-    let rest = &obj[at..];
-    rest.split('"').next()
-}
-
-/// Baseline rows as `(shape, symbols_per_sec)`.
-fn baseline_rows(doc: &str) -> Vec<(String, f64)> {
-    let Some(at) = doc.find("\"rows\":[") else { return Vec::new() };
-    let body = &doc[at + "\"rows\":[".len()..];
-    let mut out = Vec::new();
-    for obj in body.split('{').skip(1) {
-        let obj = obj.split('}').next().unwrap_or("");
-        if let (Some(shape), Some(sps)) =
-            (json_field(obj, "shape"), json_num(obj, "symbols_per_sec"))
-        {
-            out.push((shape.to_string(), sps));
-        }
-    }
-    out
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let symbols = flag(&args, "--symbols").unwrap_or(200_000) as usize;
-    let json_out = path_flag(&args, "--json-out");
-    let check_against = path_flag(&args, "--check-against");
-    let reps = flag(&args, "--reps").unwrap_or(if check_against.is_some() { 2 } else { 1 }).max(1)
-        as usize;
-    let keep_min = match path_flag(&args, "--stat").as_deref() {
-        None | Some("best") => false,
-        Some("min") => true,
-        Some(other) => {
-            eprintln!("--stat must be best or min, got {other}");
-            exit(2)
-        }
-    };
+    let gate_args = GateArgs::parse(&args);
+    let reps = gate_args.reps;
 
     println!(
         "sequitur_gate: {symbols} symbols per shape, {reps} rep{}",
         if reps == 1 { "" } else { "s" }
     );
 
-    // Per shape, keep one rep: the best symbols/sec (default; the
-    // gate's noise damper) or the worst (`--stat min`; the recorder).
-    let mut best: Vec<Row> = run_sweep(symbols);
-    for _ in 1..reps {
-        for (slot, fresh) in best.iter_mut().zip(run_sweep(symbols)) {
-            if (fresh.symbols_per_sec > slot.symbols_per_sec) != keep_min {
-                *slot = fresh;
-            }
-        }
-    }
+    let best: Vec<Row> = gate_args.best_of(|| run_sweep(symbols), |r| r.symbols_per_sec);
 
     println!("| shape | wall (ms) | symbols | symbols/sec | rules | flat bytes |");
     println!("|---|---:|---:|---:|---:|---:|");
@@ -207,54 +134,20 @@ fn main() {
         ));
     }
 
-    if let Some(path) = json_out {
-        let doc = format!(
-            "{{\"schema\":1,\"bench\":\"sequitur\",\"symbols\":{symbols},\"rows\":[{}]}}\n",
-            rows.join(",")
-        );
-        if let Err(e) = std::fs::write(&path, doc) {
-            eprintln!("cannot write {path}: {e}");
-            exit(1)
-        }
-        println!("wrote {path}");
-    }
+    gate_args.write_json(&format!(
+        "{{\"schema\":1,\"bench\":\"sequitur\",\"symbols\":{symbols},\"rows\":[{}]}}\n",
+        rows.join(",")
+    ));
 
-    if let Some(path) = check_against {
-        let doc = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {path}: {e}");
-            exit(1)
-        });
-        let baseline = baseline_rows(&doc);
-        if baseline.is_empty() {
-            eprintln!("baseline {path} has no rows");
-            exit(1)
-        }
-        let mut regressed = 0usize;
-        for (shape, base_sps) in baseline {
-            let Some(fresh) = best.iter().find(|r| r.shape == shape) else {
-                continue;
-            };
-            let floor = base_sps * REGRESSION_FLOOR;
-            let noisy = fresh.wall_ms < MIN_GATE_WALL_MS;
-            let verdict = if noisy {
-                "skipped (sub-5ms row, noise-dominated)"
-            } else if fresh.symbols_per_sec < floor {
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!(
-                "check {shape}: {:.0} sym/s vs baseline {base_sps:.0} (floor {floor:.0}) {verdict}",
-                fresh.symbols_per_sec
-            );
-            if !noisy && fresh.symbols_per_sec < floor {
-                regressed += 1;
-            }
-        }
-        if regressed > 0 {
-            eprintln!("sequitur_gate: {regressed} row(s) regressed >10% vs {path}");
-            exit(1)
-        }
-        println!("sequitur_gate: no row regressed >10% vs {path}");
+    if let Some(path) = &gate_args.check_against {
+        let fresh: Vec<GateRow> = best
+            .iter()
+            .map(|r| GateRow {
+                key: r.shape.to_string(),
+                wall_ms: r.wall_ms,
+                rate: r.symbols_per_sec,
+            })
+            .collect();
+        gate(&GATE, path, &fresh);
     }
 }

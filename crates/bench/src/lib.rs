@@ -14,6 +14,9 @@ use mpi_workloads::Body;
 use pilgrim::{GlobalTrace, MetricsReport, OverheadStats, PilgrimConfig, PilgrimTracer};
 use trace_baselines::{RawTracer, ScalaTraceTracer};
 
+/// The workloads the collector-side binaries rotate their jobs through.
+pub const WORKLOADS: [&str; 4] = ["stencil2d", "stencil3d", "lu", "mg"];
+
 /// Result of one traced Pilgrim run.
 pub struct PilgrimRun {
     pub trace: GlobalTrace,
@@ -72,16 +75,9 @@ pub fn run_pilgrim_world(wcfg: &WorldConfig, cfg: PilgrimConfig, body: Body) -> 
 /// `--metrics-out <path>` / `PILGRIM_METRICS_OUT`: where to write a JSON
 /// metrics report, if requested.
 pub fn metrics_out() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--metrics-out" {
-            return Some(args.next().unwrap_or_else(|| {
-                eprintln!("--metrics-out needs a path");
-                std::process::exit(2)
-            }));
-        }
-    }
-    std::env::var("PILGRIM_METRICS_OUT").ok()
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    flag_value(&args, "--metrics-out", "a path", |v| Some(v.to_string()))
+        .or_else(|| std::env::var("PILGRIM_METRICS_OUT").ok())
 }
 
 /// Writes a metrics report as JSON to `path` and logs where it went.
@@ -123,30 +119,206 @@ pub fn run_raw(nranks: usize, body: Body) -> u64 {
     tracers.iter().map(|t| t.bytes()).sum()
 }
 
-/// `--max-procs` / `PILGRIM_MAX_PROCS`, with a default.
-pub fn max_procs(default: usize) -> usize {
+/// A scale knob read from `--name N`, else the environment, else the
+/// default; an unparsable value falls through to the next source.
+fn scale_knob(name: &str, env: &str, default: usize) -> usize {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        if a == "--max-procs" {
+        if a == name {
             if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
                 return v;
             }
         }
     }
-    std::env::var("PILGRIM_MAX_PROCS").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    std::env::var(env).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+}
+
+/// `--max-procs` / `PILGRIM_MAX_PROCS`, with a default.
+pub fn max_procs(default: usize) -> usize {
+    scale_knob("--max-procs", "PILGRIM_MAX_PROCS", default)
 }
 
 /// `--iters` / `PILGRIM_ITERS` override for run length.
 pub fn iters(default: usize) -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--iters" {
-            if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                return v;
+    scale_knob("--iters", "PILGRIM_ITERS", default)
+}
+
+fn flag_value<T>(
+    args: &[String],
+    name: &str,
+    want: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Option<T> {
+    args.iter().position(|a| a == name).map(|i| {
+        args.get(i + 1).and_then(|v| parse(v)).unwrap_or_else(|| {
+            eprintln!("{name} needs {want}");
+            std::process::exit(2)
+        })
+    })
+}
+
+/// `--name N` (decimal, or hex with a `0x` prefix); a missing or
+/// non-numeric value is a usage error (exit 2).
+pub fn flag(args: &[String], name: &str) -> Option<u64> {
+    flag_value(args, name, "a numeric value", |v| {
+        match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+            Some(hex) => u64::from_str_radix(hex, 16).ok(),
+            None => v.parse().ok(),
+        }
+    })
+}
+
+/// `--name X.Y`, same usage-error rule as [`flag`].
+pub fn fflag(args: &[String], name: &str) -> Option<f64> {
+    flag_value(args, name, "a numeric value", |v| v.parse().ok())
+}
+
+/// `--name VALUE` taken verbatim (paths, addresses, enum words).
+pub fn sflag(args: &[String], name: &str) -> Option<String> {
+    flag_value(args, name, "a value", |v| Some(v.to_string()))
+}
+
+/// Allowed slowdown vs the committed baseline before [`gate`] fails.
+const REGRESSION_FLOOR: f64 = 0.9;
+
+/// The flags of a baseline-gated bench: `--json-out PATH`,
+/// `--check-against PATH`, `--reps N` (default 2 under the gate, else 1)
+/// and `--stat best|min`.
+pub struct GateArgs {
+    pub json_out: Option<String>,
+    pub check_against: Option<String>,
+    pub reps: usize,
+    /// Keep each row's *worst* rep (`--stat min`, the baseline
+    /// recorder) instead of its best (the gate's noise damper).
+    pub keep_min: bool,
+}
+
+impl GateArgs {
+    pub fn parse(args: &[String]) -> GateArgs {
+        let check_against = sflag(args, "--check-against");
+        let reps = flag(args, "--reps").unwrap_or(if check_against.is_some() { 2 } else { 1 });
+        let keep_min = match sflag(args, "--stat").as_deref() {
+            None | Some("best") => false,
+            Some("min") => true,
+            Some(other) => {
+                eprintln!("--stat must be best or min, got {other}");
+                std::process::exit(2)
             }
+        };
+        GateArgs {
+            json_out: sflag(args, "--json-out"),
+            check_against,
+            reps: reps.max(1) as usize,
+            keep_min,
         }
     }
-    std::env::var("PILGRIM_ITERS").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+
+    /// Runs `sweep` once per rep and keeps, per row, the rep with the
+    /// best `rate` (or the worst, under `--stat min`).
+    pub fn best_of<R>(
+        &self,
+        mut sweep: impl FnMut() -> Vec<R>,
+        rate: impl Fn(&R) -> f64,
+    ) -> Vec<R> {
+        let mut best = sweep();
+        for _ in 1..self.reps {
+            for (slot, fresh) in best.iter_mut().zip(sweep()) {
+                if (rate(&fresh) > rate(slot)) != self.keep_min {
+                    *slot = fresh;
+                }
+            }
+        }
+        best
+    }
+
+    /// Writes the schema-1 baseline document when `--json-out` was given.
+    pub fn write_json(&self, doc: &str) {
+        let Some(path) = &self.json_out else { return };
+        if let Err(e) = std::fs::write(path, doc) {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(1)
+        }
+        println!("wrote {path}");
+    }
+}
+
+/// What one gated bench compares against its committed baseline.
+pub struct GateSpec {
+    /// Binary name, for the verdict lines.
+    pub bench: &'static str,
+    /// JSON field identifying a row (`"jobs"`, `"shape"`).
+    pub key: &'static str,
+    /// JSON field holding the gated throughput.
+    pub rate: &'static str,
+    /// Rows that finish faster than this are scheduler-noise-dominated
+    /// (one preemption swings them past the 10% floor): reported, not
+    /// gated. A real regression shows on the bigger rows too.
+    pub min_wall_ms: f64,
+}
+
+/// One fresh row as [`gate`] sees it: its key exactly as the JSON
+/// document prints it, its wall time and its throughput.
+pub struct GateRow {
+    pub key: String,
+    pub wall_ms: f64,
+    pub rate: f64,
+}
+
+/// Pulls `"key":<value>` out of a flat JSON object body, unquoted. The
+/// baseline is our own schema-1 output, so a field scan is all the
+/// parsing the gate needs.
+fn json_value<'d>(obj: &'d str, key: &str) -> Option<&'d str> {
+    let needle = format!("\"{key}\":");
+    let rest = &obj[obj.find(&needle)? + needle.len()..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    Some(rest[..end].trim().trim_matches('"'))
+}
+
+/// The one regression gate: fresh best-of-N rows against the committed
+/// worst-of-N baseline at `path`; any gated row below 90% of its
+/// baseline throughput fails the run with exit 1. Baseline rows with no
+/// fresh counterpart are out of this run's scope (a quick gate sweeps a
+/// prefix of the sweep that produced the baseline).
+pub fn gate(spec: &GateSpec, path: &str, fresh: &[GateRow]) {
+    let doc = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read baseline {path}: {e}");
+        std::process::exit(1)
+    });
+    let rows = doc.find("\"rows\":[").map_or("", |at| &doc[at..]);
+    let baseline: Vec<(&str, f64)> = rows
+        .split('{')
+        .skip(1)
+        .filter_map(|obj| {
+            let obj = obj.split('}').next().unwrap_or("");
+            Some((json_value(obj, spec.key)?, json_value(obj, spec.rate)?.parse().ok()?))
+        })
+        .collect();
+    if baseline.is_empty() {
+        eprintln!("baseline {path} has no rows");
+        std::process::exit(1)
+    }
+    let mut regressed = 0usize;
+    for (key, base) in baseline {
+        let Some(row) = fresh.iter().find(|r| r.key == key) else { continue };
+        let floor = base * REGRESSION_FLOOR;
+        let verdict = if row.wall_ms < spec.min_wall_ms {
+            format!("skipped (sub-{}ms row, noise-dominated)", spec.min_wall_ms)
+        } else if row.rate < floor {
+            regressed += 1;
+            "REGRESSED".to_string()
+        } else {
+            "ok".to_string()
+        };
+        println!(
+            "check {}={key}: {:.0} {} vs baseline {base:.0} (floor {floor:.0}) {verdict}",
+            spec.key, row.rate, spec.rate
+        );
+    }
+    if regressed > 0 {
+        eprintln!("{}: {regressed} row(s) regressed >10% vs {path}", spec.bench);
+        std::process::exit(1)
+    }
+    println!("{}: no row regressed >10% vs {path}", spec.bench);
 }
 
 /// Pretty byte counts, KB with one decimal like the paper's plots.

@@ -25,9 +25,10 @@ use pilgrim_sequitur::{decode_varint, DecodeError, FlatGrammar};
 use crate::cst::Cst;
 use crate::encode::{decode_signature, EncodedArg, EncodedCall, EncoderConfig};
 use crate::export::{
-    crc32, is_container, section_name, CONTAINER_MAGIC, CONTAINER_VERSION, SEC_CST, SEC_DURATION,
+    is_container, section_name, CONTAINER_MAGIC, CONTAINER_VERSION, SEC_CST, SEC_DURATION,
     SEC_GRAMMAR, SEC_INTERVAL, SEC_META, SEC_NONDET, SEC_RANK,
 };
+use crate::frame::crc32;
 use crate::governor::DegradationEvent;
 use crate::metrics::MetricsRegistry;
 use crate::nondet::NondetLog;

@@ -17,11 +17,15 @@
 //! whose sections still checksum clean.
 
 use std::fmt::Write;
+use std::fs::{self, File};
+use std::io::Write as _;
+use std::path::Path;
 
 use mpi_sim::FuncId;
 use pilgrim_sequitur::write_varint;
 
 use crate::encode::{decode_signature, EncodedArg, RankCode};
+use crate::frame::crc32;
 use crate::trace::{GlobalTrace, RankStatus, RANK_MAP_NONE};
 
 fn fmt_rank(code: RankCode) -> String {
@@ -160,33 +164,6 @@ pub(crate) fn section_name(kind: u8) -> &'static str {
     }
 }
 
-const fn make_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = make_crc_table();
-
-/// IEEE CRC-32 (the zlib/gzip polynomial), table-driven, no dependencies.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
 /// True when `buf` starts with the container magic (regardless of
 /// version). Lets tools sniff container vs. legacy flat traces.
 pub fn is_container(buf: &[u8]) -> bool {
@@ -283,6 +260,30 @@ pub fn write_container(trace: &GlobalTrace) -> Vec<u8> {
     out
 }
 
+/// The one crash-safe container write: temporary file, `sync_all`,
+/// atomic rename. A crash mid-write leaves either the previous container
+/// or a `.tmp` orphan — never a torn file at the final path. With `tear`
+/// a fault plan simulates exactly that crash: half the bytes land in the
+/// `.tmp`, the rename never happens, and the orphan is left for
+/// recovery's salvage path.
+pub(crate) fn persist_container(path: &Path, bytes: &[u8], tear: bool) -> std::io::Result<()> {
+    let tmp = path.with_extension("pilgrim.tmp");
+    {
+        let mut f = File::create(&tmp)?;
+        if tear {
+            f.write_all(&bytes[..bytes.len() / 2])?;
+            f.sync_all()?;
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::WriteZero,
+                "injected short write mid-spill",
+            ));
+        }
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    fs::rename(&tmp, path)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,14 +344,6 @@ mod tests {
         let listing = to_signature_listing(&trace);
         assert_eq!(listing.lines().count(), trace.cst.len());
         assert!(listing.contains("x5"), "counts are shown");
-    }
-
-    #[test]
-    fn crc32_matches_reference_vectors() {
-        // Standard IEEE CRC-32 check values.
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
     }
 
     #[test]

@@ -44,8 +44,7 @@
 //! fault rates and asserts recovery.
 
 use std::collections::HashMap;
-use std::fs::{self, File};
-use std::io::Write as _;
+use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,7 +53,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::export::write_container;
+use crate::export::{persist_container, write_container};
 use crate::ingest_fault::IngestFaultPlan;
 use crate::recover::{recover_dir, RecoveryReport};
 use crate::trace::GlobalTrace;
@@ -381,10 +380,12 @@ pub struct IngestStats {
     pub spill_errors: u64,
 }
 
+/// What travels down a shard queue. `Record` carries a `Segment` or
+/// `Complete` already in the shape the WAL logs, so it moves from the
+/// producer to the log to the merger by value.
 enum ShardMsg {
     Open { job: JobId, nranks: usize, identity_check: bool, timeout: Option<Duration> },
-    Segment { job: JobId, seg: TraceSegment },
-    Complete { job: JobId, done: RankCompletion },
+    Record(WalRecord),
     Finish { job: JobId, reply: SyncSender<JobOutcome> },
     Shutdown,
 }
@@ -630,24 +631,23 @@ impl IngestSession {
     /// [`stats`](IngestSession::stats) while shards are still draining,
     /// the snapshot this returns is complete.
     pub fn shutdown(mut self) -> IngestStats {
+        self.join_workers();
+        self.stats()
+    }
+
+    fn join_workers(&mut self) {
         for tx in &self.senders {
             let _ = tx.send(ShardMsg::Shutdown);
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        self.stats()
     }
 }
 
 impl Drop for IngestSession {
     fn drop(&mut self) {
-        for tx in &self.senders {
-            let _ = tx.send(ShardMsg::Shutdown);
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.join_workers();
     }
 }
 
@@ -690,11 +690,11 @@ impl JobHandle {
 
 impl SegmentSink for JobHandle {
     fn push_segment(&self, seg: TraceSegment) {
-        self.send(ShardMsg::Segment { job: self.job, seg });
+        self.send(ShardMsg::Record(WalRecord::Segment { job: self.job, seg }));
     }
 
     fn complete_rank(&self, done: RankCompletion) {
-        self.send(ShardMsg::Complete { job: self.job, done });
+        self.send(ShardMsg::Record(WalRecord::Complete { job: self.job, done }));
     }
 }
 
@@ -717,7 +717,6 @@ impl ShardCtx {
     /// log back to its last clean frame; if even that fails the WAL is
     /// disabled for the rest of the shard's life (counted, not fatal).
     fn log(&mut self, rec: &WalRecord) {
-        let Some(wal) = self.wal.as_mut() else { return };
         // Tear injection targets segment appends (the large frames) and
         // is keyed on the segment itself, so two runs with the same plan
         // tear the same records no matter how the streams interleave.
@@ -728,24 +727,25 @@ impl ShardCtx {
             ),
             _ => (false, 24),
         };
-        let result = if torn {
-            wal.append_torn(rec)
-        } else if self.faults.disk_full(self.disk_used.load(Ordering::Relaxed), estimate) {
-            Err(std::io::Error::other("injected disk full"))
-        } else {
-            wal.append(rec)
-        };
-        match result {
-            Ok(bytes) => {
+        let disk_full = self.faults.disk_full(self.disk_used.load(Ordering::Relaxed), estimate);
+        let appended = WalWriter::append_or_rewind(&mut self.wal, |wal| {
+            if torn {
+                wal.append_torn(rec)
+            } else if disk_full {
+                Err(std::io::Error::other("injected disk full"))
+            } else {
+                wal.append(rec)
+            }
+        });
+        match appended {
+            None => {}
+            Some(Ok(bytes)) => {
                 self.counters.wal_records.fetch_add(1, Ordering::Relaxed);
                 self.counters.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
                 self.disk_used.fetch_add(bytes, Ordering::Relaxed);
             }
-            Err(_) => {
+            Some(Err(_)) => {
                 self.counters.wal_errors.fetch_add(1, Ordering::Relaxed);
-                if wal.truncate_to_clean().is_err() {
-                    self.wal = None;
-                }
             }
         }
     }
@@ -778,10 +778,7 @@ fn shard_worker(rx: Receiver<ShardMsg>, mut ctx: ShardCtx) {
                 Err(_) => break,
             },
         };
-        if matches!(
-            msg,
-            ShardMsg::Open { .. } | ShardMsg::Segment { .. } | ShardMsg::Complete { .. }
-        ) {
+        if matches!(msg, ShardMsg::Open { .. } | ShardMsg::Record(_)) {
             ctx.counters.queued.fetch_sub(1, Ordering::Relaxed);
         }
         match msg {
@@ -797,49 +794,42 @@ fn shard_worker(rx: Receiver<ShardMsg>, mut ctx: ShardCtx) {
                     },
                 );
             }
-            ShardMsg::Segment { job, seg } => {
+            ShardMsg::Record(rec) => {
+                let job = rec.job();
                 if let Some(out) = sealed.get_mut(&job) {
-                    out.problems.push(format!(
-                        "segment {}/{} arrived after the job was sealed",
-                        seg.rank, seg.seq
-                    ));
+                    out.problems.push(match &rec {
+                        WalRecord::Segment { seg, .. } => format!(
+                            "segment {}/{} arrived after the job was sealed",
+                            seg.rank, seg.seq
+                        ),
+                        WalRecord::Complete { done, .. } => {
+                            format!("rank {} completed after the job was sealed", done.rank)
+                        }
+                        _ => continue,
+                    });
                     continue;
                 }
-                if !jobs.contains_key(&job) {
-                    continue;
+                let Some(state) = jobs.get_mut(&job) else { continue };
+                if let WalRecord::Complete { done, .. } = &rec {
+                    if ctx.faults.completion_stalled(job, done.rank as u64) {
+                        // A stalled producer: the completion never arrives,
+                        // so neither the merger nor the WAL sees it.
+                        ctx.counters.stalled.fetch_add(1, Ordering::Relaxed);
+                        continue;
+                    }
                 }
                 // Log before folding: a segment that panics the worker
                 // (or is quarantined) is still replayable after a crash.
-                let rec = WalRecord::Segment { job, seg };
                 ctx.log(&rec);
-                let WalRecord::Segment { seg, .. } = rec else { continue };
-                if let Some(state) = jobs.get_mut(&job) {
-                    fold_segment(&mut ctx, job, state, seg);
-                }
-            }
-            ShardMsg::Complete { job, done } => {
-                if let Some(out) = sealed.get_mut(&job) {
-                    out.problems
-                        .push(format!("rank {} completed after the job was sealed", done.rank));
-                    continue;
-                }
-                if !jobs.contains_key(&job) {
-                    continue;
-                }
-                if ctx.faults.completion_stalled(job, done.rank as u64) {
-                    // A stalled producer: the completion never arrives,
-                    // so neither the merger nor the WAL sees it.
-                    ctx.counters.stalled.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                let rec = WalRecord::Complete { job, done };
-                ctx.log(&rec);
-                let WalRecord::Complete { done, .. } = rec else { continue };
-                if let Some(state) = jobs.get_mut(&job) {
-                    let rank = done.rank;
-                    if let Err(e) = state.merger.complete_rank(done) {
-                        state.problems.push(format!("complete {rank}: {e}"));
+                match rec {
+                    WalRecord::Segment { seg, .. } => fold_segment(&mut ctx, job, state, seg),
+                    WalRecord::Complete { done, .. } => {
+                        let rank = done.rank;
+                        if let Err(e) = state.merger.complete_rank(done) {
+                            state.problems.push(format!("complete {rank}: {e}"));
+                        }
                     }
+                    _ => {}
                 }
             }
             ShardMsg::Finish { job, reply } => {
@@ -993,7 +983,7 @@ fn spill_trace(
         return None;
     }
     let tear = ctx.faults.spill_fails(job);
-    match spill_container(&path, &bytes, tear) {
+    match persist_container(&path, &bytes, tear) {
         Ok(()) => {
             ctx.disk_used.fetch_add(bytes.len() as u64, Ordering::Relaxed);
             Some(path)
@@ -1004,30 +994,6 @@ fn spill_trace(
             None
         }
     }
-}
-
-/// Crash-safe container write: temporary file, `sync_all`, atomic
-/// rename. A crash mid-spill leaves either the previous container or a
-/// `.tmp` orphan — never a torn file at the final path. With `tear` the
-/// fault plan simulates exactly that crash: half the bytes land in the
-/// `.tmp`, the rename never happens, and the orphan is left for
-/// recovery's salvage path.
-fn spill_container(path: &Path, bytes: &[u8], tear: bool) -> std::io::Result<()> {
-    let tmp = path.with_extension("pilgrim.tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        if tear {
-            f.write_all(&bytes[..bytes.len() / 2])?;
-            f.sync_all()?;
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::WriteZero,
-                "injected short write mid-spill",
-            ));
-        }
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
 }
 
 /// A sink that drops everything (streaming disabled but a sink is
@@ -1043,42 +1009,9 @@ impl SegmentSink for NullSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::encode_checkpoint;
-    use crate::cst::Cst;
-    use crate::encode::EncoderConfig;
     use crate::recover::RecoveryState;
+    use crate::test_util::{completion, segment, temp_dir};
     use crate::trace::RankStatus;
-    use pilgrim_sequitur::Grammar;
-
-    fn segment(rank: usize, seq: u32, sigs: &[&[u8]]) -> TraceSegment {
-        let mut cst = Cst::new();
-        let mut g = Grammar::new();
-        for s in sigs {
-            let t = cst.observe(s, 5);
-            g.push(t);
-        }
-        let flat = g.to_flat();
-        let bytes = encode_checkpoint(flat.expanded_len(), &cst, &flat);
-        TraceSegment { rank, seq, sealed: false, bytes }
-    }
-
-    fn completion(rank: usize, calls: u64, segments: u32) -> RankCompletion {
-        RankCompletion {
-            rank,
-            call_count: calls,
-            segments,
-            duration: None,
-            interval: None,
-            encoder_cfg: EncoderConfig::default(),
-            events: Vec::new(),
-        }
-    }
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pilgrim-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
 
     #[test]
     fn concurrent_jobs_merge_independently() {

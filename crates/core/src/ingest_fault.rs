@@ -13,6 +13,8 @@
 //! [`IngestConfig::faults`](crate::ingest::IngestConfig); a default plan
 //! injects nothing and costs one branch per decision point.
 
+use mpi_sim::fault::{coin, hash4};
+
 /// A seeded, deterministic schedule of ingest-layer faults.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IngestFaultPlan {
@@ -123,23 +125,6 @@ impl IngestFaultPlan {
     pub fn disk_full(&self, already: u64, len: u64) -> bool {
         self.disk_capacity.is_some_and(|cap| already.saturating_add(len) > cap)
     }
-}
-
-/// SplitMix64 finalizer — the same cheap mixer `mpi_sim::fault` uses.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn hash4(a: u64, b: u64, c: u64, d: u64) -> u64 {
-    splitmix(splitmix(splitmix(splitmix(a) ^ b) ^ c) ^ d)
-}
-
-/// Maps a hash to [0, 1).
-fn coin(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

@@ -136,6 +136,7 @@ pub mod decode;
 pub mod encode;
 pub mod error;
 pub mod export;
+pub mod frame;
 pub mod governor;
 pub mod idpool;
 pub mod ingest;
@@ -200,3 +201,49 @@ pub use trace::{
     FidelityReport, GlobalTrace, RankStatus, SizeReport, TraceCompleteness, RANK_MAP_NONE,
 };
 pub use tracer::{CapturedCall, FinalizeOutput, PilgrimConfig, PilgrimTracer, TimingMode};
+
+/// Fixtures shared by the collector modules' unit tests.
+#[cfg(test)]
+mod test_util {
+    use std::path::PathBuf;
+
+    use pilgrim_sequitur::Grammar;
+
+    use crate::checkpoint::encode_checkpoint;
+    use crate::cst::Cst;
+    use crate::encode::EncoderConfig;
+    use crate::merge::{RankCompletion, TraceSegment};
+
+    /// An unsealed segment whose grammar is the signature sequence `sigs`.
+    pub(crate) fn segment(rank: usize, seq: u32, sigs: &[&[u8]]) -> TraceSegment {
+        let mut cst = Cst::new();
+        let mut g = Grammar::new();
+        for s in sigs {
+            let t = cst.observe(s, 5);
+            g.push(t);
+        }
+        let flat = g.to_flat();
+        let bytes = encode_checkpoint(flat.expanded_len(), &cst, &flat);
+        TraceSegment { rank, seq, sealed: false, bytes }
+    }
+
+    /// A completion with no timing grammars and no degradation events.
+    pub(crate) fn completion(rank: usize, calls: u64, segments: u32) -> RankCompletion {
+        RankCompletion {
+            rank,
+            call_count: calls,
+            segments,
+            duration: None,
+            interval: None,
+            encoder_cfg: EncoderConfig::default(),
+            events: Vec::new(),
+        }
+    }
+
+    /// A fresh (removed if present, not created) per-process scratch path.
+    pub(crate) fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("pilgrim-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+}

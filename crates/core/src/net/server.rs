@@ -1,0 +1,1010 @@
+//! The collector endpoint: accept loop, per-connection workers,
+//! admission control, and ack-after-durable dispatch.
+
+use std::collections::{HashMap, HashSet};
+use std::fs;
+use std::io::{Read as _, Write as _};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+use super::codec::{
+    lock, read_handshake_frame, timed_out, write_framed, NetFrame, HELLO_MAX_FRAME, KIND_COMPLETE,
+    KIND_FINISHED, KIND_JOB_OPEN, KIND_SEGMENT, MAX_NRANKS, NET_VERSION, REJECT_AUTH_REQUIRED,
+    REJECT_BAD_MAC, REJECT_LIMITS, REJECT_VERSION,
+};
+use crate::auth::{
+    challenge_response, ct_eq, fresh_nonce, session_key, AuthKey, MacState, DIR_CLIENT, DIR_SERVER,
+};
+use crate::frame::FrameReader;
+use crate::ingest::{IngestSession, JobHandle, SegmentSink};
+use crate::wal::{WalRecord, WalWriter};
+
+/// Collector-side knobs for [`serve`].
+#[derive(Debug, Clone)]
+pub struct NetServerConfig {
+    /// Per-connection read deadline: a connection silent this long is
+    /// closed (clients heartbeat well inside it).
+    pub io_timeout: Duration,
+    /// How long a fresh connection gets to complete the hello.
+    pub hello_timeout: Duration,
+    /// Per-job seal deadline handed to the ingest session: an orphaned
+    /// job (its client gone for good) is finalized with whatever
+    /// arrived instead of staying open forever.
+    pub job_timeout: Option<Duration>,
+    /// Fault hook: hard-stop the server (sockets shut, no more acks, the
+    /// session abandoned) the moment this many jobs have finished.
+    /// Simulates the collector being killed for restart/recovery tests.
+    pub kill_after_finished: Option<u64>,
+    /// Pre-shared wire key. When set, every hello is challenged and
+    /// every post-handshake frame must carry a chained MAC; without it
+    /// the server accepts unauthenticated v1 peers (loopback mode).
+    pub auth_key: Option<AuthKey>,
+    /// Admission control: concurrent connections beyond this wait in
+    /// the kernel accept queue (FIFO, so admission stays fair).
+    pub max_connections: usize,
+    /// Decode-size cap: a frame declaring a larger payload is rejected
+    /// before its body is buffered, bounding per-connection memory.
+    pub max_frame_len: usize,
+    /// Per-connection byte budget per rolling second; a peer over it is
+    /// disconnected (counted in `throttled`).
+    pub max_conn_bytes_per_sec: Option<u64>,
+    /// Per-connection frame budget per rolling second.
+    pub max_conn_frames_per_sec: Option<u64>,
+    /// Overload shedding: refuse *new* JobOpens with [`NetFrame::Busy`]
+    /// while this many jobs are open and unfinished.
+    pub max_open_jobs: Option<u64>,
+    /// Overload shedding: refuse new JobOpens once the per-connection
+    /// WALs hold this many bytes in total.
+    pub max_wal_bytes: Option<u64>,
+    /// Overload shedding: refuse new JobOpens while the ingest queue
+    /// saturation ([`IngestSession::saturation`]) is at or above this
+    /// fraction (e.g. `0.9`).
+    pub shed_saturation: Option<f64>,
+}
+
+impl Default for NetServerConfig {
+    fn default() -> Self {
+        NetServerConfig {
+            io_timeout: Duration::from_secs(5),
+            hello_timeout: Duration::from_secs(2),
+            job_timeout: None,
+            kill_after_finished: None,
+            auth_key: None,
+            max_connections: 256,
+            max_frame_len: 64 << 20,
+            max_conn_bytes_per_sec: None,
+            max_conn_frames_per_sec: None,
+            max_open_jobs: None,
+            max_wal_bytes: None,
+            shed_saturation: None,
+        }
+    }
+}
+
+impl NetServerConfig {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    pub fn io_timeout(mut self, d: Duration) -> Self {
+        self.io_timeout = d;
+        self
+    }
+
+    pub fn hello_timeout(mut self, d: Duration) -> Self {
+        self.hello_timeout = d;
+        self
+    }
+
+    pub fn job_timeout(mut self, d: Duration) -> Self {
+        self.job_timeout = Some(d);
+        self
+    }
+
+    pub fn kill_after_finished(mut self, n: u64) -> Self {
+        self.kill_after_finished = Some(n);
+        self
+    }
+
+    pub fn auth_key(mut self, key: AuthKey) -> Self {
+        self.auth_key = Some(key);
+        self
+    }
+
+    pub fn max_connections(mut self, n: usize) -> Self {
+        self.max_connections = n.max(1);
+        self
+    }
+
+    pub fn max_frame_len(mut self, n: usize) -> Self {
+        self.max_frame_len = n.max(HELLO_MAX_FRAME);
+        self
+    }
+
+    pub fn max_conn_bytes_per_sec(mut self, n: u64) -> Self {
+        self.max_conn_bytes_per_sec = Some(n);
+        self
+    }
+
+    pub fn max_conn_frames_per_sec(mut self, n: u64) -> Self {
+        self.max_conn_frames_per_sec = Some(n);
+        self
+    }
+
+    pub fn max_open_jobs(mut self, n: u64) -> Self {
+        self.max_open_jobs = Some(n);
+        self
+    }
+
+    pub fn max_wal_bytes(mut self, n: u64) -> Self {
+        self.max_wal_bytes = Some(n);
+        self
+    }
+
+    pub fn shed_saturation(mut self, frac: f64) -> Self {
+        self.shed_saturation = Some(frac);
+        self
+    }
+}
+
+#[derive(Debug, Default)]
+struct ServerCounters {
+    connections: AtomicU64,
+    frames: AtomicU64,
+    acks: AtomicU64,
+    dup_frames: AtomicU64,
+    torn_conns: AtomicU64,
+    protocol_errors: AtomicU64,
+    bad_hello: AtomicU64,
+    idle_closed: AtomicU64,
+    stale_finishes: AtomicU64,
+    heartbeats: AtomicU64,
+    wal_errors: AtomicU64,
+    jobs_opened: AtomicU64,
+    jobs_finished: AtomicU64,
+    auth_failures: AtomicU64,
+    version_skew: AtomicU64,
+    sheds: AtomicU64,
+    throttled: AtomicU64,
+    slow_loris_closed: AtomicU64,
+    peak_conn_buffer: AtomicU64,
+    wal_bytes: AtomicU64,
+}
+
+/// Snapshot of the server counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NetServerStats {
+    pub connections: u64,
+    /// Frames accepted off the wire (heartbeats included).
+    pub frames: u64,
+    pub acks: u64,
+    /// Retransmits dropped by the `(job, rank, seq)` watermark.
+    pub dup_frames: u64,
+    /// Connections dropped on a torn or corrupt frame.
+    pub torn_conns: u64,
+    pub protocol_errors: u64,
+    /// Connections that never completed a valid hello.
+    pub bad_hello: u64,
+    /// Connections closed at the idle read deadline.
+    pub idle_closed: u64,
+    /// Finish retransmits for jobs this server never saw data for
+    /// (a finish replayed across a collector restart).
+    pub stale_finishes: u64,
+    pub heartbeats: u64,
+    /// Failed conn-WAL appends (the frame was not acked).
+    pub wal_errors: u64,
+    pub jobs_opened: u64,
+    pub jobs_finished: u64,
+    /// Hellos rejected by the challenge–response (wrong key, replayed
+    /// response, or no response at all).
+    pub auth_failures: u64,
+    /// Hellos rejected for a protocol version mismatch.
+    pub version_skew: u64,
+    /// New JobOpens refused with a `Busy` frame under overload.
+    pub sheds: u64,
+    /// Connections dropped for exceeding a byte/frame rate budget.
+    pub throttled: u64,
+    /// Connections dropped for trickling bytes without ever completing
+    /// a frame (slow-loris writers).
+    pub slow_loris_closed: u64,
+    /// High-water mark of any one connection's reassembly buffer — the
+    /// bounded-memory gate for the adversarial sweep.
+    pub peak_conn_buffer: u64,
+    /// Total bytes appended across the per-connection WALs (drives the
+    /// `max_wal_bytes` shed threshold).
+    pub wal_bytes: u64,
+}
+
+/// Per-job server state: the ingest handle plus the dedup watermarks.
+struct NetJobEntry {
+    handle: JobHandle,
+    /// rank -> next expected segment seq.
+    next_seq: HashMap<u64, u64>,
+    completed: HashSet<u64>,
+    /// Lossless verdict once finished (re-acked to retransmits).
+    finished: Option<bool>,
+}
+
+struct ServeShared {
+    session: IngestSession,
+    cfg: NetServerConfig,
+    wal_dir: Option<PathBuf>,
+    conn_counter: AtomicU64,
+    stop: AtomicBool,
+    /// Graceful-shutdown mode: stop accepting, let connection workers
+    /// flush what they have buffered, then exit.
+    draining: AtomicBool,
+    active_conns: AtomicU64,
+    counters: ServerCounters,
+    jobs: Mutex<HashMap<u64, Arc<Mutex<NetJobEntry>>>>,
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+/// Releases a connection's admission slot and its duped stream however
+/// the worker exits. Dropping the stream clone matters: keeping it
+/// would hold a closed peer's fd in CLOSE_WAIT for the life of the
+/// server, so a reconnect flood would exhaust fds.
+struct ConnGuard {
+    shared: Arc<ServeShared>,
+    id: u64,
+}
+
+impl Drop for ConnGuard {
+    fn drop(&mut self) {
+        lock(&self.shared.conns).remove(&self.id);
+        self.shared.active_conns.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+impl ServeShared {
+    fn stats(&self) -> NetServerStats {
+        let c = &self.counters;
+        NetServerStats {
+            connections: c.connections.load(Ordering::Relaxed),
+            frames: c.frames.load(Ordering::Relaxed),
+            acks: c.acks.load(Ordering::Relaxed),
+            dup_frames: c.dup_frames.load(Ordering::Relaxed),
+            torn_conns: c.torn_conns.load(Ordering::Relaxed),
+            protocol_errors: c.protocol_errors.load(Ordering::Relaxed),
+            bad_hello: c.bad_hello.load(Ordering::Relaxed),
+            idle_closed: c.idle_closed.load(Ordering::Relaxed),
+            stale_finishes: c.stale_finishes.load(Ordering::Relaxed),
+            heartbeats: c.heartbeats.load(Ordering::Relaxed),
+            wal_errors: c.wal_errors.load(Ordering::Relaxed),
+            jobs_opened: c.jobs_opened.load(Ordering::Relaxed),
+            jobs_finished: c.jobs_finished.load(Ordering::Relaxed),
+            auth_failures: c.auth_failures.load(Ordering::Relaxed),
+            version_skew: c.version_skew.load(Ordering::Relaxed),
+            sheds: c.sheds.load(Ordering::Relaxed),
+            throttled: c.throttled.load(Ordering::Relaxed),
+            slow_loris_closed: c.slow_loris_closed.load(Ordering::Relaxed),
+            peak_conn_buffer: c.peak_conn_buffer.load(Ordering::Relaxed),
+            wal_bytes: c.wal_bytes.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Must a *new* job be refused right now? Already-accepted jobs are
+    /// never shed.
+    fn saturated(&self) -> bool {
+        let c = &self.counters;
+        let open = c
+            .jobs_opened
+            .load(Ordering::Relaxed)
+            .saturating_sub(c.jobs_finished.load(Ordering::Relaxed));
+        self.cfg.max_open_jobs.is_some_and(|max| open >= max)
+            || self.cfg.max_wal_bytes.is_some_and(|max| c.wal_bytes.load(Ordering::Relaxed) >= max)
+            || self.cfg.shed_saturation.is_some_and(|frac| self.session.saturation() >= frac)
+    }
+
+    /// Stops accepting and shuts every connection, both directions.
+    /// Dispatch in flight fails on its next socket op — an intentionally
+    /// abrupt stop, because the kill hook uses the same path.
+    fn initiate_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        for conn in lock(&self.conns).values() {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Joins worker threads that have already exited, so a long-running
+    /// server's handle list tracks *live* connections instead of
+    /// growing with every reconnect ever made.
+    fn reap_finished_threads(&self) {
+        let mut threads = lock(&self.threads);
+        let mut i = 0;
+        while i < threads.len() {
+            if threads[i].is_finished() {
+                let t = threads.swap_remove(i);
+                let _ = t.join();
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// Looks up or creates the job entry. Creation opens the job on the
+    /// ingest session under its stable wire id.
+    fn job_entry(&self, job: u64, nranks: usize, identity_check: bool) -> Arc<Mutex<NetJobEntry>> {
+        let mut jobs = lock(&self.jobs);
+        jobs.entry(job)
+            .or_insert_with(|| {
+                self.counters.jobs_opened.fetch_add(1, Ordering::Relaxed);
+                let handle = self.session.open_job_with_id(
+                    job,
+                    nranks,
+                    identity_check,
+                    self.cfg.job_timeout,
+                );
+                Arc::new(Mutex::new(NetJobEntry {
+                    handle,
+                    next_seq: HashMap::new(),
+                    completed: HashSet::new(),
+                    finished: None,
+                }))
+            })
+            .clone()
+    }
+
+    /// The entry of an already-open job; a record for a job this
+    /// server never opened is a protocol error (`Err(())` = close).
+    fn open_job(&self, job: u64) -> Result<Arc<Mutex<NetJobEntry>>, ()> {
+        lock(&self.jobs).get(&job).cloned().ok_or_else(|| {
+            self.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+        })
+    }
+
+    /// Opens the next per-connection WAL (`wal/conn-<k>.wal`). `None`
+    /// when the session has no spill dir (no durability — acks then mean
+    /// "merged in memory" only) or when creation fails (counted).
+    fn new_conn_wal(&self) -> Option<WalWriter> {
+        let dir = self.wal_dir.as_ref()?;
+        let k = self.conn_counter.fetch_add(1, Ordering::Relaxed);
+        match WalWriter::create(dir.join(format!("conn-{k}.wal"))) {
+            Ok(w) => Some(w),
+            Err(_) => {
+                self.counters.wal_errors.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+    }
+
+    /// Appends to the connection WAL before the ack. `false` means the
+    /// record is NOT durable: the caller must close the connection
+    /// without acking, so the client retransmits to a healthier one.
+    fn wal_log(&self, wal: &mut Option<WalWriter>, rec: &WalRecord) -> bool {
+        match WalWriter::append_or_rewind(wal, |w| w.append(rec)) {
+            // No durability configured: accept without logging.
+            None => self.wal_dir.is_none(),
+            Some(Ok(n)) => {
+                self.counters.wal_bytes.fetch_add(n, Ordering::Relaxed);
+                true
+            }
+            Some(Err(_)) => {
+                self.counters.wal_errors.fetch_add(1, Ordering::Relaxed);
+                false
+            }
+        }
+    }
+}
+
+/// A running collector endpoint, returned by [`serve`].
+pub struct ServeHandle {
+    addr: SocketAddr,
+    shared: Arc<ServeShared>,
+    accept: Option<JoinHandle<()>>,
+}
+
+impl ServeHandle {
+    /// The bound address (resolves port 0).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    pub fn stats(&self) -> NetServerStats {
+        self.shared.stats()
+    }
+
+    /// Jobs finished so far (drives `--expect-jobs` style polling).
+    pub fn finished_jobs(&self) -> u64 {
+        self.shared.counters.jobs_finished.load(Ordering::Relaxed)
+    }
+
+    /// True once the server has stopped accepting — normal stop or the
+    /// [`NetServerConfig::kill_after_finished`] hook firing.
+    pub fn stopped(&self) -> bool {
+        self.shared.stop.load(Ordering::SeqCst)
+    }
+
+    /// Stops the server: sockets shut, threads joined, session dropped.
+    /// Unfinished jobs are abandoned *without* being finalized — their
+    /// durable record is the per-connection WALs, exactly as if the
+    /// process had been killed; `trace_tool recover` rebuilds them.
+    pub fn stop(mut self) -> NetServerStats {
+        self.join_all();
+        self.shared.stats()
+    }
+
+    /// Graceful shutdown: stop accepting, give live connections up to
+    /// `grace` to flush the frames they have already received (each
+    /// frame is fsynced into its conn WAL before its ack, so everything
+    /// acked is durable), then stop. Connections still mid-stream after
+    /// the grace period are cut like a plain [`ServeHandle::stop`] —
+    /// their clients reconnect elsewhere or degrade to local spill.
+    pub fn drain(mut self, grace: Duration) -> NetServerStats {
+        self.shared.draining.store(true, Ordering::SeqCst);
+        let deadline = Instant::now() + grace;
+        while self.shared.active_conns.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        self.join_all();
+        self.shared.stats()
+    }
+
+    fn join_all(&mut self) {
+        self.shared.initiate_stop();
+        if let Some(t) = self.accept.take() {
+            let _ = t.join();
+        }
+        let threads: Vec<JoinHandle<()>> = lock(&self.shared.threads).drain(..).collect();
+        for t in threads {
+            let _ = t.join();
+        }
+    }
+}
+
+impl Drop for ServeHandle {
+    fn drop(&mut self) {
+        self.join_all();
+    }
+}
+
+/// Runs a collector endpoint on `listener`, feeding `session`. Returns
+/// immediately; connections are handled on background threads.
+///
+/// The session should be created with `wal(false)`: [`serve`] writes its
+/// own per-connection WALs under `<spill_dir>/wal/` (ack-after-durable),
+/// and a session-level WAL would log every record a second time.
+/// Existing `conn-*.wal` files from a previous incarnation are left
+/// untouched — recovery reads the union.
+pub fn serve(
+    listener: TcpListener,
+    session: IngestSession,
+    cfg: NetServerConfig,
+) -> std::io::Result<ServeHandle> {
+    let addr = listener.local_addr()?;
+    listener.set_nonblocking(true)?;
+    let wal_dir = session.spill_dir().map(|dir| dir.join("wal"));
+    if let Some(dir) = &wal_dir {
+        fs::create_dir_all(dir)?;
+    }
+    let conn_start = wal_dir.as_deref().map_or(0, next_conn_index);
+    let shared = Arc::new(ServeShared {
+        session,
+        cfg,
+        wal_dir,
+        conn_counter: AtomicU64::new(conn_start),
+        stop: AtomicBool::new(false),
+        draining: AtomicBool::new(false),
+        active_conns: AtomicU64::new(0),
+        counters: ServerCounters::default(),
+        jobs: Mutex::new(HashMap::new()),
+        conns: Mutex::new(HashMap::new()),
+        threads: Mutex::new(Vec::new()),
+    });
+    let accept_shared = shared.clone();
+    let accept = std::thread::Builder::new()
+        .name("pilgrim-net-accept".into())
+        .spawn(move || accept_loop(listener, accept_shared))?;
+    Ok(ServeHandle { addr, shared, accept: Some(accept) })
+}
+
+/// First free `conn-<k>.wal` index, so a restarted server appends new
+/// connection logs next to a previous incarnation's instead of
+/// truncating them (the WAL union is the durable state).
+fn next_conn_index(wal_dir: &Path) -> u64 {
+    let Ok(entries) = fs::read_dir(wal_dir) else { return 0 };
+    entries
+        .filter_map(|e| e.ok())
+        .filter_map(|e| {
+            let name = e.file_name();
+            let name = name.to_str()?;
+            name.strip_prefix("conn-")?.strip_suffix(".wal")?.parse::<u64>().ok()
+        })
+        .map(|k| k + 1)
+        .max()
+        .unwrap_or(0)
+}
+
+fn accept_loop(listener: TcpListener, shared: Arc<ServeShared>) {
+    loop {
+        if shared.stop.load(Ordering::SeqCst) || shared.draining.load(Ordering::SeqCst) {
+            return;
+        }
+        shared.reap_finished_threads();
+        // Admission control: at the connection ceiling, stop accepting.
+        // Waiting peers stay in the kernel's FIFO accept backlog, so
+        // admission order is fair when slots free up.
+        if shared.active_conns.load(Ordering::SeqCst) >= shared.cfg.max_connections as u64 {
+            std::thread::sleep(Duration::from_millis(2));
+            continue;
+        }
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                // The pre-increment counter value doubles as the
+                // connection's id in `conns` (unique per process).
+                let id = shared.counters.connections.fetch_add(1, Ordering::Relaxed);
+                shared.active_conns.fetch_add(1, Ordering::SeqCst);
+                let _ = stream.set_nonblocking(false);
+                let _ = stream.set_nodelay(true);
+                if let Ok(clone) = stream.try_clone() {
+                    lock(&shared.conns).insert(id, clone);
+                }
+                let conn_shared = shared.clone();
+                let guard = ConnGuard { shared: shared.clone(), id };
+                let spawned =
+                    std::thread::Builder::new().name("pilgrim-net-conn".into()).spawn(move || {
+                        let _guard = guard;
+                        conn_worker(conn_shared, stream);
+                    });
+                // On spawn failure the closure (and the guard in it) is
+                // dropped, releasing the admission slot.
+                if let Ok(t) = spawned {
+                    lock(&shared.threads).push(t);
+                }
+            }
+            // Nothing waiting (`WouldBlock`) or a transient accept error.
+            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+        }
+    }
+}
+
+fn conn_worker(shared: Arc<ServeShared>, mut stream: TcpStream) {
+    // The hello phase runs under a tight decode cap; the negotiated cap
+    // applies only after the peer has proven itself.
+    let mut rbuf = FrameReader::new(HELLO_MAX_FRAME);
+    let Some(mut send_mac) = server_hello(&shared, &mut stream, &mut rbuf) else {
+        shared.counters.bad_hello.fetch_add(1, Ordering::Relaxed);
+        return;
+    };
+    rbuf.set_cap(shared.cfg.max_frame_len);
+    // The conn WAL is created only *after* a successful (and, with a
+    // key, authenticated) hello: a rejected peer leaves no partial WAL
+    // state behind.
+    let mut wal = shared.new_conn_wal();
+    if stream.set_read_timeout(Some(shared.cfg.io_timeout)).is_err() {
+        return;
+    }
+    // Jobs whose open this connection has logged: every conn WAL that
+    // carries a job's records also names its open, so recovery can
+    // replay any single file (or any union) without a dangling job.
+    let mut opened: HashSet<u64> = HashSet::new();
+    let mut tmp = vec![0u8; 64 * 1024];
+    // Rolling one-second rate window and the slow-loris clock.
+    let mut window_start = Instant::now();
+    let mut window_bytes: u64 = 0;
+    let mut window_frames: u64 = 0;
+    let mut last_whole_frame = Instant::now();
+    let mut drain_mode = false;
+    loop {
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        if !drain_mode && shared.draining.load(Ordering::SeqCst) {
+            // Graceful shutdown: flush what the peer already sent, then
+            // exit at the first quiet read instead of the idle deadline.
+            drain_mode = true;
+            if stream.set_read_timeout(Some(Duration::from_millis(30))).is_err() {
+                return;
+            }
+        }
+        match stream.read(&mut tmp) {
+            Ok(0) => return,
+            Ok(n) => {
+                rbuf.extend(&tmp[..n]);
+                shared
+                    .counters
+                    .peak_conn_buffer
+                    .fetch_max(rbuf.pending() as u64, Ordering::Relaxed);
+                loop {
+                    match rbuf.next_frame(NetFrame::decode) {
+                        None => break,
+                        Some(Err(_)) => {
+                            // Torn or corrupt frame (bad CRC or MAC):
+                            // fail closed. The client reconnects and
+                            // retransmits from the last ack.
+                            shared.counters.torn_conns.fetch_add(1, Ordering::Relaxed);
+                            return;
+                        }
+                        Some(Ok(frame)) => {
+                            shared.counters.frames.fetch_add(1, Ordering::Relaxed);
+                            window_frames += 1;
+                            last_whole_frame = Instant::now();
+                            match dispatch(&shared, &mut wal, &mut opened, frame) {
+                                Ok(Dispatch::Reply(ack)) => {
+                                    if write_framed(&mut stream, &ack, &mut send_mac).is_err() {
+                                        return;
+                                    }
+                                    shared.counters.acks.fetch_add(1, Ordering::Relaxed);
+                                }
+                                Ok(Dispatch::Quiet) => {}
+                                Ok(Dispatch::ReplyClose(bytes)) => {
+                                    let _ = write_framed(&mut stream, &bytes, &mut send_mac);
+                                    return;
+                                }
+                                Err(()) => return,
+                            }
+                        }
+                    }
+                }
+                // Slow-loris kill: bytes keep trickling in (so the idle
+                // read deadline never fires) but no whole frame has
+                // arrived within the io window.
+                if rbuf.pending() > 0 && last_whole_frame.elapsed() > shared.cfg.io_timeout {
+                    shared.counters.slow_loris_closed.fetch_add(1, Ordering::Relaxed);
+                    return;
+                }
+                // Per-connection rate budgets over a rolling second.
+                // Judge the window that just accumulated *before*
+                // rolling it: zeroing first would let the bytes that
+                // landed at the boundary escape the comparison, so a
+                // peer timing bursts across boundaries could sustain
+                // double the budget without ever tripping.
+                window_bytes += n as u64;
+                let over_bytes =
+                    shared.cfg.max_conn_bytes_per_sec.is_some_and(|max| window_bytes > max);
+                let over_frames =
+                    shared.cfg.max_conn_frames_per_sec.is_some_and(|max| window_frames > max);
+                if over_bytes || over_frames {
+                    shared.counters.throttled.fetch_add(1, Ordering::Relaxed);
+                    return;
+                }
+                if window_start.elapsed() >= Duration::from_secs(1) {
+                    window_start = Instant::now();
+                    window_bytes = 0;
+                    window_frames = 0;
+                }
+            }
+            Err(e) if timed_out(&e) => {
+                if drain_mode {
+                    // Drained: nothing more buffered on the socket.
+                    return;
+                }
+                // Idle past the read deadline: orphaned peer (its
+                // heartbeats stopped). Closing releases this conn's WAL
+                // handle; the job seal deadline (if any) finalizes
+                // whatever arrived.
+                shared.counters.idle_closed.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            Err(_) => return,
+        }
+    }
+}
+
+/// Consumes `PNT1` + Hello and completes the handshake. Without a key:
+/// answers `PNT1` + HelloAck (the v1 exchange, byte-identical). With a
+/// key: answers `PNT1` + Challenge, verifies the client's response, and
+/// only then HelloAck — returning the server→client MAC chain and
+/// installing the client→server chain into `rbuf`.
+///
+/// `None` = reject (counted as `bad_hello` by the caller; the specific
+/// cause lands in `version_skew` / `auth_failures` here). A rejected
+/// peer gets a typed [`NetFrame::Reject`] before the close when the
+/// conversation got far enough to send one.
+fn server_hello(
+    shared: &ServeShared,
+    stream: &mut TcpStream,
+    rbuf: &mut FrameReader,
+) -> Option<Option<MacState>> {
+    let frame = read_handshake_frame(stream, rbuf, shared.cfg.hello_timeout, true)?;
+    let NetFrame::Hello { version, client_id } = frame else {
+        return None;
+    };
+    if version != NET_VERSION {
+        shared.counters.version_skew.fetch_add(1, Ordering::Relaxed);
+        let _ = stream.write_all(&NetFrame::Reject { code: REJECT_VERSION }.encode_first());
+        return None;
+    }
+    let Some(key) = shared.cfg.auth_key.as_ref() else {
+        // Unauthenticated (loopback) mode: plain v1 hello-ack.
+        let ack = NetFrame::HelloAck { version: NET_VERSION }.encode_first();
+        return stream.write_all(&ack).ok().map(|()| None);
+    };
+    let nonce = fresh_nonce();
+    stream.write_all(&NetFrame::Challenge { nonce }.encode_first()).ok()?;
+    let response = read_handshake_frame(stream, rbuf, shared.cfg.hello_timeout, false);
+    let Some(NetFrame::AuthResponse { mac }) = response else {
+        shared.counters.auth_failures.fetch_add(1, Ordering::Relaxed);
+        let _ = stream.write_all(&NetFrame::Reject { code: REJECT_AUTH_REQUIRED }.encode());
+        return None;
+    };
+    let expect = challenge_response(key, &nonce, client_id, NET_VERSION);
+    if !ct_eq(&expect, &mac) {
+        // Wrong key — or a response replayed from another handshake,
+        // which this nonce was never part of.
+        shared.counters.auth_failures.fetch_add(1, Ordering::Relaxed);
+        let _ = stream.write_all(&NetFrame::Reject { code: REJECT_BAD_MAC }.encode());
+        return None;
+    }
+    stream.write_all(&NetFrame::HelloAck { version: NET_VERSION }.encode()).ok()?;
+    let sk = session_key(key, &nonce, client_id, NET_VERSION);
+    rbuf.set_mac(MacState::new(sk, DIR_CLIENT));
+    Some(Some(MacState::new(sk, DIR_SERVER)))
+}
+
+fn ack_bytes(job: u64, a: u64, b: u64, of: u8) -> Vec<u8> {
+    NetFrame::Ack { job, a, b, of }.encode()
+}
+
+/// What [`dispatch`] wants done with the connection.
+enum Dispatch {
+    /// Write this ack and keep going.
+    Reply(Vec<u8>),
+    /// Nothing to write (heartbeat).
+    Quiet,
+    /// Write these bytes, then close (overload shed).
+    ReplyClose(Vec<u8>),
+}
+
+/// Handles one accepted frame. `Err(())` = close the connection
+/// (protocol violation or a WAL append that could not be made durable —
+/// no ack, so the client retransmits).
+fn dispatch(
+    shared: &ServeShared,
+    wal: &mut Option<WalWriter>,
+    opened: &mut HashSet<u64>,
+    frame: NetFrame,
+) -> Result<Dispatch, ()> {
+    match frame {
+        NetFrame::Heartbeat => {
+            shared.counters.heartbeats.fetch_add(1, Ordering::Relaxed);
+            Ok(Dispatch::Quiet)
+        }
+        NetFrame::JobOpen { job, nranks, identity_check } => {
+            // The declared rank count sizes the merger's allocations,
+            // so it must be judged *before* the job is opened: a
+            // hostile open declaring 2^50 ranks costs the peer one
+            // typed reject, not the collector petabytes.
+            if nranks > MAX_NRANKS {
+                shared.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                return Ok(Dispatch::ReplyClose(NetFrame::Reject { code: REJECT_LIMITS }.encode()));
+            }
+            // Overload shedding applies to *new* jobs only: a retransmit
+            // of an accepted job's open must keep succeeding, or a
+            // reconnect during overload would orphan the job.
+            let known = lock(&shared.jobs).contains_key(&job);
+            if !known && shared.saturated() {
+                shared.counters.sheds.fetch_add(1, Ordering::Relaxed);
+                return Ok(Dispatch::ReplyClose(NetFrame::Busy { job }.encode()));
+            }
+            let _entry = shared.job_entry(job, nranks, identity_check);
+            if opened.insert(job)
+                && !shared.wal_log(wal, &WalRecord::JobOpen { job, nranks, identity_check })
+            {
+                opened.remove(&job);
+                return Err(());
+            }
+            Ok(Dispatch::Reply(ack_bytes(job, 0, 0, KIND_JOB_OPEN)))
+        }
+        NetFrame::Segment { job, seg } => {
+            let entry = shared.open_job(job)?;
+            let mut e = lock(&entry);
+            let (rank, seq) = (seg.rank as u64, seg.seq as u64);
+            match e.next_seq.get(&rank).copied() {
+                Some(expected) if seq < expected => {
+                    // Retransmit of an already-durable frame: ack, drop.
+                    shared.counters.dup_frames.fetch_add(1, Ordering::Relaxed);
+                }
+                Some(expected) if seq > expected => {
+                    // A gap on an in-order stream is a protocol error.
+                    shared.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    return Err(());
+                }
+                _ => {
+                    // In order — or the first segment this incarnation
+                    // has seen for the rank. A restarted collector
+                    // adopts the client's seq as its watermark: the
+                    // missing prefix is durable in the previous
+                    // incarnation's conn WALs, and recovery replays the
+                    // union. The live merge degrades; the WAL does not.
+                    let rec = WalRecord::Segment { job, seg };
+                    if !shared.wal_log(wal, &rec) {
+                        return Err(());
+                    }
+                    if let WalRecord::Segment { seg, .. } = rec {
+                        e.handle.push_segment(seg);
+                    }
+                    e.next_seq.insert(rank, seq + 1);
+                }
+            }
+            Ok(Dispatch::Reply(ack_bytes(job, rank, seq, KIND_SEGMENT)))
+        }
+        NetFrame::Complete { job, done } => {
+            let entry = shared.open_job(job)?;
+            let mut e = lock(&entry);
+            let rank = done.rank as u64;
+            if e.completed.contains(&rank) {
+                shared.counters.dup_frames.fetch_add(1, Ordering::Relaxed);
+            } else {
+                let rec = WalRecord::Complete { job, done };
+                if !shared.wal_log(wal, &rec) {
+                    return Err(());
+                }
+                if let WalRecord::Complete { done, .. } = rec {
+                    e.handle.complete_rank(done);
+                }
+                e.completed.insert(rank);
+            }
+            Ok(Dispatch::Reply(ack_bytes(job, rank, 0, KIND_COMPLETE)))
+        }
+        NetFrame::Finished { job } => {
+            let entry = shared.open_job(job)?;
+            let mut e = lock(&entry);
+            if let Some(lossless) = e.finished {
+                shared.counters.dup_frames.fetch_add(1, Ordering::Relaxed);
+                return Ok(Dispatch::Reply(ack_bytes(job, u64::from(lossless), 0, KIND_FINISHED)));
+            }
+            if e.next_seq.is_empty() && e.completed.is_empty() {
+                // A finish replayed across a collector restart: this
+                // incarnation never saw the job's data (it was all acked
+                // before the crash). Finalizing now would overwrite the
+                // previous incarnation's container with an empty trace,
+                // so just settle the client; recovery owns the rebuild.
+                shared.counters.stale_finishes.fetch_add(1, Ordering::Relaxed);
+                // The replayed open counted toward `jobs_opened`, so a
+                // stale finish must settle `jobs_finished` too — or the
+                // open-jobs gauge inflates with every job replayed
+                // across a restart until `max_open_jobs` sheds forever.
+                shared.counters.jobs_finished.fetch_add(1, Ordering::Relaxed);
+                e.finished = Some(false);
+                return Ok(Dispatch::Reply(ack_bytes(job, 0, 0, KIND_FINISHED)));
+            }
+            let outcome = shared.session.finish_job(&e.handle);
+            let lossless = outcome.is_lossless();
+            if lossless {
+                // Only a lossless finish is marked settled in the WAL:
+                // recovery then trusts the container. Anything less and
+                // recovery re-replays the full record union instead.
+                let _ = shared.wal_log(wal, &WalRecord::Finished { job });
+            }
+            e.finished = Some(lossless);
+            let done = shared.counters.jobs_finished.fetch_add(1, Ordering::Relaxed) + 1;
+            if shared.cfg.kill_after_finished.is_some_and(|k| done >= k) {
+                // Crash simulation: sockets shut *before* this ack is
+                // written, so the client never learns the job finished.
+                shared.initiate_stop();
+            }
+            Ok(Dispatch::Reply(ack_bytes(job, u64::from(lossless), 0, KIND_FINISHED)))
+        }
+        NetFrame::Hello { .. }
+        | NetFrame::HelloAck { .. }
+        | NetFrame::Ack { .. }
+        | NetFrame::Challenge { .. }
+        | NetFrame::AuthResponse { .. }
+        | NetFrame::Busy { .. }
+        | NetFrame::Reject { .. } => {
+            // Handshake-only or server-only frames after the handshake:
+            // a protocol violation either way.
+            shared.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            Err(())
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ingest::IngestConfig;
+    use crate::net::{NetClient, NetClientConfig};
+    use crate::test_util::{completion, segment, temp_dir};
+
+    /// Reads one server frame, stripping the leading `PNT1` magic when
+    /// `expect_magic` (the server prefixes its *first* frame only).
+    fn read_server_frame(stream: &mut TcpStream, expect_magic: bool) -> Option<NetFrame> {
+        let mut rbuf = FrameReader::new(usize::MAX);
+        read_handshake_frame(stream, &mut rbuf, Duration::from_secs(5), expect_magic)
+    }
+
+    /// A one-shard collector on a loopback port, spilling under `dir`.
+    fn test_server(dir: &Path, cfg: NetServerConfig) -> ServeHandle {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let session =
+            IngestSession::new(IngestConfig::new().shards(1).spill_dir(dir)).expect("session");
+        serve(listener, session, cfg).expect("serve")
+    }
+
+    fn raw_hello(server: &ServeHandle) -> TcpStream {
+        let mut s = TcpStream::connect(server.addr()).expect("connect");
+        s.write_all(&NetFrame::Hello { version: NET_VERSION, client_id: 3 }.encode_first())
+            .expect("write hello");
+        assert_eq!(
+            read_server_frame(&mut s, true),
+            Some(NetFrame::HelloAck { version: NET_VERSION }),
+            "plain hello must be acked"
+        );
+        s
+    }
+
+    #[test]
+    fn huge_job_open_gets_a_typed_reject_without_allocation() {
+        let dir = temp_dir("net-nranks");
+        let server = test_server(&dir, NetServerConfig::new());
+        let mut s = raw_hello(&server);
+        let open = NetFrame::JobOpen { job: 1, nranks: 1usize << 50, identity_check: false };
+        s.write_all(&open.encode()).expect("write open");
+        assert_eq!(
+            read_server_frame(&mut s, false),
+            Some(NetFrame::Reject { code: REJECT_LIMITS }),
+            "a 2^50-rank open must be refused with a typed reject"
+        );
+        let stats = server.stop();
+        assert_eq!(stats.jobs_opened, 0, "the hostile open must never reach the session");
+        assert_eq!(stats.protocol_errors, 1, "{stats:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stale_finishes_settle_the_open_jobs_gauge() {
+        let dir = temp_dir("net-stale");
+        let server = test_server(&dir, NetServerConfig::new().max_open_jobs(1));
+        let mut s = raw_hello(&server);
+        // Open job 1 and finish it with no data: the stale-finish path
+        // (a finish replayed across a restart looks exactly like this).
+        s.write_all(&NetFrame::JobOpen { job: 1, nranks: 1, identity_check: false }.encode())
+            .expect("open 1");
+        assert_eq!(
+            read_server_frame(&mut s, false),
+            Some(NetFrame::Ack { job: 1, a: 0, b: 0, of: KIND_JOB_OPEN })
+        );
+        s.write_all(&NetFrame::Finished { job: 1 }.encode()).expect("finish 1");
+        assert_eq!(
+            read_server_frame(&mut s, false),
+            Some(NetFrame::Ack { job: 1, a: 0, b: 0, of: KIND_FINISHED })
+        );
+        // With max_open_jobs = 1, job 2 only gets in if the stale
+        // finish settled the open-jobs gauge.
+        s.write_all(&NetFrame::JobOpen { job: 2, nranks: 1, identity_check: false }.encode())
+            .expect("open 2");
+        assert_eq!(
+            read_server_frame(&mut s, false),
+            Some(NetFrame::Ack { job: 2, a: 0, b: 0, of: KIND_JOB_OPEN }),
+            "a stale-finished job must not hold its admission slot"
+        );
+        let stats = server.stop();
+        assert_eq!(stats.stale_finishes, 1, "{stats:?}");
+        assert_eq!(stats.sheds, 0, "{stats:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn loopback_round_trip_delivers_a_job_losslessly() {
+        let dir = temp_dir("net-smoke");
+        let server = test_server(&dir.join("server"), NetServerConfig::new());
+        let cfg = NetClientConfig::new(server.addr().to_string())
+            .client_id(1)
+            .spill_dir(dir.join("client"));
+        let client = NetClient::start(cfg).expect("client");
+        let h = client.open_job(0, 1, true);
+        h.push_segment(segment(0, 0, &[b"a", b"b", b"a"]));
+        h.complete_rank(completion(0, 3, 1));
+        let out = h.finish();
+        assert!(out.delivered, "problems: {:?}", out.problems);
+        assert_eq!(out.lossless, Some(true));
+        assert!(out.accounted());
+        let stats = client.shutdown();
+        assert!(stats.acks >= 3, "stats: {stats:?}");
+        assert!(!stats.degraded);
+        let server_stats = server.stop();
+        assert_eq!(server_stats.jobs_finished, 1);
+        assert_eq!(server_stats.torn_conns, 0);
+        // The ack-before-durable WAL exists and holds the stream.
+        let report = crate::recover::recover_dir(&dir.join("server")).expect("recover");
+        assert_eq!(report.jobs.len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}

@@ -18,6 +18,8 @@
 //! forever. Duplicate delivery sends the frame twice back-to-back and
 //! leans on the server's `(job, rank, seq)` watermark dedup.
 
+use mpi_sim::fault::{coin, hash4, splitmix};
+
 /// A seeded, deterministic schedule of wire-transport faults.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetFaultPlan {
@@ -217,23 +219,6 @@ impl AdversaryPlan {
         out.truncate(len);
         out
     }
-}
-
-/// SplitMix64 finalizer — the same cheap mixer the other fault plans use.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn hash4(a: u64, b: u64, c: u64, d: u64) -> u64 {
-    splitmix(splitmix(splitmix(splitmix(a) ^ b) ^ c) ^ d)
-}
-
-/// Maps a hash to [0, 1).
-fn coin(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Mixes a client id and a local job index into the stable wire job id

@@ -25,12 +25,13 @@
 //! partial traces are rewritten as containers under
 //! `<dir>/recovered/`, tmp+sync+rename like every other durable write.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::export::write_container;
-use crate::merge::IncrementalMerger;
+use crate::export::{persist_container, write_container};
+use crate::merge::{IncrementalMerger, RankCompletion, TraceSegment};
 use crate::trace::GlobalTrace;
 use crate::wal::{read_wal, WalRecord};
 
@@ -177,11 +178,7 @@ fn scan_wals(dir: &Path, report: &mut RecoveryReport, logs: &mut BTreeMap<u64, J
     paths.sort();
     for path in paths.iter().filter(|p| p.extension().is_some_and(|e| e == "wal")) {
         let replay = match read_wal(path) {
-            Ok(Ok(replay)) => replay,
-            Ok(Err(e)) => {
-                report.problems.push(format!("{}: {e}", path.display()));
-                continue;
-            }
+            Ok(replay) => replay,
             Err(e) => {
                 report.problems.push(format!("{}: {e}", path.display()));
                 continue;
@@ -230,10 +227,10 @@ fn scan_spills(dir: &Path, report: &mut RecoveryReport) -> BTreeMap<u64, PathBuf
             continue;
         };
         match spills.entry(job) {
-            std::collections::btree_map::Entry::Vacant(v) => {
+            Entry::Vacant(v) => {
                 v.insert(path);
             }
-            std::collections::btree_map::Entry::Occupied(mut o) => {
+            Entry::Occupied(mut o) => {
                 // The sorted scan sees `.pilgrim` before `.pilgrim.tmp`;
                 // keep the intact container.
                 if !torn {
@@ -300,24 +297,41 @@ fn replay_wal_job(dir: &Path, job: u64, log: JobLog) -> RecoveredJob {
     for &(rank, seq) in &log.quarantines {
         problems.push(format!("segment {rank}/{seq} was quarantined before the crash"));
     }
-    // A job's records may be spread over several WAL files (shards,
-    // per-connection logs, logs from before and after a collector
-    // restart) and may contain duplicates (a retransmit whose first
-    // delivery was logged but whose ack was lost). Replay must not
-    // depend on file-scan order: sort segments by (rank, seq), keep the
-    // first copy of any duplicate, and apply completions after every
-    // segment — the merger demands in-order sequences per rank, and
-    // `finalize` canonicalizes, so any union of logs covering the same
-    // stream rebuilds the same bytes.
-    let mut segs: BTreeMap<(usize, u32), crate::merge::TraceSegment> = BTreeMap::new();
-    let mut completes: BTreeMap<usize, crate::merge::RankCompletion> = BTreeMap::new();
-    for rec in log.records {
+    let merger = replay_union(nranks, log.identity_check, log.records, &mut problems);
+    let complete = merger.is_complete();
+    let trace = merger.finalize();
+    let calls = trace.rank_lengths.iter().sum();
+    classify(dir, job, RecoverySource::Wal, trace, calls, complete, problems)
+}
+
+/// The one WAL-union replay, shared by crash recovery and the degraded
+/// net client's local finalize: folds one job's logged `Segment` and
+/// `Complete` records (other kinds are ignored) into a fresh merger,
+/// naming every anomaly in `problems`.
+///
+/// A job's records may be spread over several WAL files (shards,
+/// per-connection logs, logs from before and after a collector restart)
+/// and may contain duplicates (a retransmit whose first delivery was
+/// logged but whose ack was lost). Replay must not depend on file-scan
+/// order: sort segments by (rank, seq), keep the first copy of any
+/// duplicate, and apply completions after every segment — the merger
+/// demands in-order sequences per rank, and `finalize` canonicalizes, so
+/// any union of logs covering the same stream rebuilds the same bytes.
+pub(crate) fn replay_union(
+    nranks: usize,
+    identity_check: bool,
+    records: impl IntoIterator<Item = WalRecord>,
+    problems: &mut Vec<String>,
+) -> IncrementalMerger {
+    let mut segs: BTreeMap<(usize, u32), TraceSegment> = BTreeMap::new();
+    let mut completes: BTreeMap<usize, RankCompletion> = BTreeMap::new();
+    for rec in records {
         match rec {
             WalRecord::Segment { seg, .. } => match segs.entry((seg.rank, seg.seq)) {
-                std::collections::btree_map::Entry::Vacant(v) => {
+                Entry::Vacant(v) => {
                     v.insert(seg);
                 }
-                std::collections::btree_map::Entry::Occupied(o) => {
+                Entry::Occupied(o) => {
                     if o.get().bytes != seg.bytes {
                         problems.push(format!(
                             "segment {}/{} logged twice with different payloads; kept the first",
@@ -327,10 +341,10 @@ fn replay_wal_job(dir: &Path, job: u64, log: JobLog) -> RecoveredJob {
                 }
             },
             WalRecord::Complete { done, .. } => match completes.entry(done.rank) {
-                std::collections::btree_map::Entry::Vacant(v) => {
+                Entry::Vacant(v) => {
                     v.insert(done);
                 }
-                std::collections::btree_map::Entry::Occupied(o) => {
+                Entry::Occupied(o) => {
                     let first = o.get();
                     if (first.call_count, first.segments) != (done.call_count, done.segments) {
                         problems.push(format!(
@@ -343,7 +357,7 @@ fn replay_wal_job(dir: &Path, job: u64, log: JobLog) -> RecoveredJob {
             _ => {}
         }
     }
-    let mut merger = IncrementalMerger::new(nranks).identity_check(log.identity_check);
+    let mut merger = IncrementalMerger::new(nranks).identity_check(identity_check);
     for seg in segs.values() {
         if let Err(e) = merger.accept_segment(seg) {
             problems.push(format!("replay segment {}/{}: {e}", seg.rank, seg.seq));
@@ -354,7 +368,7 @@ fn replay_wal_job(dir: &Path, job: u64, log: JobLog) -> RecoveredJob {
             problems.push(format!("replay complete {rank}: {e}"));
         }
     }
-    // A WAL can hold a rank's segments without its completion (the
+    // A log can hold a rank's segments without its completion (the
     // client was cut off mid-stream, or the completion frame was never
     // acked durable): salvage the accepted prefix as a checkpoint rank
     // so the job classifies Partial with real calls, not Lost.
@@ -363,17 +377,18 @@ fn replay_wal_job(dir: &Path, job: u64, log: JobLog) -> RecoveredJob {
             "rank {rank}: stream incomplete; salvaged {calls} calls from its logged prefix"
         ));
     }
-    let complete = merger.is_complete();
-    let trace = merger.finalize();
-    let calls = trace.rank_lengths.iter().sum();
-    classify(dir, job, RecoverySource::Wal, trace, calls, complete, problems)
+    merger
 }
 
 /// Reads a finished job's container back; `None` means unreadable (the
 /// caller falls back to the WAL replay).
 fn read_spill(job: u64, path: &Path) -> Option<RecoveredJob> {
-    let bytes = fs::read(path).ok()?;
-    let trace = GlobalTrace::decode_container(&bytes).ok()?;
+    decode_spill(job, path, &fs::read(path).ok()?)
+}
+
+/// Strictly decodes and classifies one spilled container's bytes.
+fn decode_spill(job: u64, path: &Path, bytes: &[u8]) -> Option<RecoveredJob> {
+    let trace = GlobalTrace::decode_container(bytes).ok()?;
     let calls = trace.rank_lengths.iter().sum();
     let complete = trace.completeness.is_complete();
     let mut done = classify_trace(job, RecoverySource::Spill, trace, calls, complete, Vec::new());
@@ -389,12 +404,7 @@ fn recover_bare_spill(dir: &Path, job: u64, path: &Path) -> RecoveredJob {
             return lost_job(job, RecoverySource::Spill, vec![format!("{}: {e}", path.display())])
         }
     };
-    if let Ok(trace) = GlobalTrace::decode_container(&bytes) {
-        let calls = trace.rank_lengths.iter().sum();
-        let complete = trace.completeness.is_complete();
-        let mut done =
-            classify_trace(job, RecoverySource::Spill, trace, calls, complete, Vec::new());
-        done.output = Some(path.to_path_buf());
+    if let Some(done) = decode_spill(job, path, &bytes) {
         return done;
     }
     match GlobalTrace::decode_salvage(&bytes) {
@@ -493,37 +503,24 @@ fn write_recovered(dir: &Path, job: u64, trace: Option<&GlobalTrace>) -> std::io
     let out_dir = dir.join("recovered");
     fs::create_dir_all(&out_dir)?;
     let path = out_dir.join(format!("job-{job}.pilgrim"));
-    let tmp = path.with_extension("pilgrim.tmp");
-    {
-        use std::io::Write as _;
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&write_container(trace))?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, &path)?;
+    persist_container(&path, &write_container(trace), false)?;
     Ok(path)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("pilgrim-recover-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
+    use crate::test_util::temp_dir;
 
     #[test]
     fn recovering_an_absent_directory_is_the_one_hard_error() {
-        let dir = temp_dir("absent");
+        let dir = temp_dir("recover-absent");
         assert!(recover_dir(&dir).is_err(), "missing session dir must error");
     }
 
     #[test]
     fn recovering_a_session_dir_without_a_wal_subdir_reports_nothing() {
-        let dir = temp_dir("no-wal");
+        let dir = temp_dir("recover-no-wal");
         fs::create_dir_all(&dir).expect("mkdir");
         let report = recover_dir(&dir).expect("readable dir");
         assert!(report.jobs.is_empty());
@@ -534,7 +531,7 @@ mod tests {
 
     #[test]
     fn recovering_an_empty_wal_directory_reports_nothing() {
-        let dir = temp_dir("empty-wal");
+        let dir = temp_dir("recover-empty-wal");
         fs::create_dir_all(dir.join("wal")).expect("mkdir");
         let report = recover_dir(&dir).expect("readable dir");
         assert!(report.jobs.is_empty());

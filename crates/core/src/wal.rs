@@ -9,38 +9,36 @@
 //!
 //! ## Format
 //!
-//! A 4-byte magic (`PWL1`) followed by CRC-framed records:
-//!
-//! ```text
-//! [kind: u8] [payload_len: varint] [payload] [crc32: u32 LE]
-//! ```
-//!
-//! The CRC covers kind + length + payload, so a torn or bit-flipped
-//! frame fails closed. The reader is torn-tail tolerant: it replays the
-//! longest clean prefix and reports (never propagates) the damage —
+//! A 4-byte magic (`PWL1`) followed by CRC frames — the framing, the
+//! record payload codec and the reader are [`crate::frame`]'s, shared
+//! with the `PNT1` wire. The reader is torn-tail tolerant: it replays
+//! the longest clean prefix and reports (never propagates) the damage —
 //! exactly the semantics of the spill path's tmp+sync+rename, applied to
 //! an append-only file. The writer [`sync_data`](File::sync_data)s every
 //! append and, on a failed append (a real short write or an injected
 //! one), truncates back to the last clean frame so one lost record
-//! cannot poison the frames after it.
+//! cannot poison the frames after it
+//! ([`WalWriter::append_or_rewind`]).
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-use pilgrim_sequitur::{read_varint, write_varint};
+use pilgrim_sequitur::write_varint;
 
 use crate::error::DecodeError;
-use crate::export::crc32;
+use crate::frame::{self, FrameReader, RecordKind};
 use crate::merge::{RankCompletion, TraceSegment};
+
+pub use crate::frame::{encode_frame, split_frame};
 
 /// Leading magic of a shard WAL file.
 pub const WAL_MAGIC: &[u8; 4] = b"PWL1";
 
-const KIND_OPEN: u8 = 1;
-const KIND_SEGMENT: u8 = 2;
-const KIND_COMPLETE: u8 = 3;
-const KIND_FINISHED: u8 = 4;
+const KIND_OPEN: u8 = RecordKind::JobOpen.wal();
+const KIND_SEGMENT: u8 = RecordKind::Segment.wal();
+const KIND_COMPLETE: u8 = RecordKind::Complete.wal();
+const KIND_FINISHED: u8 = RecordKind::Finished.wal();
 const KIND_QUARANTINE: u8 = 5;
 
 /// One logged ingest event.
@@ -75,23 +73,11 @@ impl WalRecord {
     fn serialize_payload(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::JobOpen { job, nranks, identity_check } => {
-                write_varint(out, *job);
-                write_varint(out, *nranks as u64);
-                out.push(u8::from(*identity_check));
+                frame::put_job_open(out, *job, *nranks, *identity_check);
             }
-            WalRecord::Segment { job, seg } => {
-                write_varint(out, *job);
-                write_varint(out, seg.rank as u64);
-                write_varint(out, seg.seq as u64);
-                out.push(u8::from(seg.sealed));
-                write_varint(out, seg.bytes.len() as u64);
-                out.extend_from_slice(&seg.bytes);
-            }
-            WalRecord::Complete { job, done } => {
-                write_varint(out, *job);
-                done.serialize(out);
-            }
-            WalRecord::Finished { job } => write_varint(out, *job),
+            WalRecord::Segment { job, seg } => frame::put_segment(out, *job, seg),
+            WalRecord::Complete { job, done } => frame::put_complete(out, *job, done),
+            WalRecord::Finished { job } => frame::put_finished(out, *job),
             WalRecord::Quarantine { job, rank, seq } => {
                 write_varint(out, *job);
                 write_varint(out, *rank as u64);
@@ -115,108 +101,29 @@ impl WalRecord {
         let pos = &mut 0usize;
         let rec = match kind {
             KIND_OPEN => {
-                let job = read(buf, pos, "wal open job")?;
-                let nranks = read(buf, pos, "wal open nranks")? as usize;
-                let flag_off = *pos;
-                let flag = *buf
-                    .get(*pos)
-                    .ok_or(DecodeError::Truncated { what: "wal open flag", offset: flag_off })?;
-                *pos += 1;
-                WalRecord::JobOpen { job, nranks, identity_check: flag != 0 }
+                let (job, nranks, identity_check) = frame::get_job_open(buf, pos)?;
+                WalRecord::JobOpen { job, nranks, identity_check }
             }
             KIND_SEGMENT => {
-                let job = read(buf, pos, "wal segment job")?;
-                let rank = read(buf, pos, "wal segment rank")? as usize;
-                let seq = read(buf, pos, "wal segment seq")? as u32;
-                let flag_off = *pos;
-                let sealed = *buf
-                    .get(*pos)
-                    .ok_or(DecodeError::Truncated { what: "wal segment flag", offset: flag_off })?
-                    != 0;
-                *pos += 1;
-                let len_off = *pos;
-                let len = read(buf, pos, "wal segment len")? as usize;
-                let bytes = buf
-                    .get(*pos..*pos + len)
-                    .ok_or(DecodeError::Truncated { what: "wal segment bytes", offset: len_off })?
-                    .to_vec();
-                *pos += len;
-                WalRecord::Segment { job, seg: TraceSegment { rank, seq, sealed, bytes } }
+                let (job, seg) = frame::get_segment(buf, pos)?;
+                WalRecord::Segment { job, seg }
             }
             KIND_COMPLETE => {
-                let job = read(buf, pos, "wal complete job")?;
-                let done = RankCompletion::decode(buf, pos)?;
+                let (job, done) = frame::get_complete(buf, pos)?;
                 WalRecord::Complete { job, done }
             }
-            KIND_FINISHED => WalRecord::Finished { job: read(buf, pos, "wal finished job")? },
+            KIND_FINISHED => WalRecord::Finished { job: frame::get_finished(buf, pos)? },
             KIND_QUARANTINE => {
-                let job = read(buf, pos, "wal quarantine job")?;
-                let rank = read(buf, pos, "wal quarantine rank")? as usize;
-                let seq = read(buf, pos, "wal quarantine seq")? as u32;
+                let job = frame::get_varint(buf, pos, "wal quarantine job")?;
+                let rank = frame::get_varint(buf, pos, "wal quarantine rank")? as usize;
+                let seq = frame::get_varint(buf, pos, "wal quarantine seq")? as u32;
                 WalRecord::Quarantine { job, rank, seq }
             }
             _ => return Err(DecodeError::Corrupt { what: "wal record kind", offset: 0 }),
         };
-        if *pos != buf.len() {
-            return Err(DecodeError::Corrupt { what: "wal record trailing bytes", offset: *pos });
-        }
+        frame::expect_end(buf, *pos)?;
         Ok(rec)
     }
-}
-
-fn read(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, DecodeError> {
-    let off = *pos;
-    read_varint(buf, pos).ok_or(DecodeError::Truncated { what, offset: off })
-}
-
-/// Builds one CRC frame — `[kind: u8] [payload_len: varint] [payload]
-/// [crc32: u32 LE]`, the CRC covering everything before it. This is the
-/// framing shared by the WAL and the `PNT1` wire protocol
-/// ([`crate::net`]): same layout on disk and on the socket, so a frame
-/// accepted off the wire can be re-framed into a WAL byte-for-byte.
-pub fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 10);
-    out.push(kind);
-    write_varint(&mut out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-/// Pulls one CRC frame starting at `*pos`, advancing past it on success.
-/// `None` = the buffer ends mid-frame (torn tail — more bytes may still
-/// arrive on a stream); `Some(Err)` = framing intact but the CRC does
-/// not match. The payload is borrowed, not copied.
-pub fn split_frame<'a>(
-    buf: &'a [u8],
-    pos: &mut usize,
-) -> Option<Result<(u8, &'a [u8]), DecodeError>> {
-    let start = *pos;
-    let kind = *buf.get(*pos)?;
-    *pos += 1;
-    let Some(len) = read_varint(buf, pos).map(|v| v as usize) else {
-        // Torn inside the length varint: leave `pos` where it was so
-        // the caller can retry once more bytes arrive.
-        *pos = start;
-        return None;
-    };
-    if len > buf.len().saturating_sub(*pos) {
-        *pos = start;
-        return None;
-    }
-    let payload = &buf[*pos..*pos + len];
-    *pos += len;
-    let Some(crc_bytes) = buf.get(*pos..*pos + 4) else {
-        *pos = start;
-        return None;
-    };
-    let stored = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-    *pos += 4;
-    if crc32(&buf[start..*pos - 4]) != stored {
-        return Some(Err(DecodeError::Corrupt { what: "frame crc", offset: start }));
-    }
-    Some(Ok((kind, payload)))
 }
 
 fn frame(rec: &WalRecord) -> Vec<u8> {
@@ -263,9 +170,9 @@ impl WalWriter {
 
     /// Fault-injection hook: writes only the first half of the frame
     /// (a torn append, as if the process died mid-write) and reports it
-    /// as a short-write error. The caller is expected to
-    /// [`truncate_to_clean`](WalWriter::truncate_to_clean) — until then
-    /// the file carries a torn tail, exactly what a crash leaves.
+    /// as a short-write error. Until
+    /// [`append_or_rewind`](WalWriter::append_or_rewind) rewinds it, the
+    /// file carries a torn tail, exactly what a crash leaves.
     pub fn append_torn(&mut self, rec: &WalRecord) -> std::io::Result<u64> {
         let bytes = frame(rec);
         self.file.write_all(&bytes[..bytes.len() / 2])?;
@@ -278,10 +185,30 @@ impl WalWriter {
 
     /// Truncates back to the last fully-synced frame after a failed
     /// append, so later records land on a clean boundary.
-    pub fn truncate_to_clean(&mut self) -> std::io::Result<()> {
+    fn truncate_to_clean(&mut self) -> std::io::Result<()> {
         self.file.set_len(self.clean_len)?;
         self.file.seek(SeekFrom::Start(self.clean_len))?;
         self.file.sync_data()
+    }
+
+    /// The one durable-append routine every log owner (ingest shard,
+    /// collector connection, degraded client) goes through: run `append`
+    /// ([`WalWriter::append`], or a fault plan's stand-in for it) on the
+    /// writer in `slot`, and on failure rewind the log to its last clean
+    /// frame so one lost record cannot poison the frames after it. If
+    /// even the rewind fails the writer is dropped from `slot` — nothing
+    /// appended behind a torn tail could ever be replayed. `None` means
+    /// the slot holds no writer.
+    pub fn append_or_rewind(
+        slot: &mut Option<WalWriter>,
+        append: impl FnOnce(&mut WalWriter) -> std::io::Result<u64>,
+    ) -> Option<std::io::Result<u64>> {
+        let wal = slot.as_mut()?;
+        let result = append(wal);
+        if result.is_err() && wal.truncate_to_clean().is_err() {
+            *slot = None;
+        }
+        Some(result)
     }
 
     /// Records successfully appended.
@@ -311,30 +238,26 @@ pub struct WalReplay {
 /// when the magic itself is missing — damage past the magic is reported
 /// in [`WalReplay::torn`], never propagated.
 pub fn decode_wal(buf: &[u8]) -> Result<WalReplay, DecodeError> {
-    if buf.len() < WAL_MAGIC.len() || &buf[..WAL_MAGIC.len()] != WAL_MAGIC {
+    let mut reader = FrameReader::over(buf);
+    if reader.take_magic(WAL_MAGIC) != Some(true) {
         return Err(DecodeError::Corrupt { what: "wal magic", offset: 0 });
     }
     let mut replay = WalReplay { clean_bytes: WAL_MAGIC.len() as u64, ..Default::default() };
-    let mut pos = WAL_MAGIC.len();
-    while pos < buf.len() {
-        let start = pos;
-        let Some(framed) = next_frame(buf, &mut pos) else {
-            replay.torn = Some(format!(
-                "torn frame at byte {start} ({} records clean)",
-                replay.records.len()
-            ));
-            break;
-        };
-        match framed {
-            Ok(rec) => {
+    while reader.pending() > 0 {
+        let start = reader.position();
+        let clean = replay.records.len();
+        match reader.next_frame(WalRecord::decode_payload) {
+            Some(Ok(rec)) => {
                 replay.records.push(rec);
-                replay.clean_bytes = pos as u64;
+                replay.clean_bytes = reader.position() as u64;
             }
-            Err(e) => {
-                replay.torn = Some(format!(
-                    "corrupt frame at byte {start}: {e} ({} records clean)",
-                    replay.records.len()
-                ));
+            None => {
+                replay.torn = Some(format!("torn frame at byte {start} ({clean} records clean)"));
+                break;
+            }
+            Some(Err(e)) => {
+                replay.torn =
+                    Some(format!("corrupt frame at byte {start}: {e} ({clean} records clean)"));
                 break;
             }
         }
@@ -342,30 +265,17 @@ pub fn decode_wal(buf: &[u8]) -> Result<WalReplay, DecodeError> {
     Ok(replay)
 }
 
-/// Pulls one frame starting at `*pos`. `None` = truncated (torn tail);
-/// `Some(Err)` = framing intact but contents corrupt (bad CRC, bad
-/// kind, payload decode failure).
-fn next_frame(buf: &[u8], pos: &mut usize) -> Option<Result<WalRecord, DecodeError>> {
-    let start = *pos;
-    match split_frame(buf, pos)? {
-        Ok((kind, payload)) => {
-            Some(WalRecord::decode_payload(kind, payload).map_err(|e| e.offset_by(start)))
-        }
-        Err(e) => Some(Err(e)),
-    }
-}
-
-/// Reads and replays one WAL file from disk.
-pub fn read_wal(path: &Path) -> std::io::Result<Result<WalReplay, DecodeError>> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    Ok(decode_wal(&bytes))
+/// Reads and replays one WAL file from disk. A file without the magic
+/// is an [`InvalidData`](std::io::ErrorKind::InvalidData) error.
+pub fn read_wal(path: &Path) -> std::io::Result<WalReplay> {
+    decode_wal(&std::fs::read(path)?)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::EncoderConfig;
+    use crate::test_util::{completion, temp_dir};
 
     fn sample_records() -> Vec<WalRecord> {
         vec![
@@ -375,18 +285,7 @@ mod tests {
                 seg: TraceSegment { rank: 1, seq: 0, sealed: true, bytes: vec![1, 2, 3, 4, 5] },
             },
             WalRecord::Quarantine { job: 3, rank: 1, seq: 1 },
-            WalRecord::Complete {
-                job: 3,
-                done: RankCompletion {
-                    rank: 1,
-                    call_count: 9,
-                    segments: 2,
-                    duration: None,
-                    interval: None,
-                    encoder_cfg: EncoderConfig::default(),
-                    events: Vec::new(),
-                },
-            },
+            WalRecord::Complete { job: 3, done: completion(1, 9, 2) },
             WalRecord::Finished { job: 3 },
         ]
     }
@@ -451,38 +350,13 @@ mod tests {
         assert!(decode_wal(b"PW").is_err());
     }
 
-    #[test]
-    fn shared_frame_codec_roundtrips_and_rejects_bit_flips() {
-        let frame = encode_frame(7, b"hello frame");
-        let mut pos = 0;
-        let (kind, payload) = split_frame(&frame, &mut pos).expect("whole").expect("clean");
-        assert_eq!((kind, payload), (7u8, &b"hello frame"[..]));
-        assert_eq!(pos, frame.len());
-        // Every strict prefix is torn, and `pos` is left where it was.
-        for cut in 0..frame.len() {
-            let mut p = 0;
-            assert!(split_frame(&frame[..cut], &mut p).is_none(), "cut at {cut}");
-            assert_eq!(p, 0);
-        }
-        // Any single bit flip fails the CRC closed.
-        for byte in 0..frame.len() {
-            let mut bad = frame.clone();
-            bad[byte] ^= 0x10;
-            let mut p = 0;
-            match split_frame(&bad, &mut p) {
-                Some(Err(_)) | None => {}
-                Some(Ok(_)) => panic!("flip at byte {byte} went undetected"),
-            }
-        }
-    }
-
     /// The satellite case for truncate-on-failed-append: a short write
     /// must leave the file readable *at the last clean frame* even
     /// before `truncate_to_clean` runs, and `clean_len` must agree with
     /// what an independent reader accepts.
     #[test]
     fn short_write_leaves_log_readable_at_last_clean_frame() {
-        let dir = std::env::temp_dir().join(format!("pilgrim-wal-short-{}", std::process::id()));
+        let dir = temp_dir("wal-short");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("shard-0.wal");
         let recs = sample_records();
@@ -495,7 +369,7 @@ mod tests {
         let on_disk = std::fs::metadata(&path).expect("stat").len();
         assert!(on_disk > clean, "torn bytes must be present ({on_disk} <= {clean})");
         // ...and a crash-time reader replays exactly the clean prefix.
-        let replay = read_wal(&path).expect("read").expect("magic");
+        let replay = read_wal(&path).expect("read");
         assert_eq!(replay.records.len(), 2);
         assert_eq!(replay.clean_bytes, clean);
         assert!(replay.torn.is_some());
@@ -504,7 +378,7 @@ mod tests {
 
     #[test]
     fn writer_appends_syncs_and_recovers_from_torn_append() {
-        let dir = std::env::temp_dir().join(format!("pilgrim-wal-{}", std::process::id()));
+        let dir = temp_dir("wal");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("shard-0.wal");
         let recs = sample_records();
@@ -513,13 +387,13 @@ mod tests {
         w.append(&recs[1]).expect("append");
         // A torn append leaves a damaged tail the reader skips...
         assert!(w.append_torn(&recs[2]).is_err());
-        let replay = read_wal(&path).expect("read").expect("magic");
+        let replay = read_wal(&path).expect("read");
         assert_eq!(replay.records.len(), 2);
         assert!(replay.torn.is_some());
         // ...and truncate-to-clean lets the log continue.
         w.truncate_to_clean().expect("truncate");
         w.append(&recs[3]).expect("append after recovery");
-        let replay = read_wal(&path).expect("read").expect("magic");
+        let replay = read_wal(&path).expect("read");
         assert_eq!(replay.records.len(), 3);
         assert!(replay.torn.is_none());
         assert_eq!(w.records(), 3);

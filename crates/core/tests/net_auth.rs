@@ -21,8 +21,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pilgrim::net::{NetFrame, REJECT_BAD_MAC, REJECT_VERSION};
-use pilgrim::wal::split_frame;
+use pilgrim::frame::FrameReader;
+use pilgrim::net::{read_handshake_frame, NetFrame, REJECT_BAD_MAC, REJECT_VERSION};
 use pilgrim::{
     challenge_response, serve, AuthKey, GlobalTrace, IngestConfig, IngestSession, NetClient,
     NetClientConfig, NetServerConfig, PilgrimConfig, PilgrimTracer, RetryPolicy, SegmentSink,
@@ -67,41 +67,12 @@ fn stream_world(sink: Arc<dyn SegmentSink>, cfg: PilgrimConfig, ranks: usize, se
 /// Reads one frame from the server, expecting the `PNT1` magic prefix
 /// iff `expect_magic` (the server prefixes its *first* frame only).
 fn read_frame(stream: &mut TcpStream, expect_magic: bool) -> Option<NetFrame> {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 1024];
-    loop {
-        let body = if expect_magic {
-            if buf.len() < 4 {
-                match stream.read(&mut chunk) {
-                    Ok(0) | Err(_) => return None,
-                    Ok(n) => {
-                        buf.extend_from_slice(&chunk[..n]);
-                        continue;
-                    }
-                }
-            }
-            assert_eq!(&buf[..4], NET_MAGIC, "server reply must lead with the magic");
-            &buf[4..]
-        } else {
-            &buf[..]
-        };
-        let mut pos = 0usize;
-        match split_frame(body, &mut pos) {
-            Some(Ok((kind, payload))) => return NetFrame::decode(kind, payload).ok(),
-            Some(Err(e)) => panic!("server sent an undecodable frame: {e:?}"),
-            None => match stream.read(&mut chunk) {
-                Ok(0) | Err(_) => return None,
-                Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            },
-        }
-    }
+    let mut rbuf = FrameReader::new(usize::MAX);
+    read_handshake_frame(stream, &mut rbuf, Duration::from_secs(5), expect_magic)
 }
 
 fn send_hello(stream: &mut TcpStream, version: u32, client_id: u64) -> Option<NetFrame> {
-    let mut wire = NET_MAGIC.to_vec();
-    wire.extend_from_slice(&NetFrame::Hello { version, client_id }.encode());
-    stream.write_all(&wire).expect("write hello");
+    stream.write_all(&NetFrame::Hello { version, client_id }.encode_first()).expect("write hello");
     read_frame(stream, true)
 }
 

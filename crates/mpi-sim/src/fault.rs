@@ -161,20 +161,24 @@ impl FaultPlan {
     }
 }
 
-/// SplitMix64 finalizer — a cheap, well-distributed 64-bit mixer.
-fn splitmix(mut x: u64) -> u64 {
+/// SplitMix64 finalizer — a cheap, well-distributed 64-bit mixer. With
+/// [`hash4`] and [`coin`] it is the one hashing vocabulary every seeded
+/// fault plan in the workspace draws from, so a plan's decisions are a
+/// pure function of its seed and the coordinates hashed.
+pub fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
 
-fn hash4(a: u64, b: u64, c: u64, d: u64) -> u64 {
+/// Mixes four coordinates (seed-salt first) into one hash.
+pub fn hash4(a: u64, b: u64, c: u64, d: u64) -> u64 {
     splitmix(splitmix(splitmix(splitmix(a) ^ b) ^ c) ^ d)
 }
 
 /// Maps a hash to [0, 1).
-fn coin(h: u64) -> f64 {
+pub fn coin(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
