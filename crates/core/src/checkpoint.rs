@@ -33,13 +33,20 @@ pub fn encode_checkpoint(calls: u64, cst: &Cst, grammar: &FlatGrammar) -> Vec<u8
 }
 
 /// Decodes a snapshot written by [`encode_checkpoint`]. The whole buffer
-/// must be consumed.
+/// must be consumed, and every grammar terminal must name an entry of the
+/// snapshot's own CST — everything downstream (segment assembly, the
+/// streaming merge, checkpoint recovery, WAL replay) renumbers terminals
+/// by indexing that table.
 pub fn decode_checkpoint(buf: &[u8]) -> Result<Checkpoint, DecodeError> {
     let mut pos = 0usize;
     let calls = decode_varint(buf, &mut pos)?;
     let cst = Cst::decode(buf, &mut pos)?;
+    let grammar_off = pos;
     let (grammar, used) = FlatGrammar::decode(&buf[pos..]).map_err(|e| e.offset_by(pos))?;
     pos += used;
+    if grammar.terminals().any(|t| t as usize >= cst.len()) {
+        return Err(DecodeError::Corrupt { what: "terminal", offset: grammar_off });
+    }
     if pos != buf.len() {
         return Err(DecodeError::TrailingBytes { consumed: pos, len: buf.len() });
     }
@@ -81,5 +88,18 @@ mod tests {
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(decode_checkpoint(&extended).is_err(), "trailing byte accepted");
+    }
+
+    #[test]
+    fn terminal_beyond_the_snapshot_cst_is_rejected() {
+        let mut cst = Cst::new();
+        cst.observe(b"only", 1);
+        let mut g = Grammar::new();
+        g.push(7);
+        let bytes = encode_checkpoint(1, &cst, &g.to_flat());
+        assert!(matches!(
+            decode_checkpoint(&bytes),
+            Err(DecodeError::Corrupt { what: "terminal", .. })
+        ));
     }
 }

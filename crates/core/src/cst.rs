@@ -50,6 +50,11 @@ impl Cst {
     /// Interns a signature, returning its terminal and recording one call
     /// of `duration`.
     pub fn observe(&mut self, sig: &[u8], duration: u64) -> u32 {
+        self.intern(sig, SigStats { count: 1, dur_sum: duration })
+    }
+
+    /// Interns a signature, adding `stats` to whatever it already holds.
+    pub fn intern(&mut self, sig: &[u8], stats: SigStats) -> u32 {
         let term = match self.map.get(sig) {
             Some(&t) => t,
             None => {
@@ -60,29 +65,17 @@ impl Cst {
                 t
             }
         };
-        let stats = &mut self.entries[term as usize].1;
-        stats.count += 1;
-        stats.dur_sum += duration;
+        let held = &mut self.entries[term as usize].1;
+        held.count += stats.count;
+        held.dur_sum += stats.dur_sum;
         term
     }
 
-    /// Interns a signature without timing (used during merges).
-    pub fn intern(&mut self, sig: &[u8], stats: SigStats) -> u32 {
-        match self.map.get(sig) {
-            Some(&t) => {
-                let s = &mut self.entries[t as usize].1;
-                s.count += stats.count;
-                s.dur_sum += stats.dur_sum;
-                t
-            }
-            None => {
-                let t = self.entries.len() as u32;
-                self.map.insert(sig.to_vec(), t);
-                self.entries.push((sig.to_vec(), stats));
-                self.approx_bytes += 2 * sig.len() + ENTRY_OVERHEAD;
-                t
-            }
-        }
+    /// Interns every entry of `other` (a segment's, a checkpoint's or a
+    /// peer's table) and returns the renumbering `other`'s terminals need
+    /// to live in this table: `remap[old] == new`.
+    pub fn absorb(&mut self, other: &Cst) -> Vec<u32> {
+        other.entries.iter().map(|(sig, stats)| self.intern(sig, *stats)).collect()
     }
 
     /// O(1) estimate of the table's resident bytes (two copies of every
@@ -227,6 +220,20 @@ mod tests {
         c.intern(b"s", SigStats { count: 3, dur_sum: 30 });
         c.intern(b"s", SigStats { count: 2, dur_sum: 20 });
         assert_eq!(c.stats(0), SigStats { count: 5, dur_sum: 50 });
+    }
+
+    #[test]
+    fn absorb_returns_the_renumbering() {
+        let mut a = Cst::new();
+        a.observe(b"x", 1);
+        a.observe(b"y", 2);
+        let mut b = Cst::new();
+        b.observe(b"z", 3);
+        b.observe(b"x", 4);
+        assert_eq!(a.absorb(&b), vec![2, 0]);
+        assert_eq!(a.len(), 3);
+        assert_eq!(a.stats(0), SigStats { count: 2, dur_sum: 5 });
+        assert_eq!(a.signature(2), b"z");
     }
 
     #[test]

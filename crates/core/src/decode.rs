@@ -684,14 +684,7 @@ fn decode_container_inner(
         duration_rank_map.clear();
         interval_rank_map.clear();
     }
-    // Same canonical form the legacy decoder produces: all-Merged
-    // collapses to the empty status list even when events are present.
-    let all_merged = statuses.iter().all(|s| matches!(s, RankStatus::Merged));
-    let completeness = if all_merged && events.is_empty() {
-        TraceCompleteness::complete()
-    } else {
-        TraceCompleteness { ranks: if all_merged { Vec::new() } else { statuses }, events }
-    };
+    let completeness = TraceCompleteness::canonical(statuses, events);
     Ok((
         GlobalTrace {
             nranks,

@@ -521,30 +521,6 @@ fn rank_terms(trace: &GlobalTrace) -> Vec<Vec<u32>> {
     out
 }
 
-/// Expanded length of every rule in `flat` (memoized walk; our own
-/// Sequitur output is acyclic by construction).
-fn rule_lengths(flat: &pilgrim_sequitur::FlatGrammar) -> Vec<u64> {
-    fn walk(flat: &pilgrim_sequitur::FlatGrammar, rid: usize, memo: &mut [Option<u64>]) -> u64 {
-        if let Some(v) = memo[rid] {
-            return v;
-        }
-        // Pre-mark to break (impossible) cycles instead of recursing forever.
-        memo[rid] = Some(0);
-        let mut len = 0u64;
-        for &(sym, exp) in &flat.rules[rid].symbols {
-            let unit = match sym {
-                Symbol::Terminal(_) => 1,
-                Symbol::Rule(r) => walk(flat, r as usize, memo),
-            };
-            len += unit * exp;
-        }
-        memo[rid] = Some(len);
-        len
-    }
-    let mut memo = vec![None; flat.rules.len()];
-    (0..flat.rules.len()).map(|r| walk(flat, r, &mut memo)).collect()
-}
-
 /// Candidate cuts for one rank's current sequence, derived from a fresh
 /// Sequitur grammar over it: for every top-level span, try dropping the
 /// whole span; for counted runs (`B^k`), also try dropping the tail
@@ -558,7 +534,7 @@ fn grammar_cuts(terms: &[u32]) -> Vec<std::ops::Range<usize>> {
     if flat.rules.is_empty() {
         return Vec::new();
     }
-    let lens = rule_lengths(&flat);
+    let lens = flat.rule_lengths();
     let mut cuts = Vec::new();
     let mut pos = 0u64;
     for &(sym, exp) in &flat.rules[0].symbols {

@@ -48,6 +48,18 @@ impl TraceCompleteness {
         TraceCompleteness::default()
     }
 
+    /// The canonical manifest for a full per-rank status list: what
+    /// serialization preserves. An all-`Merged` list collapses to the empty
+    /// list even when degradation events are present, so every producer
+    /// (batch merge, streaming merge, both decoders) compares equal across a
+    /// serialize/decode roundtrip.
+    pub fn canonical(mut ranks: Vec<RankStatus>, events: Vec<(u32, DegradationEvent)>) -> Self {
+        if ranks.iter().all(|s| matches!(s, RankStatus::Merged)) {
+            ranks.clear();
+        }
+        TraceCompleteness { ranks, events }
+    }
+
     /// True when every rank's trace was fully merged.
     pub fn is_complete(&self) -> bool {
         self.ranks.iter().all(|s| matches!(s, RankStatus::Merged))
@@ -510,16 +522,7 @@ impl GlobalTrace {
             ));
         }
         let nsigs = self.cst.len() as u64;
-        let mut bad_terms = 0usize;
-        for rule in &self.grammar.rules {
-            for &(sym, _) in &rule.symbols {
-                if let pilgrim_sequitur::Symbol::Terminal(t) = sym {
-                    if t as u64 >= nsigs {
-                        bad_terms += 1;
-                    }
-                }
-            }
-        }
+        let bad_terms = self.grammar.terminals().filter(|&t| t as u64 >= nsigs).count();
         if bad_terms > 0 {
             problems.push(format!(
                 "{bad_terms} grammar terminal(s) reference signatures beyond the CST ({nsigs})"

@@ -10,7 +10,7 @@ use std::time::Instant;
 use mpi_sim::funcs::FuncId;
 use mpi_sim::hooks::{Arg, CallRec, ToolRequest, TraceCtx, Tracer};
 use mpi_sim::{ANY_SOURCE, ANY_TAG, PROC_NULL};
-use pilgrim_sequitur::{FlatGrammar, FlatRule, Grammar, Symbol};
+use pilgrim_sequitur::{FlatGrammar, Grammar};
 
 use crate::checkpoint::{decode_checkpoint, encode_checkpoint};
 use crate::cst::Cst;
@@ -19,7 +19,7 @@ use crate::governor::{ComponentBytes, DegradationStage, Governor};
 use crate::idpool::{IdPool, SigPools};
 use crate::ingest::SegmentSink;
 use crate::memtracker::MemTracker;
-use crate::merge::{self, LocalPiece, MergeError, RankCompletion, TraceSegment};
+use crate::merge::{self, LocalPiece, MergeError, RankCompletion, RankSegments, TraceSegment};
 use crate::metrics::{MetricsRegistry, MetricsReport, Stage};
 use crate::nondet::NondetEvent;
 use crate::stats::OverheadStats;
@@ -1022,47 +1022,24 @@ impl PilgrimTracer {
     }
 
     /// The rank's full-trace view: the live CST/grammar when nothing was
-    /// sealed (the common path), or the concatenation of every sealed
-    /// segment plus the live one — per-segment CSTs interned into one
-    /// table, terminals remapped, rule ids offset, and a fresh top rule
-    /// referencing each segment's top in order (the intra-rank analogue
-    /// of the inter-process `S -> S1 S2` merge rule).
+    /// sealed (the common path), or every sealed segment plus the live one
+    /// assembled exactly as the collector assembles a streamed rank
+    /// ([`RankSegments`]).
     fn assembled(&self) -> (Cst, FlatGrammar) {
         if self.sealed.is_empty() {
             return (self.cst.clone(), self.grammar.to_flat());
         }
-        let mut segs: Vec<(Cst, FlatGrammar)> = Vec::with_capacity(self.sealed.len() + 1);
+        let mut cst = Cst::new();
+        let mut segments = RankSegments::default();
         for bytes in &self.sealed {
             if let Ok(ck) = decode_checkpoint(bytes) {
-                segs.push((ck.cst, ck.grammar));
+                segments.push(&mut cst, &ck.cst, ck.grammar, true);
             }
         }
         if self.grammar.input_len() > 0 {
-            segs.push((self.cst.clone(), self.grammar.to_flat()));
+            segments.push(&mut cst, &self.cst, self.grammar.to_flat(), false);
         }
-        let mut cst = Cst::new();
-        let mut rules: Vec<FlatRule> = vec![FlatRule { symbols: Vec::new() }];
-        let mut tops: Vec<u32> = Vec::with_capacity(segs.len());
-        for (scst, sg) in &segs {
-            let remap: Vec<u32> = scst.iter().map(|(_, sig, st)| cst.intern(sig, st)).collect();
-            let g = merge::map_terminals(sg, &remap);
-            let offset = rules.len() as u32;
-            tops.push(offset);
-            for r in &g.rules {
-                rules.push(FlatRule {
-                    symbols: r
-                        .symbols
-                        .iter()
-                        .map(|&(s, e)| match s {
-                            Symbol::Rule(q) => (Symbol::Rule(q + offset), e),
-                            t => (t, e),
-                        })
-                        .collect(),
-                });
-            }
-        }
-        rules[0] = FlatRule { symbols: tops.iter().map(|&t| (Symbol::Rule(t), 1)).collect() };
-        (cst, FlatGrammar { rules })
+        (cst, segments.assemble())
     }
 
     /// Timing gather payloads: a rank whose governor collapsed per-call

@@ -5,6 +5,7 @@
 #![allow(dead_code)] // each test binary uses its own subset
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mpi_sim::{World, WorldConfig};
@@ -34,6 +35,11 @@ pub fn stream_world(
         |rank| PilgrimTracer::new(rank, cfg).with_segment_sink(sink.clone()),
         move |env| body(env),
     );
+}
+
+/// [`stream_world`] over the small stencil the transport tests share.
+pub fn stream_stencil(sink: Arc<dyn SegmentSink>, cfg: PilgrimConfig, ranks: usize, seed: u64) {
+    stream_world(sink, cfg, ranks, seed, mpi_workloads::by_name("stencil3d", 6));
 }
 
 /// A [`SegmentSink`] that folds every stream into one shared
@@ -93,14 +99,10 @@ pub fn streamed_trace(ranks: usize, seed: u64, cfg: PilgrimConfig, body: Body) -
 
 /// The same world streamed into a WAL-backed session that dies before
 /// finishing the job, then rebuilt by crash recovery from the WAL alone.
-pub fn recovered_trace(
-    ranks: usize,
-    seed: u64,
-    cfg: PilgrimConfig,
-    body: Body,
-    tag: &str,
-) -> GlobalTrace {
-    let dir = temp_dir(&format!("recovered-{tag}"));
+pub fn recovered_trace(ranks: usize, seed: u64, cfg: PilgrimConfig, body: Body) -> GlobalTrace {
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+    let tag = format!("recovered-{}", RUNS.fetch_add(1, Ordering::Relaxed));
+    let dir = temp_dir(&tag);
     let session = IngestSession::new(IngestConfig::new().shards(2).spill_dir(&dir).wal(true))
         .expect("ingest session");
     let handle = session.open_job(ranks, cfg.merge_identity_check);

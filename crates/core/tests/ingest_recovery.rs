@@ -15,22 +15,22 @@
 
 #![recursion_limit = "256"]
 
+mod common;
+
 use std::fs;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
-use pilgrim::wal::decode_wal;
+use common::{stream_world, temp_dir};
+use pilgrim::recover::recover_dir;
+use pilgrim::wal::{decode_wal, WalRecord, WalWriter};
 use pilgrim::{
-    GlobalTrace, IngestConfig, IngestFaultPlan, IngestSession, PilgrimConfig, PilgrimTracer,
-    RecoveryState, SegmentSink,
+    encode_checkpoint, Cst, EncoderConfig, GlobalTrace, IngestConfig, IngestFaultPlan,
+    IngestSession, PilgrimConfig, PilgrimTracer, RankCompletion, RecoveryState, SegmentSink,
+    TraceSegment,
 };
+use pilgrim_sequitur::Grammar;
 use proptest::prelude::*;
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pilgrim-recovery-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Streams `jobs` concurrent simulated worlds into a WAL-backed session
 /// and "crashes" it: jobs `0..finish` are finished normally, the rest
@@ -52,13 +52,7 @@ fn run_and_crash(dir: &PathBuf, jobs: usize, finish: usize, ranks: usize, plan: 
                 let workload = ["stencil2d", "stencil3d", "lu", "mg"][j % 4];
                 let body = mpi_workloads::by_name(workload, 8);
                 let sink: Arc<dyn SegmentSink> = Arc::new(handle.clone());
-                let cfg = PilgrimConfig::default();
-                let wcfg = mpi_sim::WorldConfig::new(ranks).seed(100 + j as u64);
-                mpi_sim::World::run(
-                    &wcfg,
-                    |rank| PilgrimTracer::new(rank, cfg).with_segment_sink(sink.clone()),
-                    move |env| body(env),
-                );
+                stream_world(sink, PilgrimConfig::default(), ranks, 100 + j as u64, body);
                 if j < finish {
                     let _ = session.finish_job(&handle);
                 }
@@ -95,6 +89,61 @@ fn killed_collector_recovers_every_wal_intact_job_across_eight_worlds() {
         assert!(trace.rank_lengths.iter().sum::<u64>() > 0);
         assert!(job.output.as_ref().is_some_and(|p| p.exists()));
     }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn poisoned_wal_segment_is_reported_and_costs_only_its_own_job() {
+    // A segment is fsynced to the WAL *before* it is folded, so a hostile
+    // one — here a grammar naming terminal 7 over a 1-signature CST —
+    // outlives the live session's quarantine. Replay has no panic
+    // isolation: recovery must refuse the payload by name and carry on.
+    let checkpoint = |term: u32| {
+        let mut cst = Cst::new();
+        cst.observe(b"sig", 5);
+        let mut g = Grammar::new();
+        g.push(term);
+        encode_checkpoint(1, &cst, &g.to_flat())
+    };
+    let dir = temp_dir("poisoned-wal");
+    fs::create_dir_all(dir.join("wal")).unwrap();
+    let mut wal = WalWriter::create(dir.join("wal").join("shard-0.wal")).unwrap();
+    for (job, term) in [(1u64, 7u32), (2, 0)] {
+        let seg = TraceSegment { rank: 0, seq: 0, sealed: false, bytes: checkpoint(term) };
+        let done = RankCompletion {
+            rank: 0,
+            call_count: 1,
+            segments: 1,
+            duration: None,
+            interval: None,
+            encoder_cfg: EncoderConfig::default(),
+            events: Vec::new(),
+        };
+        for rec in [
+            WalRecord::JobOpen { job, nranks: 1, identity_check: true },
+            WalRecord::Segment { job, seg },
+            WalRecord::Complete { job, done },
+        ] {
+            wal.append(&rec).unwrap();
+        }
+    }
+    drop(wal);
+
+    let report = recover_dir(&dir).expect("recovery must not panic or error");
+    assert_eq!(report.jobs.len(), 2);
+    let (poisoned, honest) = (&report.jobs[0], &report.jobs[1]);
+    assert_eq!((poisoned.job, honest.job), (1, 2));
+    assert_ne!(poisoned.state, RecoveryState::Recovered);
+    assert!(
+        poisoned
+            .problems
+            .iter()
+            .any(|p| p.contains("replay segment 0/0") && p.contains("terminal")),
+        "the report must name the refused segment: {:?}",
+        poisoned.problems
+    );
+    assert_eq!(honest.state, RecoveryState::Recovered, "problems: {:?}", honest.problems);
+    assert_eq!(honest.trace.as_ref().unwrap().rank_lengths, vec![1]);
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -1,117 +1,59 @@
-//! Equivalence guarantee for the streaming merge API: a rank that
-//! streams its segments through a [`SegmentSink`] into an
-//! [`IncrementalMerger`] must produce a byte-identical trace to the
-//! finalize-time batch merge — on clean runs, under a governor budget
-//! (sealed segments), with lossy timing, and on non-power-of-two
-//! worlds.
+//! The differential table behind the repo's first invariant: every path
+//! to a trace yields byte-identical containers, and every one of them
+//! decodes to what the ranks actually called.
 //!
-//! (The legacy-entry-point half of this suite retired with the
-//! `#[deprecated]` batch-merge wrappers; `merge(ctx, piece, &options)`
-//! is the only batch entry point now.)
+//! Rows are paths, columns are scenarios. A path is a function from a
+//! scenario to a [`GlobalTrace`]; paths in the same class (with or
+//! without the tightened governor budget, which legitimately changes the
+//! bytes: sealed segments, degradation events) must agree byte for byte,
+//! and every path must pass `verify_lossless` against a
+//! `capture_reference` run of the same world. A new path joins by adding
+//! a row.
 
-use std::sync::{Arc, Mutex};
+mod common;
 
+use std::sync::Arc;
+
+use common::{batch_trace, recovered_trace, streamed_trace};
 use mpi_sim::datatype::BasicType;
 use mpi_sim::{Env, World, WorldConfig};
 use mpi_workloads::adversarial::adversarial_seeded;
 use mpi_workloads::Body;
 use pilgrim::{
-    IncrementalMerger, PilgrimConfig, PilgrimTracer, RankCompletion, SegmentSink, TimingMode,
-    TraceSegment,
+    verify_lossless, write_container, GlobalTrace, PilgrimConfig, PilgrimTracer, TimingMode,
 };
 
-/// A [`SegmentSink`] that folds every stream into one shared
-/// [`IncrementalMerger`] — the collector side of the streaming path,
-/// without the session machinery.
-struct CollectorSink(Mutex<Option<IncrementalMerger>>);
+/// A budget small enough that every scenario seals segments mid-run.
+const TIGHT_BUDGET: usize = 3000;
 
-impl SegmentSink for CollectorSink {
-    fn push_segment(&self, seg: TraceSegment) {
-        let mut guard = self.0.lock().unwrap();
-        let merger = guard.as_mut().expect("merger still collecting");
-        merger.accept_segment(&seg).expect("stream segment accepted");
-    }
-
-    fn complete_rank(&self, done: RankCompletion) {
-        let mut guard = self.0.lock().unwrap();
-        let merger = guard.as_mut().expect("merger still collecting");
-        merger.complete_rank(done).expect("rank completion accepted");
-    }
+struct Path {
+    name: &'static str,
+    /// Run under [`TIGHT_BUDGET`]: the rank retains (batch) or streams
+    /// (collector) governor-sealed segments and reassembles them.
+    tight_budget: bool,
+    run: fn(usize, u64, PilgrimConfig, Body) -> GlobalTrace,
 }
 
-/// Serialized trace of a batch-merged run.
-fn batch_bytes(nranks: usize, seed: u64, cfg: PilgrimConfig, body: Body) -> Vec<u8> {
-    let wcfg = WorldConfig::new(nranks).seed(seed);
-    let mut tracers = World::run(&wcfg, |rank| PilgrimTracer::new(rank, cfg), move |env| body(env));
-    tracers[0].take_output().trace.expect("rank 0 batch trace").serialize()
-}
+const PATHS: [Path; 5] = [
+    Path { name: "batch", tight_budget: false, run: batch_trace },
+    Path { name: "batch+budget", tight_budget: true, run: batch_trace },
+    Path { name: "streamed", tight_budget: false, run: streamed_trace },
+    Path { name: "streamed+budget", tight_budget: true, run: streamed_trace },
+    Path { name: "wal-recovered", tight_budget: false, run: recovered_trace },
+];
 
-/// Serialized trace of the same run with every rank streaming into an
-/// [`IncrementalMerger`].
-fn streamed_bytes(nranks: usize, seed: u64, cfg: PilgrimConfig, body: Body) -> Vec<u8> {
-    let merger = IncrementalMerger::new(nranks).identity_check(cfg.merge_identity_check);
-    let sink = Arc::new(CollectorSink(Mutex::new(Some(merger))));
-    let dyn_sink: Arc<dyn SegmentSink> = sink.clone();
-    let wcfg = WorldConfig::new(nranks).seed(seed);
-    World::run(
-        &wcfg,
-        |rank| PilgrimTracer::new(rank, cfg).with_segment_sink(dyn_sink.clone()),
-        move |env| body(env),
-    );
-    let merger = sink.0.lock().unwrap().take().expect("merger present");
-    merger.finalize().serialize()
-}
-
-fn assert_stream_matches_batch(
-    nranks: usize,
+struct Scenario {
+    name: &'static str,
+    ranks: usize,
     seed: u64,
     cfg: PilgrimConfig,
     body: Body,
-    tag: &str,
-) {
-    let batch = batch_bytes(nranks, seed, cfg, body.clone());
-    let streamed = streamed_bytes(nranks, seed, cfg, body);
-    assert_eq!(batch, streamed, "{tag}: streamed trace diverged from batch merge");
 }
 
-#[test]
-fn streamed_equals_batch_on_clean_workload() {
-    assert_stream_matches_batch(
-        4,
-        7,
-        PilgrimConfig::default(),
-        mpi_workloads::by_name("stencil2d", 25),
-        "stencil2d",
-    );
-}
-
-#[test]
-fn streamed_equals_batch_under_governor_budget() {
-    // A small budget on the compression-hostile kernel drives the
-    // degradation ladder into segment sealing, so the stream carries
-    // many sealed segments per rank — the interesting reassembly case.
-    let cfg = PilgrimConfig::new().memory_budget(48_000);
-    let body: Body = Arc::new(move |env: &mut Env| adversarial_seeded(env, 150, 42));
-    assert_stream_matches_batch(4, 42, cfg, body, "governed adversarial");
-}
-
-#[test]
-fn streamed_equals_batch_with_lossy_timing() {
-    let cfg = PilgrimConfig::new().timing(TimingMode::Lossy { base: 1.2 });
-    assert_stream_matches_batch(
-        4,
-        11,
-        cfg,
-        mpi_workloads::by_name("stencil3d", 12),
-        "lossy stencil3d",
-    );
-}
-
-#[test]
-fn streamed_equals_batch_on_non_power_of_two_world() {
+fn scenarios() -> [Scenario; 4] {
     // Rings and broadcasts work for any rank count; 6 exercises the
-    // binomial-tree padding paths on the batch side.
-    let body: Body = Arc::new(|env: &mut Env| {
+    // binomial tree's padding paths on the batch side.
+    let ring: Body = Arc::new(|env: &mut Env| {
         let world = env.comm_world();
         let dt = env.basic(BasicType::Double);
         let buf = env.malloc(128);
@@ -125,5 +67,82 @@ fn streamed_equals_batch_on_non_power_of_two_world() {
             env.barrier(world);
         }
     });
-    assert_stream_matches_batch(6, 13, PilgrimConfig::default(), body, "6-rank ring");
+    [
+        Scenario {
+            name: "clean stencil2d",
+            ranks: 4,
+            seed: 7,
+            cfg: PilgrimConfig::default(),
+            body: mpi_workloads::by_name("stencil2d", 25),
+        },
+        // The compression-hostile kernel under a budget of its own: the
+        // degradation ladder reaches segment sealing on every path.
+        Scenario {
+            name: "governed adversarial",
+            ranks: 4,
+            seed: 42,
+            cfg: PilgrimConfig::new().memory_budget(48_000),
+            body: Arc::new(|env: &mut Env| adversarial_seeded(env, 150, 42)),
+        },
+        Scenario {
+            name: "lossy-timing stencil3d",
+            ranks: 4,
+            seed: 11,
+            cfg: PilgrimConfig::new().timing(TimingMode::Lossy { base: 1.2 }),
+            body: mpi_workloads::by_name("stencil3d", 12),
+        },
+        Scenario {
+            name: "6-rank ring",
+            ranks: 6,
+            seed: 13,
+            cfg: PilgrimConfig::default(),
+            body: ring,
+        },
+    ]
+}
+
+#[test]
+fn every_path_writes_the_same_bytes_and_decodes_losslessly() {
+    for sc in scenarios() {
+        let reference: Vec<_> = {
+            let body = sc.body.clone();
+            let cfg = sc.cfg.capture_reference(true);
+            World::run(
+                &WorldConfig::new(sc.ranks).seed(sc.seed),
+                |rank| PilgrimTracer::new(rank, cfg),
+                move |env| body(env),
+            )
+            .iter()
+            .map(|t| t.captured().to_vec())
+            .collect()
+        };
+        // First container seen per class: [scenario's own cfg, tight budget].
+        let mut expected: [Option<(&str, Vec<u8>)>; 2] = [None, None];
+        for path in &PATHS {
+            let cfg = if path.tight_budget { sc.cfg.memory_budget(TIGHT_BUDGET) } else { sc.cfg };
+            let trace = (path.run)(sc.ranks, sc.seed, cfg, sc.body.clone());
+            if path.tight_budget {
+                assert!(
+                    !trace.fidelity().sealed_ranks.is_empty(),
+                    "{} / {}: the tight budget must seal segments",
+                    sc.name,
+                    path.name
+                );
+            }
+            if let Err(e) = verify_lossless(&trace, &reference) {
+                panic!("{} / {}: not lossless: {e}", sc.name, path.name);
+            }
+            let bytes = write_container(&trace);
+            match &expected[path.tight_budget as usize] {
+                None => expected[path.tight_budget as usize] = Some((path.name, bytes)),
+                Some((first, want)) => assert!(
+                    *want == bytes,
+                    "{}: {} and {} wrote different containers",
+                    sc.name,
+                    first,
+                    path.name
+                ),
+            }
+        }
+    }
 }

@@ -14,26 +14,23 @@
 //! - a challenge response captured from one handshake is useless on
 //!   any other: nonces never repeat.
 
+mod common;
+
 use std::fs;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{stream_stencil, temp_dir};
 use pilgrim::frame::FrameReader;
 use pilgrim::net::{read_handshake_frame, NetFrame, REJECT_BAD_MAC, REJECT_VERSION};
 use pilgrim::{
     challenge_response, serve, AuthKey, GlobalTrace, IngestConfig, IngestSession, NetClient,
-    NetClientConfig, NetServerConfig, PilgrimConfig, PilgrimTracer, RetryPolicy, SegmentSink,
-    ServeHandle, NET_MAGIC, NET_VERSION,
+    NetClientConfig, NetServerConfig, PilgrimConfig, RetryPolicy, ServeHandle, NET_MAGIC,
+    NET_VERSION,
 };
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pilgrim-auth-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
 
 fn key() -> AuthKey {
     AuthKey::from_bytes(b"net-auth-test-key").expect("non-empty key material")
@@ -52,16 +49,6 @@ fn authed_server(dir: &Path) -> ServeHandle {
         .io_timeout(Duration::from_millis(300))
         .hello_timeout(Duration::from_millis(300));
     serve(listener, session(dir), cfg).expect("serve")
-}
-
-fn stream_world(sink: Arc<dyn SegmentSink>, cfg: PilgrimConfig, ranks: usize, seed: u64) {
-    let body = mpi_workloads::by_name("stencil3d", 6);
-    let wcfg = mpi_sim::WorldConfig::new(ranks).seed(seed);
-    mpi_sim::World::run(
-        &wcfg,
-        |rank| PilgrimTracer::new(rank, cfg).with_segment_sink(sink.clone()),
-        move |env| body(env),
-    );
 }
 
 /// Reads one frame from the server, expecting the `PNT1` magic prefix
@@ -108,7 +95,7 @@ fn authenticated_loopback_is_byte_identical_to_local_ingest() {
     .expect("client");
     let tcfg = PilgrimConfig::default();
     let handle = client.open_job(0, ranks, tcfg.merge_identity_check);
-    stream_world(Arc::new(handle.clone()), tcfg, ranks, 42);
+    stream_stencil(Arc::new(handle.clone()), tcfg, ranks, 42);
     let out = handle.finish();
     let stats = client.shutdown();
     let sstats = server.stop();
@@ -121,7 +108,7 @@ fn authenticated_loopback_is_byte_identical_to_local_ingest() {
 
     let local = session(&local_dir);
     let lh = local.open_job(ranks, tcfg.merge_identity_check);
-    stream_world(Arc::new(lh.clone()), tcfg, ranks, 42);
+    stream_stencil(Arc::new(lh.clone()), tcfg, ranks, 42);
     let lo = local.finish_job(&lh);
     assert!(lo.is_lossless(), "local twin must be lossless");
     let local_bytes =
@@ -252,7 +239,7 @@ fn wrong_key_client_degrades_with_typed_error_and_no_wal_state() {
     .expect("client");
     let tcfg = PilgrimConfig::default();
     let handle = client.open_job(0, 2, tcfg.merge_identity_check);
-    stream_world(Arc::new(handle.clone()), tcfg, 2, 13);
+    stream_stencil(Arc::new(handle.clone()), tcfg, 2, 13);
     let out = handle.finish();
     let stats = client.shutdown();
     let sstats = server.stop();
@@ -283,7 +270,7 @@ fn keyless_client_against_authed_server_degrades_cleanly() {
     .expect("client");
     let tcfg = PilgrimConfig::default();
     let handle = client.open_job(0, 2, tcfg.merge_identity_check);
-    stream_world(Arc::new(handle.clone()), tcfg, 2, 17);
+    stream_stencil(Arc::new(handle.clone()), tcfg, 2, 17);
     let out = handle.finish();
     let stats = client.shutdown();
     server.stop();
@@ -306,7 +293,7 @@ fn authed_container_decodes_and_validates() {
     .expect("client");
     let tcfg = PilgrimConfig::default().memory_budget(3000);
     let handle = client.open_job(0, 2, tcfg.merge_identity_check);
-    stream_world(Arc::new(handle.clone()), tcfg, 2, 23);
+    stream_stencil(Arc::new(handle.clone()), tcfg, 2, 23);
     let out = handle.finish();
     client.shutdown();
     server.stop();

@@ -16,35 +16,21 @@
 //!   to local spill without wedging the traced rank, and the local
 //!   container records the degradation in its completeness manifest.
 
+mod common;
+
 use std::fs;
 use std::net::TcpListener;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::{stream_stencil, temp_dir};
 use pilgrim::recover::recover_dir;
 use pilgrim::{
     serve, stable_job_id, DegradationStage, GlobalTrace, IngestConfig, IngestSession, NetClient,
-    NetClientConfig, NetFaultPlan, NetJobOutcome, NetServerConfig, PilgrimConfig, PilgrimTracer,
-    RecoveryState, RetryPolicy, SegmentSink,
+    NetClientConfig, NetFaultPlan, NetJobOutcome, NetServerConfig, PilgrimConfig, RecoveryState,
+    RetryPolicy,
 };
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pilgrim-net-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Streams one simulated world through any segment sink.
-fn stream_world(sink: Arc<dyn SegmentSink>, cfg: PilgrimConfig, ranks: usize, seed: u64) {
-    let body = mpi_workloads::by_name("stencil3d", 6);
-    let wcfg = mpi_sim::WorldConfig::new(ranks).seed(seed);
-    mpi_sim::World::run(
-        &wcfg,
-        |rank| PilgrimTracer::new(rank, cfg).with_segment_sink(sink.clone()),
-        move |env| body(env),
-    );
-}
 
 fn session(dir: &Path) -> IngestSession {
     IngestSession::new(IngestConfig::new().shards(2).spill_dir(dir)).expect("ingest session")
@@ -66,7 +52,7 @@ fn clean_loopback_delivery_is_byte_identical_to_local_ingest() {
     .expect("client");
     let tcfg = PilgrimConfig::default();
     let handle = client.open_job(0, ranks, tcfg.merge_identity_check);
-    stream_world(Arc::new(handle.clone()), tcfg, ranks, 42);
+    stream_stencil(Arc::new(handle.clone()), tcfg, ranks, 42);
     let out = handle.finish();
     client.shutdown();
     server.stop();
@@ -77,7 +63,7 @@ fn clean_loopback_delivery_is_byte_identical_to_local_ingest() {
 
     let local = session(&local_dir);
     let lh = local.open_job(ranks, tcfg.merge_identity_check);
-    stream_world(Arc::new(lh.clone()), tcfg, ranks, 42);
+    stream_stencil(Arc::new(lh.clone()), tcfg, ranks, 42);
     let lo = local.finish_job(&lh);
     assert!(lo.is_lossless(), "local twin must be lossless");
     let local_bytes =
@@ -105,7 +91,7 @@ fn faulty_link_heals_and_still_delivers_losslessly() {
     // many frames for the plan to cut, corrupt, and duplicate.
     let tcfg = PilgrimConfig::default().memory_budget(3000);
     let handle = client.open_job(0, ranks, tcfg.merge_identity_check);
-    stream_world(Arc::new(handle.clone()), tcfg, ranks, 7);
+    stream_stencil(Arc::new(handle.clone()), tcfg, ranks, 7);
     let out = handle.finish();
     let stats = client.shutdown();
     server.stop();
@@ -149,7 +135,7 @@ fn drive(dir: &Path, jobs: u64, ranks: usize, kill_after: Option<u64>) -> Vec<Ne
             let tcfg = PilgrimConfig::default();
             let handle = client.open_job(j, ranks, tcfg.merge_identity_check);
             std::thread::spawn(move || {
-                stream_world(Arc::new(handle.clone()), tcfg, ranks, 1000 + j);
+                stream_stencil(Arc::new(handle.clone()), tcfg, ranks, 1000 + j);
                 handle.finish()
             })
         })
@@ -251,7 +237,7 @@ fn unreachable_collector_degrades_to_local_spill_without_wedging() {
     .expect("client");
     let tcfg = PilgrimConfig::default();
     let handle = client.open_job(0, 2, tcfg.merge_identity_check);
-    stream_world(Arc::new(handle.clone()), tcfg, 2, 9);
+    stream_stencil(Arc::new(handle.clone()), tcfg, 2, 9);
     let out = handle.finish();
     let stats = client.shutdown();
     assert!(!out.delivered);

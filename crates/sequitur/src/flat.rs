@@ -138,6 +138,17 @@ pub struct FlatRule {
     pub symbols: Vec<(Symbol, u64)>,
 }
 
+impl FlatRule {
+    /// Rewrites every symbol in place, keeping the exponents — the one
+    /// primitive behind terminal renumbering, rule-id offsetting, grafting
+    /// and hash-consing.
+    pub fn map_symbols(&mut self, mut f: impl FnMut(Symbol) -> Symbol) {
+        for (sym, _) in &mut self.symbols {
+            *sym = f(*sym);
+        }
+    }
+}
+
 /// A complete grammar in plain-data form. `rules[0]` is the start rule `S`;
 /// `Symbol::Rule(i)` refers to `rules[i]`.
 ///
@@ -164,6 +175,34 @@ impl FlatGrammar {
     /// Total number of RHS symbol slots across all rules.
     pub fn total_symbols(&self) -> usize {
         self.rules.iter().map(|r| r.symbols.len()).sum()
+    }
+
+    /// [`FlatRule::map_symbols`] over every rule.
+    pub fn map_symbols(&mut self, mut f: impl FnMut(Symbol) -> Symbol) {
+        for rule in &mut self.rules {
+            rule.map_symbols(&mut f);
+        }
+    }
+
+    /// Moves `other`'s rules behind this grammar's own, shifting their
+    /// rule references into the joint id space. Returns the shift, which is
+    /// also the new id of `other`'s start rule.
+    pub fn append(&mut self, mut other: FlatGrammar) -> u32 {
+        let offset = self.rules.len() as u32;
+        other.map_symbols(|sym| match sym {
+            Symbol::Rule(r) => Symbol::Rule(r + offset),
+            terminal => terminal,
+        });
+        self.rules.append(&mut other.rules);
+        offset
+    }
+
+    /// Every terminal occurrence on any right-hand side, in rule order.
+    pub fn terminals(&self) -> impl Iterator<Item = u32> + '_ {
+        self.rules.iter().flat_map(|r| &r.symbols).filter_map(|&(sym, _)| match sym {
+            Symbol::Terminal(t) => Some(t),
+            Symbol::Rule(_) => None,
+        })
     }
 
     /// The grammar as a flat array of integers — the internal storage format
@@ -215,10 +254,10 @@ impl FlatGrammar {
 
     /// Decodes a grammar previously written by [`FlatGrammar::serialize`],
     /// validating structure as it goes: every `Symbol::Rule` reference must
-    /// point at an existing rule and the rule graph must be acyclic (so the
-    /// grammar generates a finite sequence). Returns the grammar and the
-    /// number of bytes consumed; the caller decides whether trailing bytes
-    /// are acceptable.
+    /// point at an existing rule, the rule graph must be acyclic (so the
+    /// grammar generates a finite sequence) and that sequence's length must
+    /// fit a `u64`. Returns the grammar and the number of bytes consumed;
+    /// the caller decides whether trailing bytes are acceptable.
     pub fn decode(buf: &[u8]) -> Result<(Self, usize), DecodeError> {
         let mut pos = 0;
         let nrules_off = pos;
@@ -252,82 +291,73 @@ impl FlatGrammar {
             rules.push(FlatRule { symbols });
         }
         let g = FlatGrammar { rules };
-        g.check_acyclic()?;
+        g.checked_rule_lengths()?;
         Ok((g, pos))
     }
 
-    /// Verifies the rule-reference graph has no cycles; a cyclic grammar
-    /// would send [`FlatGrammar::expand`] into unbounded recursion.
-    fn check_acyclic(&self) -> Result<(), DecodeError> {
-        // Iterative three-color DFS over rule references.
+    /// Expanded length of every rule, from one iterative post-order walk of
+    /// the rule-reference graph (grammars arrive from the network, so depth
+    /// is input-controlled and recursion is not an option). Fails on a
+    /// reference cycle — such a grammar generates no finite sequence — and
+    /// on a length that overflows `u64`.
+    fn checked_rule_lengths(&self) -> Result<Vec<u64>, DecodeError> {
         const WHITE: u8 = 0;
         const GRAY: u8 = 1;
         const BLACK: u8 = 2;
         let mut color = vec![WHITE; self.rules.len()];
+        let mut lens = vec![0u64; self.rules.len()];
+        // Suspended rules: (rule id, RHS slot to resume at, length so far).
+        let mut stack: Vec<(usize, usize, u64)> = Vec::new();
         for start in 0..self.rules.len() {
             if color[start] != WHITE {
                 continue;
             }
-            // Stack entries: (rule id, index of next RHS slot to visit).
-            let mut stack = vec![(start, 0usize)];
+            stack.push((start, 0, 0));
             color[start] = GRAY;
-            while let Some(&(rid, next)) = stack.last() {
+            'rules: while let Some((rid, mut next, mut total)) = stack.pop() {
                 let body = &self.rules[rid].symbols;
-                if next >= body.len() {
-                    color[rid] = BLACK;
-                    stack.pop();
-                    continue;
+                while let Some(&(sym, exp)) = body.get(next) {
+                    let unit = match sym {
+                        Symbol::Terminal(_) => 1,
+                        Symbol::Rule(r) => match color[r as usize] {
+                            BLACK => lens[r as usize],
+                            GRAY => return Err(DecodeError::CyclicRules { rule: r }),
+                            _ => {
+                                // Measure the child first, then resume here.
+                                color[r as usize] = GRAY;
+                                stack.push((rid, next, total));
+                                stack.push((r as usize, 0, 0));
+                                continue 'rules;
+                            }
+                        },
+                    };
+                    total = unit
+                        .checked_mul(exp)
+                        .and_then(|span| total.checked_add(span))
+                        .ok_or(DecodeError::Corrupt { what: "expanded length", offset: 0 })?;
+                    next += 1;
                 }
-                stack.last_mut().expect("stack non-empty").1 += 1;
-                if let Symbol::Rule(r) = body[next].0 {
-                    let r = r as usize;
-                    match color[r] {
-                        GRAY => return Err(DecodeError::CyclicRules { rule: r as u32 }),
-                        WHITE => {
-                            color[r] = GRAY;
-                            stack.push((r, 0));
-                        }
-                        _ => {}
-                    }
-                }
+                lens[rid] = total;
+                color[rid] = BLACK;
             }
         }
-        Ok(())
-    }
-
-    /// Length of the generated terminal sequence, without expanding it.
-    pub fn expanded_len(&self) -> u64 {
-        let mut memo: Vec<Option<u64>> = vec![None; self.rules.len()];
-        self.rule_len(TOP_RULE as usize, &mut memo)
+        Ok(lens)
     }
 
     /// Expanded length of **every** rule, respecting `A -> B^k` repeat
     /// exponents: `rule_lengths()[r]` is how many terminals rule `r`
     /// generates. Each rule body is visited once (O(grammar size)); this
-    /// is the per-rule annotation the trace index is built from.
+    /// is the per-rule annotation the trace index is built from. Decoded
+    /// grammars are acyclic and overflow-free; one assembled in memory that
+    /// is not reports all-zero lengths, so every length check against it
+    /// fails instead of the process aborting.
     pub fn rule_lengths(&self) -> Vec<u64> {
-        let mut memo: Vec<Option<u64>> = vec![None; self.rules.len()];
-        for rid in 0..self.rules.len() {
-            self.rule_len(rid, &mut memo);
-        }
-        memo.into_iter().map(|l| l.unwrap_or(0)).collect()
+        self.checked_rule_lengths().unwrap_or_else(|_| vec![0; self.rules.len()])
     }
 
-    fn rule_len(&self, rid: usize, memo: &mut Vec<Option<u64>>) -> u64 {
-        if let Some(len) = memo[rid] {
-            return len;
-        }
-        // Acyclic by construction, so plain recursion terminates.
-        let mut total = 0u64;
-        for &(sym, exp) in &self.rules[rid].symbols {
-            let unit = match sym {
-                Symbol::Terminal(_) => 1,
-                Symbol::Rule(r) => self.rule_len(r as usize, memo),
-            };
-            total += unit * exp;
-        }
-        memo[rid] = Some(total);
-        total
+    /// Length of the generated terminal sequence, without expanding it.
+    pub fn expanded_len(&self) -> u64 {
+        self.rule_lengths().get(TOP_RULE as usize).copied().unwrap_or(0)
     }
 
     /// Fully expands the grammar back into the original terminal sequence.

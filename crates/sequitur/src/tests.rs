@@ -1,7 +1,7 @@
 //! Unit tests for Sequitur construction, invariants, and flat-form codecs.
 
 use crate::flat::{read_varint, varint_len, write_varint};
-use crate::{compress_runs, FlatGrammar, FlatRule, Grammar, Symbol};
+use crate::{compress_runs, DecodeError, FlatGrammar, FlatRule, Grammar, Symbol};
 
 fn build(seq: &[u32]) -> Grammar {
     let mut g = Grammar::new();
@@ -308,4 +308,75 @@ fn long_mixed_workload_like_sequence() {
     let g = roundtrip(&seq);
     // Far smaller than the input even with irregularities.
     assert!(g.num_symbols() < seq.len() / 10);
+}
+
+#[test]
+fn deep_rule_chain_decodes_without_recursing() {
+    // R0 -> R1 -> ... -> R199999 -> terminal: a 600 KB payload whose
+    // reference depth used to overflow the stack in `expanded_len`. The
+    // walk must not depend on the thread's stack size.
+    const DEPTH: u32 = 200_000;
+    let rules = (1..=DEPTH)
+        .map(|next| {
+            let sym = if next == DEPTH { Symbol::Terminal(7) } else { Symbol::Rule(next) };
+            FlatRule { symbols: vec![(sym, 1)] }
+        })
+        .collect();
+    let mut buf = Vec::new();
+    FlatGrammar { rules }.serialize(&mut buf);
+    let lens = std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(move || {
+            let (g, used) = FlatGrammar::decode(&buf).expect("a chain is acyclic");
+            assert_eq!(used, buf.len());
+            (g.expanded_len(), g.rule_lengths())
+        })
+        .expect("spawn small-stack thread")
+        .join()
+        .expect("no stack overflow, no panic");
+    assert_eq!(lens.0, 1);
+    assert_eq!(lens.1, vec![1; DEPTH as usize]);
+}
+
+#[test]
+fn overflowing_expansion_is_a_decode_error() {
+    // R0 -> R1^(2^40), R1 -> t^(2^40): 2^80 terminals.
+    let g = FlatGrammar {
+        rules: vec![
+            FlatRule { symbols: vec![(Symbol::Rule(1), 1 << 40)] },
+            FlatRule { symbols: vec![(Symbol::Terminal(0), 1 << 40)] },
+        ],
+    };
+    let mut buf = Vec::new();
+    g.serialize(&mut buf);
+    assert!(matches!(
+        FlatGrammar::decode(&buf),
+        Err(DecodeError::Corrupt { what: "expanded length", .. })
+    ));
+    // Sums overflow too, not only products.
+    let g =
+        FlatGrammar { rules: vec![FlatRule { symbols: vec![(Symbol::Terminal(0), u64::MAX); 2] }] };
+    let mut buf = Vec::new();
+    g.serialize(&mut buf);
+    assert!(FlatGrammar::decode(&buf).is_err());
+    // In memory (never decoded) the lengths read as zero instead of wrapping.
+    assert_eq!(g.expanded_len(), 0);
+}
+
+#[test]
+fn map_symbols_and_append_rewrite_every_rule() {
+    let mut a = build(&[1, 2, 1, 2, 3]).to_flat();
+    let b = build(&[4, 5, 4, 5]).to_flat();
+    let (a_rules, b_len) = (a.num_rules() as u32, b.expanded_len());
+    a.map_symbols(|s| match s {
+        Symbol::Terminal(t) => Symbol::Terminal(t + 10),
+        rule => rule,
+    });
+    assert_eq!(a.expand(), vec![11, 12, 11, 12, 13]);
+    assert_eq!(a.terminals().max(), Some(13));
+    let top_b = a.append(b);
+    assert_eq!(top_b, a_rules);
+    a.rules[0].symbols.push((Symbol::Rule(top_b), 2));
+    assert_eq!(a.expanded_len(), 5 + 2 * b_len);
+    assert_eq!(&a.expand()[5..], &[4, 5, 4, 5, 4, 5, 4, 5]);
 }

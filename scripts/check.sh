@@ -51,10 +51,25 @@ echo "== governor: adversarial bounded-memory sweep =="
 # rung must complete without panicking and report its ladder progress.
 cargo run --release -q -p pilgrim-bench --bin governor_sweep -- --iters 150 > /dev/null
 
-echo "== merge equivalence: streamed == batch =="
-# The incremental (streaming) merge must be byte-identical to the batch
-# merge — clean runs, governor budgets, lossy timing, odd world sizes.
+echo "== merge equivalence: every path, same bytes =="
+# One differential table: batch, batch+budget, streamed, streamed+budget
+# and WAL-recovered must write byte-identical containers (per budget
+# class) and decode losslessly — on clean runs, governor budgets, lossy
+# timing and odd world sizes. merge_pinning holds the same paths to the
+# bytes of the commit before the merge core was unified.
 cargo test -q -p pilgrim --test merge_equivalence
+cargo test -q -p pilgrim --test merge_pinning
+
+echo "== pipeline selfcheck: the benchmark's own jobs, correctness only =="
+# Every job of every benchmark workload must be byte-identical to the
+# batch-merged container over the wire, through the WAL and after
+# recovery, with zero retransmits and exact counts that repeat. Smoke
+# sized: this lane checks bytes, not speed.
+for w in stencil_steady amr_churn hostile_stream hostile_bulk; do
+  cargo run --release --offline --quiet --manifest-path benchmarks/pipeline/Cargo.toml -- \
+    --workload "$w" --seed 1 --smoke --selfcheck > /dev/null ||
+    { echo "FAIL: pipeline --selfcheck failed on workload $w." >&2; exit 1; }
+done
 
 echo "== pilgrimd: concurrent streaming ingest smoke =="
 # Eight concurrent 4-rank jobs stream into one ingest session (odd jobs
@@ -268,7 +283,6 @@ core_budget() {
     avl.rs) echo 6 ;;
     export.rs) echo 2 ;;
     idpool.rs | lib.rs) echo 1 ;;
-    merge.rs) echo 3 ;;
     replay.rs) echo 8 ;;
     *) echo 0 ;;
   esac
