@@ -126,7 +126,7 @@ fn run_one(
         truncated: trace.completeness.checkpoint_ranks().len(),
         governor_events: trace.completeness.events.len(),
         calls_traced,
-        calls_in_trace: trace.rank_lengths.iter().sum(),
+        calls_in_trace: trace.total_calls(),
         trace_bytes: trace.serialize().len(),
     }
 }

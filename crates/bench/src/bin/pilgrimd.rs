@@ -48,8 +48,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pilgrim::{
-    serve, AuthKey, GlobalTrace, IngestConfig, IngestSession, JobDesc, NetClient, NetClientConfig,
-    NetFaultPlan, NetServerConfig, PilgrimConfig, PilgrimTracer, RetryPolicy, SegmentSink,
+    serve, AuthKey, GlobalTrace, IngestConfig, IngestSession, JobDesc, JsonObject, MetricsReport,
+    NetClient, NetClientConfig, NetFaultPlan, NetServerConfig, PilgrimConfig, PilgrimTracer,
+    RetryPolicy, SegmentSink,
 };
 use pilgrim_bench::{fflag, flag, sflag, WORKLOADS};
 
@@ -90,11 +91,20 @@ fn install_shutdown_handler() {
     }
 }
 
-/// Prints the one machine-readable summary line and exits with its code.
-fn emit_envelope(command: &str, fields: &[(&str, String)], code: i32) -> ! {
-    let body: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
-    println!("{{\"schema\":1,\"command\":\"{command}\",{},\"exit\":{code}}}", body.join(","));
+/// Closes the one machine-readable summary line with `"exit"`, prints it
+/// and exits with that code.
+fn emit_envelope(envelope: &mut JsonObject, code: i32) -> ! {
+    println!("{}", envelope.raw("exit", code).finish());
     exit(code)
+}
+
+/// The human-facing stderr summary: a stat set's named-field view as one
+/// [`MetricsReport`] under `prefix`, the same report the tracer's numbers
+/// leave through.
+fn report_stats(who: &str, prefix: &str, fields: impl IntoIterator<Item = (&'static str, u64)>) {
+    let mut report = MetricsReport::default();
+    report.absorb(prefix, fields);
+    eprintln!("{who}: {}", report.to_json());
 }
 
 fn main() {
@@ -185,7 +195,10 @@ fn run_serve(args: &[String]) -> ! {
 
     // First line, flushed before any collection: the bound address, so a
     // harness that asked for port 0 can read the real port back.
-    println!("{{\"schema\":1,\"command\":\"serve\",\"listening\":\"{}\"}}", server.addr());
+    println!(
+        "{}",
+        JsonObject::envelope("serve").str("listening", &server.addr().to_string()).finish()
+    );
     let _ = std::io::stdout().flush();
     eprintln!(
         "pilgrimd serve: listening on {}, spilling to {out_dir}{}{}",
@@ -224,30 +237,11 @@ fn run_serve(args: &[String]) -> ! {
     } else {
         server.stop()
     };
-    eprintln!("pilgrimd serve: {stats:?}");
-    let code = i32::from(stats.wal_errors > 0);
-    emit_envelope(
-        "serve",
-        &[
-            ("jobs_opened", stats.jobs_opened.to_string()),
-            ("jobs_finished", stats.jobs_finished.to_string()),
-            ("connections", stats.connections.to_string()),
-            ("frames", stats.frames.to_string()),
-            ("acks", stats.acks.to_string()),
-            ("dup_frames", stats.dup_frames.to_string()),
-            ("torn_conns", stats.torn_conns.to_string()),
-            ("stale_finishes", stats.stale_finishes.to_string()),
-            ("wal_errors", stats.wal_errors.to_string()),
-            ("wal_bytes", stats.wal_bytes.to_string()),
-            ("auth_failures", stats.auth_failures.to_string()),
-            ("version_skew", stats.version_skew.to_string()),
-            ("sheds", stats.sheds.to_string()),
-            ("throttled", stats.throttled.to_string()),
-            ("slow_loris_closed", stats.slow_loris_closed.to_string()),
-            ("graceful", graceful.to_string()),
-        ],
-        code,
-    )
+    report_stats("pilgrimd serve", "net.server", stats.fields());
+    let mut envelope = JsonObject::envelope("serve");
+    stats.write_json(&mut envelope);
+    envelope.raw("graceful", graceful);
+    emit_envelope(&mut envelope, i32::from(stats.wal_errors > 0))
 }
 
 // ---------------------------------------------------------------------------
@@ -356,7 +350,7 @@ fn run_send(args: &[String]) -> ! {
         exit(1)
     });
     let stats = client.shutdown();
-    eprintln!("pilgrimd send: {stats:?}");
+    report_stats("pilgrimd send", "net.client", stats.fields());
 
     let code = if lost > 0 {
         1
@@ -365,25 +359,10 @@ fn run_send(args: &[String]) -> ! {
     } else {
         0
     };
-    emit_envelope(
-        "send",
-        &[
-            ("jobs", jobs.to_string()),
-            ("delivered", delivered.to_string()),
-            ("local", local.to_string()),
-            ("lost", lost.to_string()),
-            ("degraded", stats.degraded.to_string()),
-            ("connects", stats.connects.to_string()),
-            ("connect_failures", stats.connect_failures.to_string()),
-            ("retransmits", stats.retransmits.to_string()),
-            ("acks", stats.acks.to_string()),
-            ("spilled_records", stats.spilled_records.to_string()),
-            ("dropped_records", stats.dropped_records.to_string()),
-            ("busy_sheds", stats.busy_sheds.to_string()),
-            ("auth_failed", stats.auth_failed.to_string()),
-        ],
-        code,
-    )
+    let mut envelope = JsonObject::envelope("send");
+    envelope.raw("jobs", jobs).raw("delivered", delivered).raw("local", local).raw("lost", lost);
+    stats.write_json(&mut envelope);
+    emit_envelope(&mut envelope, code)
 }
 
 // ---------------------------------------------------------------------------
@@ -487,41 +466,15 @@ fn run_local(args: &[String]) -> ! {
     }
 
     let stats = session.stats();
-    eprintln!(
-        "session: {} segments, {} B ingested, {} backpressure events, {}/{} jobs finished",
-        stats.segments, stats.bytes, stats.backpressure, stats.jobs_finished, stats.jobs_opened
-    );
-    if wal || stats.worker_panics + stats.quarantined + stats.jobs_sealed + stats.spill_errors > 0 {
-        eprintln!(
-            "resilience: {} WAL records ({} B, {} errors), {} panics caught, {} retries, \
-             {} quarantined, {} sealed, {} stalled, {} spill errors",
-            stats.wal_records,
-            stats.wal_bytes,
-            stats.wal_errors,
-            stats.worker_panics,
-            stats.retries,
-            stats.quarantined,
-            stats.jobs_sealed,
-            stats.stalled,
-            stats.spill_errors
-        );
-    }
+    report_stats("session", "ingest", stats.fields());
     if failures > 0 {
         eprintln!("pilgrimd: {failures} of {jobs} jobs lost data");
     }
-    let code = i32::from(failures > 0);
-    emit_envelope(
-        "local",
-        &[
-            ("jobs", jobs.to_string()),
-            ("lossless", (jobs - failures).to_string()),
-            ("failures", failures.to_string()),
-            ("segments", stats.segments.to_string()),
-            ("ingested_bytes", stats.bytes.to_string()),
-            ("wal_records", stats.wal_records.to_string()),
-            ("wal_errors", stats.wal_errors.to_string()),
-            ("sealed", stats.jobs_sealed.to_string()),
-        ],
-        code,
-    )
+    let mut envelope = JsonObject::envelope("local");
+    envelope.raw("jobs", jobs).raw("lossless", jobs - failures).raw("failures", failures);
+    stats.write_json(&mut envelope);
+    // The two keys schema 1 shipped before every counter was emitted
+    // under its declared name (`bytes`, `jobs_sealed`).
+    envelope.raw("ingested_bytes", stats.bytes).raw("sealed", stats.jobs_sealed);
+    emit_envelope(&mut envelope, i32::from(failures > 0))
 }

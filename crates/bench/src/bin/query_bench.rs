@@ -57,7 +57,7 @@ fn main() {
     for wl in ["lu", "mg", "milc"] {
         let run = run_pilgrim(procs, PilgrimConfig::default(), by_name(wl, its));
         let trace = run.trace;
-        let total: u64 = trace.rank_lengths.iter().sum();
+        let total = trace.total_calls();
 
         let (t_decode, _) = time(|| {
             for rank in 0..trace.nranks {

@@ -67,15 +67,14 @@
 //! checksummed `PGC1` container — by sniffing the magic; `record` writes
 //! the container.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::process::exit;
 
 use mpi_sim::FuncId;
 use pilgrim::{
-    decode_rank_calls, minimize, replay_strict, CallIterator, Divergence, GlobalTrace,
-    MetricsRegistry, MinimizeError, NondetEvent, PartialReplayReport, PilgrimConfig, QueryEngine,
-    RankStatus, Stage, StrictReplay, TraceIndex,
+    decode_rank_calls, json_array, json_string, minimize, replay_strict, CallIterator, Divergence,
+    GlobalTrace, JsonObject, MetricsRegistry, MinimizeError, NondetEvent, PartialReplayReport,
+    PilgrimConfig, QueryEngine, RankStatus, Stage, StrictReplay, TraceIndex,
 };
 use pilgrim_bench::run_pilgrim;
 
@@ -99,25 +98,6 @@ fn usage() -> ! {
         mpi_workloads::ALL_WORKLOADS.join(", ")
     );
     exit(2)
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn func_name(id: u16) -> &'static str {
@@ -146,76 +126,76 @@ fn load(path: &str) -> GlobalTrace {
     })
 }
 
-/// Renders a [`pilgrim::FidelityReport`] as a JSON object.
+fn write_file(path: &str, bytes: &[u8]) {
+    fs::write(path, bytes).unwrap_or_else(|e| {
+        eprintln!("cannot write {path}: {e}");
+        exit(1)
+    });
+}
+
+/// `["a","b"]` from a list of messages.
+fn message_array(items: &[String]) -> String {
+    json_array(items.iter().map(|s| json_string(s)))
+}
+
+/// A [`pilgrim::FidelityReport`] as a JSON object: the `"fidelity"` member
+/// every JSON subcommand carries (schema 1), so consumers never probe for
+/// it.
 fn fidelity_json(trace: &GlobalTrace) -> String {
     let f = trace.fidelity();
-    let list = |ranks: &[usize]| {
-        let items: Vec<String> = ranks.iter().map(usize::to_string).collect();
-        format!("[{}]", items.join(","))
-    };
-    format!(
-        "{{\"lossless\":{},\"frozen_ranks\":{},\"timing_degraded_ranks\":{},\
-         \"sealed_ranks\":{},\"lost_ranks\":{},\"checkpoint_ranks\":{},\
-         \"salvaged_ranks\":{},\"net_spilled_ranks\":{},\"events\":{}}}",
-        f.lossless,
-        list(&f.frozen_ranks),
-        list(&f.timing_degraded_ranks),
-        list(&f.sealed_ranks),
-        list(&f.lost_ranks),
-        list(&f.checkpoint_ranks),
-        list(&f.salvaged_ranks),
-        list(&f.net_spilled_ranks),
-        f.events
-    )
-}
-
-/// The trailing `,"fidelity":{...}` field every JSON subcommand appends.
-/// Always present (schema 1), so consumers never probe for it.
-fn fidelity_field(trace: &GlobalTrace) -> String {
-    format!(",\"fidelity\":{}", fidelity_json(trace))
-}
-
-/// Opens the schema-1 envelope: `{"schema":1,"command":"<cmd>",`.
-fn envelope(command: &str) -> String {
-    format!("{{\"schema\":1,\"command\":{},", json_str(command))
-}
-
-/// `[1,4,7]` from a rank list.
-fn json_usize_list(ranks: &[usize]) -> String {
-    let items: Vec<String> = ranks.iter().map(usize::to_string).collect();
-    format!("[{}]", items.join(","))
+    JsonObject::default()
+        .raw("lossless", f.lossless)
+        .raw("frozen_ranks", json_array(&f.frozen_ranks))
+        .raw("timing_degraded_ranks", json_array(&f.timing_degraded_ranks))
+        .raw("sealed_ranks", json_array(&f.sealed_ranks))
+        .raw("lost_ranks", json_array(&f.lost_ranks))
+        .raw("checkpoint_ranks", json_array(&f.checkpoint_ranks))
+        .raw("salvaged_ranks", json_array(&f.salvaged_ranks))
+        .raw("net_spilled_ranks", json_array(&f.net_spilled_ranks))
+        .raw("events", f.events)
+        .finish()
 }
 
 /// A [`Divergence`] as a JSON object.
 fn divergence_json(d: &Divergence) -> String {
-    format!(
-        "{{\"rank\":{},\"call_index\":{},\"expected\":{},\"got\":{}}}",
-        d.rank,
-        d.call_index,
-        json_str(&d.expected),
-        json_str(&d.got)
-    )
+    JsonObject::default()
+        .raw("rank", d.rank)
+        .raw("call_index", d.call_index)
+        .str("expected", &d.expected)
+        .str("got", &d.got)
+        .finish()
+}
+
+/// The envelope of a command that could not read its input: `"ok":false`,
+/// the one problem, and `"fidelity":null` — there is no trace to report on.
+fn input_failure(command: &str, problem: String) -> ! {
+    println!(
+        "{}",
+        JsonObject::envelope(command)
+            .raw("ok", false)
+            .raw("problems", message_array(&[problem]))
+            .raw("fidelity", "null")
+            .finish()
+    );
+    exit(1)
 }
 
 /// The degraded-replay verdict shared by `replay` and `minimize`:
 /// schema-1 envelope with the partial-replay rank lists, exit 3.
 fn degraded_exit(command: &str, trace: &GlobalTrace, report: &PartialReplayReport) -> ! {
-    let first = |pairs: &[(usize, u64)]| {
-        let ranks: Vec<usize> = pairs.iter().map(|&(r, _)| r).collect();
-        json_usize_list(&ranks)
-    };
-    let lost: Vec<usize> = report.lost_ranks.iter().map(|&(r, _)| r).collect();
+    let first = |pairs: &[(usize, u64)]| json_array(pairs.iter().map(|&(r, _)| r));
     println!(
-        "{}\"degraded\":true,\"replayable_ranks\":{},\
-         \"truncated_ranks\":{},\"lost_ranks\":{},\"salvaged_ranks\":{},\
-         \"net_spilled_ranks\":{},\"divergence\":null{}}}",
-        envelope(command),
-        json_usize_list(&report.replayable_ranks),
-        first(&report.truncated_ranks),
-        json_usize_list(&lost),
-        first(&report.salvaged_ranks),
-        json_usize_list(&report.net_spilled_ranks),
-        fidelity_field(trace)
+        "{}",
+        JsonObject::envelope(command)
+            .raw("degraded", true)
+            .raw("replayable_ranks", json_array(&report.replayable_ranks))
+            .raw("truncated_ranks", first(&report.truncated_ranks))
+            .raw("lost_ranks", json_array(report.lost_ranks.iter().map(|&(r, _)| r)))
+            .raw("salvaged_ranks", first(&report.salvaged_ranks))
+            .raw("net_spilled_ranks", json_array(&report.net_spilled_ranks))
+            .raw("divergence", "null")
+            .raw("fidelity", fidelity_json(trace))
+            .finish()
     );
     exit(3)
 }
@@ -253,20 +233,19 @@ fn main() {
                 run_pilgrim(ranks, cfg, body).trace
             };
             let bytes = pilgrim::write_container(&trace);
-            fs::write(&args[4], &bytes).unwrap_or_else(|e| {
-                eprintln!("cannot write {}: {e}", args[4]);
-                exit(1)
-            });
+            write_file(&args[4], &bytes);
             println!(
-                "{}\"workload\":{},\"ranks\":{ranks},\"calls\":{},\"bytes\":{},\"out\":{},\
-                 \"rr\":{rr},\"nondet_events\":{}{}}}",
-                envelope("record"),
-                json_str(workload),
-                trace.rank_lengths.iter().sum::<u64>(),
-                bytes.len(),
-                json_str(&args[4]),
-                trace.nondet.as_ref().map_or(0, pilgrim::NondetLog::len),
-                fidelity_field(&trace)
+                "{}",
+                JsonObject::envelope("record")
+                    .str("workload", workload)
+                    .raw("ranks", ranks)
+                    .raw("calls", trace.total_calls())
+                    .raw("bytes", bytes.len())
+                    .str("out", &args[4])
+                    .raw("rr", rr)
+                    .raw("nondet_events", trace.nondet.as_ref().map_or(0, pilgrim::NondetLog::len))
+                    .raw("fidelity", fidelity_json(&trace))
+                    .finish()
             );
             if trace.is_degraded() {
                 exit(3)
@@ -276,7 +255,7 @@ fn main() {
             let trace = load(&args[1]);
             let report = trace.size_report();
             println!("ranks:            {}", trace.nranks);
-            println!("calls:            {}", trace.rank_lengths.iter().sum::<u64>());
+            println!("calls:            {}", trace.total_calls());
             println!("signatures (CST): {}", trace.cst.len());
             println!("unique grammars:  {}", trace.unique_grammars);
             println!("grammar rules:    {}", trace.grammar.num_rules());
@@ -319,7 +298,7 @@ fn main() {
             let trace = load(&args[1]);
             let mut report = MetricsRegistry::default().snapshot();
             report.size = Some(trace.size_report());
-            report.counters.insert("calls".into(), trace.rank_lengths.iter().sum::<u64>());
+            report.counters.insert("calls".into(), trace.total_calls());
             report.counters.insert("cst.signatures".into(), trace.cst.len() as u64);
             report.counters.insert("cfg.rules".into(), trace.grammar.num_rules() as u64);
             report.counters.insert("merge.unique_grammars".into(), trace.unique_grammars as u64);
@@ -340,38 +319,30 @@ fn main() {
             // schema-1 envelope; a decode failure carries "fidelity":null
             // because there is no trace to report on.
             let path = &args[1];
-            let fail = |problem: String| -> ! {
-                println!(
-                    "{}\"ok\":false,\"problems\":[{}],\"fidelity\":null}}",
-                    envelope("validate"),
-                    json_str(&problem)
-                );
-                exit(1)
-            };
             let bytes = match fs::read(path) {
                 Ok(b) => b,
-                Err(e) => fail(format!("cannot read {path}: {e}")),
+                Err(e) => input_failure("validate", format!("cannot read {path}: {e}")),
             };
             let trace = match GlobalTrace::decode_auto(&bytes) {
                 Ok(t) => t,
-                Err(e) => fail(format!("decode failed: {e}")),
+                Err(e) => input_failure("validate", format!("decode failed: {e}")),
             };
             let issues = trace.validate();
             let merged = (0..trace.nranks)
                 .filter(|&r| trace.completeness.status(r) == RankStatus::Merged)
                 .count();
-            let problems: Vec<String> = issues.iter().map(|i| json_str(i)).collect();
             println!(
-                "{}\"ok\":{},\"bytes\":{},\"nranks\":{},\"merged\":{merged},\"lost\":{},\
-                 \"truncated\":{},\"problems\":[{}]{}}}",
-                envelope("validate"),
-                issues.is_empty(),
-                bytes.len(),
-                trace.nranks,
-                trace.completeness.lost_ranks().len(),
-                trace.completeness.checkpoint_ranks().len(),
-                problems.join(","),
-                fidelity_field(&trace)
+                "{}",
+                JsonObject::envelope("validate")
+                    .raw("ok", issues.is_empty())
+                    .raw("bytes", bytes.len())
+                    .raw("nranks", trace.nranks)
+                    .raw("merged", merged)
+                    .raw("lost", trace.completeness.lost_ranks().len())
+                    .raw("truncated", trace.completeness.checkpoint_ranks().len())
+                    .raw("problems", message_array(&issues))
+                    .raw("fidelity", fidelity_json(&trace))
+                    .finish()
             );
             if !issues.is_empty() {
                 exit(1)
@@ -422,29 +393,23 @@ fn main() {
             };
             let rows = engine.summarize(&counts);
             let total: u64 = rows.iter().map(|r| r.count).sum();
-            let mut out = envelope("query");
-            let _ = write!(
-                out,
-                "\"scope\":{},\"calls\":{total},\"signatures\":[",
-                rank.map_or_else(|| "\"trace\"".into(), |r| format!("\"rank {r}\""))
+            let signatures = rows.iter().map(|row| {
+                JsonObject::default()
+                    .raw("term", row.term)
+                    .str("func", func_name(row.func))
+                    .raw("count", row.count)
+                    .raw("time_ns", row.time_ns)
+                    .finish()
+            });
+            println!(
+                "{}",
+                JsonObject::envelope("query")
+                    .str("scope", &rank.map_or_else(|| "trace".into(), |r| format!("rank {r}")))
+                    .raw("calls", total)
+                    .raw("signatures", json_array(signatures))
+                    .raw("fidelity", fidelity_json(&trace))
+                    .finish()
             );
-            for (i, row) in rows.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"term\":{},\"func\":{},\"count\":{},\"time_ns\":{}}}",
-                    row.term,
-                    json_str(func_name(row.func)),
-                    row.count,
-                    row.time_ns
-                );
-            }
-            out.push(']');
-            out.push_str(&fidelity_field(&trace));
-            out.push('}');
-            println!("{out}");
             report_query_timing(&metrics);
         }
         Some("slice") if args.len() == 5 => {
@@ -461,34 +426,26 @@ fn main() {
             let metrics = MetricsRegistry::new(true);
             let index = TraceIndex::build_with_metrics(&trace, &metrics);
             let timer = metrics.time_stage(Stage::Query);
-            let mut out = envelope("slice");
-            let _ = write!(
-                out,
-                "\"rank\":{rank},\"start\":{start},\"rank_calls\":{},\"calls\":[",
-                index.rank_len(rank)
-            );
             let window = CallIterator::new(&trace, &index, rank).skip(start as usize).take(count);
-            for (i, decoded) in window.enumerate() {
+            let calls = window.enumerate().map(|(i, decoded)| {
                 let call = decoded.unwrap_or_else(|e| {
                     eprintln!("rank {rank} call {}: {e}", start + i as u64);
                     exit(1)
                 });
-                if i > 0 {
-                    out.push(',');
-                }
-                let arg_list: Vec<String> =
-                    call.args.iter().map(|a| json_str(&pilgrim::format_arg(a))).collect();
-                let _ = write!(
-                    out,
-                    "{{\"i\":{},\"func\":{},\"args\":[{}]}}",
-                    start + i as u64,
-                    json_str(func_name(call.func)),
-                    arg_list.join(",")
-                );
-            }
-            out.push(']');
-            out.push_str(&fidelity_field(&trace));
-            out.push('}');
+                let arg_list = call.args.iter().map(|a| json_string(&pilgrim::format_arg(a)));
+                JsonObject::default()
+                    .raw("i", start + i as u64)
+                    .str("func", func_name(call.func))
+                    .raw("args", json_array(arg_list))
+                    .finish()
+            });
+            let out = JsonObject::envelope("slice")
+                .raw("rank", rank)
+                .raw("start", start)
+                .raw("rank_calls", index.rank_len(rank))
+                .raw("calls", json_array(calls))
+                .raw("fidelity", fidelity_json(&trace))
+                .finish();
             drop(timer);
             println!("{out}");
             report_query_timing(&metrics);
@@ -501,29 +458,19 @@ fn main() {
             let index = TraceIndex::build_with_metrics(&trace, &metrics);
             let engine = QueryEngine::with_metrics(&trace, &index, &metrics);
             let m = engine.comm_matrix();
-            let fmt_matrix = |cells: &[u64]| {
-                let rows: Vec<String> = cells
-                    .chunks(m.nranks.max(1))
-                    .map(|row| {
-                        let items: Vec<String> = row.iter().map(u64::to_string).collect();
-                        format!("[{}]", items.join(","))
-                    })
-                    .collect();
-                format!("[{}]", rows.join(","))
-            };
-            let wc: Vec<String> = m.wildcard_recvs.iter().map(u64::to_string).collect();
+            let rows = |cells: &[u64]| json_array(cells.chunks(m.nranks.max(1)).map(json_array));
             println!(
-                "{}\"nranks\":{},\"sends\":{},\"recvs\":{},\"wildcard_recvs\":[{}],\
-                 \"dropped\":{},\"total_sends\":{},\"total_recvs\":{}{}}}",
-                envelope("matrix"),
-                m.nranks,
-                fmt_matrix(&m.sends),
-                fmt_matrix(&m.recvs),
-                wc.join(","),
-                m.dropped,
-                m.total_sends(),
-                m.total_recvs(),
-                fidelity_field(&trace)
+                "{}",
+                JsonObject::envelope("matrix")
+                    .raw("nranks", m.nranks)
+                    .raw("sends", rows(&m.sends))
+                    .raw("recvs", rows(&m.recvs))
+                    .raw("wildcard_recvs", json_array(&m.wildcard_recvs))
+                    .raw("dropped", m.dropped)
+                    .raw("total_sends", m.total_sends())
+                    .raw("total_recvs", m.total_recvs())
+                    .raw("fidelity", fidelity_json(&trace))
+                    .finish()
             );
             report_query_timing(&metrics);
         }
@@ -533,26 +480,22 @@ fn main() {
             // governor event log. Exit 0 for lossless traces, 3 for
             // degraded ones, so scripts can gate on fidelity cheaply.
             let trace = load(&args[1]);
-            let mut out = envelope("fidelity");
-            out.push_str("\"fidelity\":");
-            out.push_str(&fidelity_json(&trace));
-            out.push_str(",\"events\":[");
-            for (i, (rank, ev)) in trace.completeness.events.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"rank\":{rank},\"call_index\":{},\"stage\":{},\"component\":{},\
-                     \"bytes\":{}}}",
-                    ev.call_index,
-                    json_str(ev.stage.name()),
-                    json_str(ev.component.name()),
-                    ev.bytes
-                );
-            }
-            out.push_str("]}");
-            println!("{out}");
+            let events = trace.completeness.events.iter().map(|(rank, ev)| {
+                JsonObject::default()
+                    .raw("rank", rank)
+                    .raw("call_index", ev.call_index)
+                    .str("stage", ev.stage.name())
+                    .str("component", ev.component.name())
+                    .raw("bytes", ev.bytes)
+                    .finish()
+            });
+            println!(
+                "{}",
+                JsonObject::envelope("fidelity")
+                    .raw("fidelity", fidelity_json(&trace))
+                    .raw("events", json_array(events))
+                    .finish()
+            );
             if trace.is_degraded() {
                 exit(3)
             }
@@ -566,50 +509,30 @@ fn main() {
             // envelope's "fidelity" is null — there is no single trace.
             let dir = std::path::Path::new(&args[1]);
             let report = pilgrim::IngestSession::recover(dir).unwrap_or_else(|e| {
-                println!(
-                    "{}\"ok\":false,\"problems\":[{}],\"fidelity\":null}}",
-                    envelope("recover"),
-                    json_str(&format!("cannot read {}: {e}", args[1]))
-                );
-                exit(1)
+                input_failure("recover", format!("cannot read {}: {e}", args[1]))
             });
-            let mut out = envelope("recover");
-            let _ = write!(out, "\"dir\":{},\"jobs\":[", json_str(&args[1]));
-            for (i, job) in report.jobs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let problems: Vec<String> = job.problems.iter().map(|p| json_str(p)).collect();
-                let _ = write!(
-                    out,
-                    "{{\"job\":{},\"state\":{},\"source\":{},\"calls\":{},\"nranks\":{},\
-                     \"output\":{},\"problems\":[{}]}}",
-                    job.job,
-                    json_str(job.state.as_str()),
-                    json_str(job.source.as_str()),
-                    job.calls,
-                    job.trace.as_ref().map_or(0, |t| t.nranks),
-                    job.output
-                        .as_ref()
-                        .map_or_else(|| "null".into(), |p| json_str(&p.display().to_string())),
-                    problems.join(",")
-                );
-            }
-            let problems: Vec<String> = report.problems.iter().map(|p| json_str(p)).collect();
-            let _ = write!(
-                out,
-                "],\"total\":{},\"recovered\":{},\"partial\":{},\"lost\":{},\"wal_files\":{},\
-                 \"torn_wals\":{},\"quarantined\":{},\"problems\":[{}],\"fidelity\":null}}",
-                report.jobs.len(),
-                report.recovered(),
-                report.partial(),
-                report.lost(),
-                report.wal_files,
-                report.torn_wals,
-                report.quarantined,
-                problems.join(",")
+            let jobs = report.jobs.iter().map(|job| {
+                let output = job.output.as_ref().map(|p| json_string(&p.display().to_string()));
+                JsonObject::default()
+                    .raw("job", job.job)
+                    .str("state", job.state.as_str())
+                    .str("source", job.source.as_str())
+                    .raw("calls", job.calls)
+                    .raw("nranks", job.trace.as_ref().map_or(0, |t| t.nranks))
+                    .raw("output", output.unwrap_or_else(|| "null".into()))
+                    .raw("problems", message_array(&job.problems))
+                    .finish()
+            });
+            println!(
+                "{}",
+                JsonObject::envelope("recover")
+                    .str("dir", &args[1])
+                    .raw("jobs", json_array(jobs))
+                    .fields(report.fields())
+                    .raw("problems", message_array(&report.problems))
+                    .raw("fidelity", "null")
+                    .finish()
             );
-            println!("{out}");
             if report.partial() + report.lost() > 0 {
                 exit(3)
             }
@@ -623,26 +546,18 @@ fn main() {
                 // receives; replaying it live would deadlock the world.
                 degraded_exit("replay", &trace, &report)
             }
-            if strict {
+            let mut out = JsonObject::envelope("replay");
+            out.raw("strict", strict);
+            let verdict = if strict {
                 match replay_strict(&trace) {
                     StrictReplay::Deterministic(retrace) => {
-                        println!(
-                            "{}\"strict\":true,\"calls\":{},\"ranks\":{},\"identical\":true,\
-                             \"divergence\":null{}}}",
-                            envelope("replay"),
-                            retrace.rank_lengths.iter().sum::<u64>(),
-                            retrace.nranks,
-                            fidelity_field(&trace)
-                        );
+                        out.raw("calls", retrace.total_calls()).raw("ranks", retrace.nranks);
+                        out.raw("identical", true).raw("divergence", "null");
+                        0
                     }
                     StrictReplay::Diverged(d) => {
-                        println!(
-                            "{}\"strict\":true,\"identical\":false,\"divergence\":{}{}}}",
-                            envelope("replay"),
-                            divergence_json(&d),
-                            fidelity_field(&trace)
-                        );
-                        exit(1)
+                        out.raw("identical", false).raw("divergence", divergence_json(&d));
+                        1
                     }
                     StrictReplay::Degraded(r) => degraded_exit("replay", &trace, &r),
                     StrictReplay::Undecodable(e) => {
@@ -653,23 +568,20 @@ fn main() {
             } else {
                 let replayed = pilgrim::replay(&trace);
                 let same = replayed.decode_all_ranks() == trace.decode_all_ranks();
-                println!(
-                    "{}\"strict\":false,\"calls\":{},\"ranks\":{},\"identical\":{same},\
-                     \"divergence\":null{}}}",
-                    envelope("replay"),
-                    replayed.rank_lengths.iter().sum::<u64>(),
-                    replayed.nranks,
-                    fidelity_field(&trace)
-                );
+                out.raw("calls", replayed.total_calls()).raw("ranks", replayed.nranks);
+                out.raw("identical", same).raw("divergence", "null");
                 // Governor-degraded (frozen/sealed) traces replay every call
                 // but legitimately renumber grammar segments on retrace:
                 // that is a degraded verdict, not a loss.
                 if trace.is_degraded() {
-                    exit(3)
+                    3
+                } else {
+                    i32::from(!same)
                 }
-                if !same {
-                    exit(1)
-                }
+            };
+            println!("{}", out.raw("fidelity", fidelity_json(&trace)).finish());
+            if verdict != 0 {
+                exit(verdict)
             }
         }
         Some("minimize") if args.len() == 4 => {
@@ -680,27 +592,17 @@ fn main() {
             let trace = load(&args[1]);
             match minimize(&trace) {
                 Ok(result) => {
-                    let bytes = pilgrim::write_container(&result.trace);
-                    fs::write(&args[2], &bytes).unwrap_or_else(|e| {
-                        eprintln!("cannot write {}: {e}", args[2]);
-                        exit(1)
-                    });
-                    let json = format!(
-                        "{}\"divergence\":{},\"original_calls\":{},\"minimized_calls\":{},\
-                         \"original_bytes\":{},\"minimized_bytes\":{},\"candidates_tried\":{}{}}}",
-                        envelope("minimize"),
-                        divergence_json(&result.divergence),
-                        result.original_calls,
-                        result.minimized_calls,
-                        result.original_bytes,
-                        result.minimized_bytes,
-                        result.candidates_tried,
-                        fidelity_field(&result.trace)
-                    );
-                    fs::write(&args[3], format!("{json}\n")).unwrap_or_else(|e| {
-                        eprintln!("cannot write {}: {e}", args[3]);
-                        exit(1)
-                    });
+                    write_file(&args[2], &pilgrim::write_container(&result.trace));
+                    let json = JsonObject::envelope("minimize")
+                        .raw("divergence", divergence_json(&result.divergence))
+                        .raw("original_calls", result.original_calls)
+                        .raw("minimized_calls", result.minimized_calls)
+                        .raw("original_bytes", result.original_bytes)
+                        .raw("minimized_bytes", result.minimized_bytes)
+                        .raw("candidates_tried", result.candidates_tried)
+                        .raw("fidelity", fidelity_json(&result.trace))
+                        .finish();
+                    write_file(&args[3], format!("{json}\n").as_bytes());
                     println!("{json}");
                 }
                 Err(MinimizeError::Degraded(r)) => degraded_exit("minimize", &trace, &r),
@@ -747,16 +649,15 @@ fn main() {
                 eprintln!("{} recorded no nondet events", args[1]);
                 exit(1)
             };
-            let bytes = pilgrim::write_container(&trace);
-            fs::write(&args[2], &bytes).unwrap_or_else(|e| {
-                eprintln!("cannot write {}: {e}", args[2]);
-                exit(1)
-            });
+            write_file(&args[2], &pilgrim::write_container(&trace));
             println!(
-                "{}\"rank\":{rank},\"call_index\":{idx},\"out\":{}{}}}",
-                envelope("mutate"),
-                json_str(&args[2]),
-                fidelity_field(&trace)
+                "{}",
+                JsonObject::envelope("mutate")
+                    .raw("rank", rank)
+                    .raw("call_index", idx)
+                    .str("out", &args[2])
+                    .raw("fidelity", fidelity_json(&trace))
+                    .finish()
             );
         }
         _ => usage(),

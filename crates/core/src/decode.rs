@@ -33,7 +33,7 @@ use crate::governor::DegradationEvent;
 use crate::metrics::MetricsRegistry;
 use crate::nondet::NondetLog;
 use crate::query::{CallIterator, TraceIndex};
-use crate::trace::{GlobalTrace, RankStatus, TraceCompleteness, RANK_MAP_NONE};
+use crate::trace::{checked_total, GlobalTrace, RankStatus, TraceCompleteness, RANK_MAP_NONE};
 use crate::tracer::CapturedCall;
 
 /// Decodes the call behind one grammar terminal. A terminal beyond the
@@ -52,6 +52,9 @@ pub fn decode_rank_calls(
     trace: &GlobalTrace,
     rank: usize,
 ) -> Result<Vec<EncodedCall>, DecodeError> {
+    if rank >= trace.nranks {
+        return Err(DecodeError::NoSuchRank { rank, nranks: trace.nranks });
+    }
     trace.decode_rank(rank).into_iter().map(|term| decode_term_call(trace, term)).collect()
 }
 
@@ -542,8 +545,8 @@ fn decode_container_inner(
 
     let sec = read_section(buf, &mut pos)?;
     require_clean(&sec, SEC_GRAMMAR)?;
-    let (grammar, used) =
-        FlatGrammar::decode(sec.payload).map_err(|e| e.offset_by(sec.payload_off))?;
+    let (grammar, used, expanded) =
+        FlatGrammar::decode_measured(sec.payload).map_err(|e| e.offset_by(sec.payload_off))?;
     if used != sec.payload.len() {
         return Err(DecodeError::Corrupt { what: "grammar section", offset: sec.payload_off });
     }
@@ -580,6 +583,7 @@ fn decode_container_inner(
         }
     }
 
+    let ranks_off = pos;
     let mut records: Vec<Option<RankRecord>> = Vec::with_capacity(nranks);
     for rank in 0..nranks {
         let sec = read_section(buf, &mut pos)?;
@@ -629,12 +633,19 @@ fn decode_container_inner(
         return Err(DecodeError::TrailingBytes { consumed: pos, len: buf.len() });
     }
 
-    // A corrupt RANK section lost its call-count varint, but the grammar
-    // knows the total: whatever the clean ranks do not account for belongs
-    // to the skipped ranks (attributed to the first; the split between
-    // several skipped ranks is unknowable).
-    let clean_sum: u64 = records.iter().flatten().map(|r| r.length).sum();
-    let mut remainder = grammar.expanded_len().saturating_sub(clean_sum);
+    // The rank lengths split the expansion, so they must cover it exactly
+    // (everything downstream slices and divides on that): strict mode
+    // refuses any other table. Under salvage a corrupt RANK section lost
+    // its call-count varint, but the grammar knows the total: whatever the
+    // clean ranks do not account for belongs to the skipped ranks
+    // (attributed to the first; the split between several is unknowable),
+    // and a clean rank claiming more than is left is clamped to it.
+    let clean_sum = checked_total(records.iter().flatten().map(|r| r.length));
+    if !salvage && clean_sum != Some(expanded) {
+        return Err(DecodeError::Corrupt { what: "rank lengths", offset: ranks_off });
+    }
+    let mut remainder = expanded.saturating_sub(clean_sum.unwrap_or(u64::MAX));
+    let mut left = expanded;
 
     let mut rank_lengths = Vec::with_capacity(nranks);
     let mut statuses = Vec::with_capacity(nranks);
@@ -644,8 +655,14 @@ fn decode_container_inner(
     for (rank, rec) in records.iter().enumerate() {
         match rec {
             Some(rec) => {
-                rank_lengths.push(rec.length);
+                let length = rec.length.min(left);
+                left -= length;
+                rank_lengths.push(length);
                 let mut status = rec.status;
+                if length < rec.length {
+                    status = RankStatus::Salvaged { calls: length };
+                    report.skipped_ranks.push(rank);
+                }
                 let mut dur = rec.dur_map;
                 let mut int = rec.int_map;
                 // A clean rank pointing at a skipped timing grammar loses
@@ -662,7 +679,7 @@ fn decode_container_inner(
                     int = RANK_MAP_NONE;
                 }
                 if (dur_gone || int_gone) && matches!(status, RankStatus::Merged) {
-                    status = RankStatus::Salvaged { calls: rec.length };
+                    status = RankStatus::Salvaged { calls: length };
                     report.timing_stripped_ranks.push(rank);
                 }
                 duration_rank_map.push(dur);
@@ -671,6 +688,7 @@ fn decode_container_inner(
                 events.extend(rec.events.iter().map(|e| (rank as u32, *e)));
             }
             None => {
+                left -= remainder;
                 rank_lengths.push(std::mem::take(&mut remainder));
                 statuses.push(RankStatus::Salvaged { calls: rank_lengths[rank] });
                 duration_rank_map.push(RANK_MAP_NONE);
@@ -678,6 +696,7 @@ fn decode_container_inner(
             }
         }
     }
+    report.skipped_ranks.sort_unstable();
     // Aggregate-timing traces have no timing grammars and serialize no
     // maps; mirror the flat format so roundtrips compare equal.
     if nd == 0 && ni == 0 {

@@ -26,6 +26,7 @@ use pilgrim_sequitur::write_varint;
 
 use crate::encode::{decode_signature, EncodedArg, RankCode};
 use crate::frame::crc32;
+use crate::layout::tmp_container;
 use crate::trace::{GlobalTrace, RankStatus, RANK_MAP_NONE};
 
 fn fmt_rank(code: RankCode) -> String {
@@ -93,7 +94,7 @@ pub fn to_text(trace: &GlobalTrace) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# pilgrim trace export (OTF-style text)");
     let _ = writeln!(out, "# ranks {}", trace.nranks);
-    let _ = writeln!(out, "# calls {}", trace.rank_lengths.iter().sum::<u64>());
+    let _ = writeln!(out, "# calls {}", trace.total_calls());
     let _ = writeln!(out, "# signatures {}", trace.cst.len());
     for (term, sig, stats) in trace.cst.iter() {
         let call = decode_signature(sig).expect("stored signatures decode");
@@ -267,7 +268,7 @@ pub fn write_container(trace: &GlobalTrace) -> Vec<u8> {
 /// `.tmp`, the rename never happens, and the orphan is left for
 /// recovery's salvage path.
 pub(crate) fn persist_container(path: &Path, bytes: &[u8], tear: bool) -> std::io::Result<()> {
-    let tmp = path.with_extension("pilgrim.tmp");
+    let tmp = tmp_container(path);
     {
         let mut f = File::create(&tmp)?;
         if tear {

@@ -55,6 +55,8 @@ use std::time::{Duration, Instant};
 
 use crate::export::{persist_container, write_container};
 use crate::ingest_fault::IngestFaultPlan;
+use crate::layout;
+use crate::metrics::counter_set;
 use crate::recover::{recover_dir, RecoveryReport};
 use crate::trace::GlobalTrace;
 use crate::tracer::{PilgrimConfig, PilgrimTracer};
@@ -325,59 +327,37 @@ fn protocol_error_outcome(job: JobId, problem: String) -> JobOutcome {
     }
 }
 
-/// Monotonic session counters, shared across shards and handles.
-#[derive(Debug, Default)]
-struct IngestCounters {
-    segments: AtomicU64,
-    bytes: AtomicU64,
-    backpressure: AtomicU64,
-    jobs_opened: AtomicU64,
-    jobs_finished: AtomicU64,
-    jobs_sealed: AtomicU64,
-    wal_records: AtomicU64,
-    wal_bytes: AtomicU64,
-    wal_errors: AtomicU64,
-    worker_panics: AtomicU64,
-    retries: AtomicU64,
-    quarantined: AtomicU64,
-    stalled: AtomicU64,
-    spill_errors: AtomicU64,
-    /// Messages currently sitting in shard queues (gauge, not
-    /// monotonic): incremented before a send is attempted, decremented
-    /// when the shard dequeues — so it never underflows — and read by
-    /// [`IngestSession::saturation`] for overload shedding.
-    queued: AtomicU64,
-}
-
-/// Snapshot of the session counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IngestStats {
-    /// Segments accepted across all jobs.
-    pub segments: u64,
-    /// Raw segment bytes accepted across all jobs.
-    pub bytes: u64,
-    /// Times a producer found its shard queue full and had to block.
-    pub backpressure: u64,
-    pub jobs_opened: u64,
-    pub jobs_finished: u64,
-    /// Jobs sealed at their deadline before every rank completed.
-    pub jobs_sealed: u64,
-    /// Records appended to shard write-ahead logs.
-    pub wal_records: u64,
-    /// Bytes appended to shard write-ahead logs.
-    pub wal_bytes: u64,
-    /// WAL appends that failed (and were truncated back to clean).
-    pub wal_errors: u64,
-    /// Worker panics caught while folding segments (injected or real).
-    pub worker_panics: u64,
-    /// Segment folds retried after a caught panic.
-    pub retries: u64,
-    /// Segments quarantined after exhausting the retry budget.
-    pub quarantined: u64,
-    /// Rank completions swallowed by injected stalls.
-    pub stalled: u64,
-    /// Container spills that failed (I/O error, short write, disk full).
-    pub spill_errors: u64,
+counter_set! {
+    /// Snapshot of the monotonic session counters, shared across shards and
+    /// handles.
+    pub struct IngestStats, live LiveIngestStats {
+        /// Segments accepted across all jobs.
+        segments: u64,
+        /// Raw segment bytes accepted across all jobs.
+        bytes: u64,
+        /// Times a producer found its shard queue full and had to block.
+        backpressure: u64,
+        jobs_opened: u64,
+        jobs_finished: u64,
+        /// Jobs sealed at their deadline before every rank completed.
+        jobs_sealed: u64,
+        /// Records appended to shard write-ahead logs.
+        wal_records: u64,
+        /// Bytes appended to shard write-ahead logs.
+        wal_bytes: u64,
+        /// WAL appends that failed (and were truncated back to clean).
+        wal_errors: u64,
+        /// Worker panics caught while folding segments (injected or real).
+        worker_panics: u64,
+        /// Segment folds retried after a caught panic.
+        retries: u64,
+        /// Segments quarantined after exhausting the retry budget.
+        quarantined: u64,
+        /// Rank completions swallowed by injected stalls.
+        stalled: u64,
+        /// Container spills that failed (I/O error, short write, disk full).
+        spill_errors: u64,
+    }
 }
 
 /// What travels down a shard queue. `Record` carries a `Segment` or
@@ -408,7 +388,13 @@ pub struct IngestSession {
     senders: Vec<SyncSender<ShardMsg>>,
     workers: Vec<JoinHandle<()>>,
     next_job: AtomicU64,
-    counters: Arc<IngestCounters>,
+    counters: Arc<LiveIngestStats>,
+    /// Messages currently sitting in shard queues (a gauge, not a
+    /// monotonic counter, so not part of [`IngestStats`]): incremented
+    /// before a send is attempted, decremented when the shard dequeues —
+    /// so it never underflows — and read by
+    /// [`saturation`](IngestSession::saturation) for overload shedding.
+    queued: Arc<AtomicU64>,
     spill_dir: Option<PathBuf>,
     /// Total queue capacity across shards, the denominator of
     /// [`saturation`](IngestSession::saturation).
@@ -433,13 +419,14 @@ impl IngestSession {
             (_, false) => None,
             (None, true) => return Err(IngestError::WalRequiresSpillDir),
             (Some(dir), true) => {
-                let wal_dir = dir.join("wal");
+                let wal_dir = layout::wal_dir(dir);
                 fs::create_dir_all(&wal_dir)
                     .map_err(|e| IngestError::Wal { path: wal_dir.clone(), source: e })?;
                 Some(wal_dir)
             }
         };
-        let counters = Arc::new(IngestCounters::default());
+        let counters = Arc::new(LiveIngestStats::default());
+        let queued = Arc::new(AtomicU64::new(0));
         let disk_used = Arc::new(AtomicU64::new(0));
         let mut senders = Vec::with_capacity(cfg.shards.max(1));
         let mut workers = Vec::with_capacity(cfg.shards.max(1));
@@ -457,6 +444,7 @@ impl IngestSession {
             let (tx, rx) = sync_channel(cfg.queue_capacity.max(1));
             let ctx = ShardCtx {
                 counters: counters.clone(),
+                queued: queued.clone(),
                 spill_dir: cfg.spill_dir.clone(),
                 wal,
                 faults: cfg.faults.clone(),
@@ -475,6 +463,7 @@ impl IngestSession {
             workers,
             next_job: AtomicU64::new(0),
             counters,
+            queued,
             spill_dir: cfg.spill_dir,
             queue_slots: cfg.shards.max(1) * cfg.queue_capacity.max(1),
         })
@@ -529,12 +518,12 @@ impl IngestSession {
         // open at its shard before any of its segments arrive. The
         // queued gauge is bumped *before* the send so the shard's
         // matching decrement can never observe it at zero.
-        self.counters.queued.fetch_add(1, Ordering::Relaxed);
+        self.queued.fetch_add(1, Ordering::Relaxed);
         if sender.send(ShardMsg::Open { job, nranks, identity_check, timeout }).is_err() {
-            self.counters.queued.fetch_sub(1, Ordering::Relaxed);
+            self.queued.fetch_sub(1, Ordering::Relaxed);
         }
         self.counters.jobs_opened.fetch_add(1, Ordering::Relaxed);
-        JobHandle { job, sender, counters: self.counters.clone() }
+        JobHandle { job, sender, counters: self.counters.clone(), queued: self.queued.clone() }
     }
 
     /// Finalizes a job: the shard canonicalizes and combines the merged
@@ -588,29 +577,13 @@ impl IngestSession {
 
     /// Session-wide counters.
     pub fn stats(&self) -> IngestStats {
-        let c = &self.counters;
-        IngestStats {
-            segments: c.segments.load(Ordering::Relaxed),
-            bytes: c.bytes.load(Ordering::Relaxed),
-            backpressure: c.backpressure.load(Ordering::Relaxed),
-            jobs_opened: c.jobs_opened.load(Ordering::Relaxed),
-            jobs_finished: c.jobs_finished.load(Ordering::Relaxed),
-            jobs_sealed: c.jobs_sealed.load(Ordering::Relaxed),
-            wal_records: c.wal_records.load(Ordering::Relaxed),
-            wal_bytes: c.wal_bytes.load(Ordering::Relaxed),
-            wal_errors: c.wal_errors.load(Ordering::Relaxed),
-            worker_panics: c.worker_panics.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
-            quarantined: c.quarantined.load(Ordering::Relaxed),
-            stalled: c.stalled.load(Ordering::Relaxed),
-            spill_errors: c.spill_errors.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     /// Messages currently waiting in shard queues (opens, segments,
     /// completions). A gauge, not a monotonic counter.
     pub fn queue_depth(&self) -> u64 {
-        self.counters.queued.load(Ordering::Relaxed)
+        self.queued.load(Ordering::Relaxed)
     }
 
     /// Fraction of total shard-queue capacity currently occupied, in
@@ -660,7 +633,8 @@ impl Drop for IngestSession {
 pub struct JobHandle {
     job: JobId,
     sender: SyncSender<ShardMsg>,
-    counters: Arc<IngestCounters>,
+    counters: Arc<LiveIngestStats>,
+    queued: Arc<AtomicU64>,
 }
 
 impl JobHandle {
@@ -671,18 +645,18 @@ impl JobHandle {
     fn send(&self, msg: ShardMsg) {
         // Bump the queued gauge before the send attempt so the shard's
         // decrement can never race it below zero; undo on disconnect.
-        self.counters.queued.fetch_add(1, Ordering::Relaxed);
+        self.queued.fetch_add(1, Ordering::Relaxed);
         match self.sender.try_send(msg) {
             Ok(()) => {}
             Err(TrySendError::Full(msg)) => {
                 self.counters.backpressure.fetch_add(1, Ordering::Relaxed);
                 if self.sender.send(msg).is_err() {
-                    self.counters.queued.fetch_sub(1, Ordering::Relaxed);
+                    self.queued.fetch_sub(1, Ordering::Relaxed);
                 }
             }
             // Session shut down mid-job: nothing to deliver to.
             Err(TrySendError::Disconnected(_)) => {
-                self.counters.queued.fetch_sub(1, Ordering::Relaxed);
+                self.queued.fetch_sub(1, Ordering::Relaxed);
             }
         }
     }
@@ -701,7 +675,8 @@ impl SegmentSink for JobHandle {
 /// Everything a shard worker needs besides its queue: counters, durable
 /// storage (spill + WAL), and the fault plan.
 struct ShardCtx {
-    counters: Arc<IngestCounters>,
+    counters: Arc<LiveIngestStats>,
+    queued: Arc<AtomicU64>,
     spill_dir: Option<PathBuf>,
     wal: Option<WalWriter>,
     faults: IngestFaultPlan,
@@ -779,7 +754,7 @@ fn shard_worker(rx: Receiver<ShardMsg>, mut ctx: ShardCtx) {
             },
         };
         if matches!(msg, ShardMsg::Open { .. } | ShardMsg::Record(_)) {
-            ctx.counters.queued.fetch_sub(1, Ordering::Relaxed);
+            ctx.queued.fetch_sub(1, Ordering::Relaxed);
         }
         match msg {
             ShardMsg::Open { job, nranks, identity_check, timeout } => {
@@ -903,9 +878,9 @@ fn quarantine_segment(
     ctx.counters.quarantined.fetch_add(1, Ordering::Relaxed);
     let mut note = String::new();
     if let Some(dir) = &ctx.spill_dir {
-        let qdir = dir.join("quarantine");
-        let path = qdir.join(format!("job-{job}-rank-{}-seq-{}.seg", seg.rank, seg.seq));
-        let wrote = fs::create_dir_all(&qdir).and_then(|()| fs::write(&path, &seg.bytes));
+        let path = layout::quarantined_segment(dir, job, seg.rank, seg.seq);
+        let wrote = fs::create_dir_all(layout::quarantine_dir(dir))
+            .and_then(|()| fs::write(&path, &seg.bytes));
         note = match wrote {
             Ok(()) => format!(" (payload at {})", path.display()),
             Err(e) => format!(" (payload not preserved: {e})"),
@@ -975,7 +950,7 @@ fn spill_trace(
     problems: &mut Vec<String>,
 ) -> Option<PathBuf> {
     let dir = ctx.spill_dir.as_deref()?;
-    let path = dir.join(format!("job-{job}.pilgrim"));
+    let path = layout::job_container(dir, job);
     let bytes = write_container(trace);
     if ctx.faults.disk_full(ctx.disk_used.load(Ordering::Relaxed), bytes.len() as u64) {
         ctx.counters.spill_errors.fetch_add(1, Ordering::Relaxed);

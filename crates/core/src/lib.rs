@@ -141,6 +141,7 @@ pub mod governor;
 pub mod idpool;
 pub mod ingest;
 pub mod ingest_fault;
+mod layout;
 pub mod memtracker;
 pub mod merge;
 pub mod metrics;
@@ -179,7 +180,9 @@ pub use merge::{
     merge, IncrementalMerger, LocalPiece, MergeError, MergeOptions, MergeOutcome, MergePolicy,
     RankCompletion, SegmentError, TraceSegment,
 };
-pub use metrics::{MetricsRegistry, MetricsReport, Stage, StageGuard};
+pub use metrics::{
+    json_array, json_string, JsonObject, MetricsRegistry, MetricsReport, Stage, StageGuard,
+};
 pub use net::{
     serve, NetClient, NetClientConfig, NetClientStats, NetJobHandle, NetJobOutcome,
     NetServerConfig, NetServerStats, ServeHandle, NET_MAGIC, NET_VERSION,

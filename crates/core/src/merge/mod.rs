@@ -31,7 +31,7 @@ use pilgrim_sequitur::{compress_runs, FlatGrammar, FlatRule, Symbol};
 use crate::cst::Cst;
 use crate::encode::EncoderConfig;
 use crate::governor::{DegradationEvent, DegradationStage};
-use crate::trace::{GlobalTrace, RankStatus, TraceCompleteness, RANK_MAP_NONE};
+use crate::trace::{checked_total, GlobalTrace, RankStatus, TraceCompleteness, RANK_MAP_NONE};
 
 pub use stream::{IncrementalMerger, RankCompletion, SegmentError, TraceSegment};
 pub use tree::{merge, LocalPiece, MergeError, MergeOptions, MergeOutcome, MergePolicy};
@@ -300,8 +300,8 @@ pub fn combine_grammars(set: &GrammarSet, nranks: usize) -> (FlatGrammar, Vec<u6
     });
     combined.append(FlatGrammar { rules: consed });
     debug_assert_eq!(
-        combined.expanded_len(),
-        rank_lengths.iter().sum::<u64>(),
+        Some(combined.expanded_len()),
+        checked_total(rank_lengths.iter().copied()),
         "combined grammar must generate all ranks' calls"
     );
     (combined, rank_lengths)

@@ -1,7 +1,8 @@
 //! Observability layer: a lightweight registry of named counters, byte
 //! gauges, and monotonic per-stage timers, plus a machine-readable
-//! [`MetricsReport`] snapshot with a hand-rolled JSON encoder (the build
-//! environment has no serde).
+//! [`MetricsReport`] snapshot, the [`counter_set!`] declaration every
+//! collector stat set is generated from, and [`JsonObject`], the one
+//! hand-rolled JSON writer (the build environment has no serde).
 //!
 //! The registry is threaded through the tracer hot path and the finalize
 //! pipeline. It uses interior mutability (`Cell`/`RefCell`) so timing a
@@ -25,7 +26,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::time::{Duration, Instant};
 
 use crate::trace::SizeReport;
@@ -189,6 +190,92 @@ impl Drop for StageGuard<'_> {
     }
 }
 
+/// A counter field's snapshot type: `u64`, or `bool` for a latch that is
+/// stored as 0/1.
+pub(crate) trait CounterValue: Copy {
+    fn from_raw(raw: u64) -> Self;
+    fn raw(self) -> u64;
+}
+
+impl CounterValue for u64 {
+    fn from_raw(raw: u64) -> Self {
+        raw
+    }
+    fn raw(self) -> u64 {
+        self
+    }
+}
+
+impl CounterValue for bool {
+    fn from_raw(raw: u64) -> Self {
+        raw != 0
+    }
+    fn raw(self) -> u64 {
+        u64::from(self)
+    }
+}
+
+/// Declares one collector counter set **once**. From a single list of
+/// documented `name: type` fields (`u64`, or `bool` for a latch) it
+/// generates
+///
+/// - the public `Copy` snapshot struct `$Stats` with exactly those fields,
+/// - the module-private live set `$Live`, one relaxed-ordering
+///   `AtomicU64` per field — increment sites stay a plain
+///   `live.field.fetch_add(1, Ordering::Relaxed)` (or `fetch_max` /
+///   `store`) on a struct field: no map, lock or string on a hot path,
+/// - `$Live::snapshot()`, the only place the atomics are loaded, and
+/// - `$Stats::fields()`, the named-field view: `(name, value)` pairs in
+///   declaration order, bools as 0/1 — what [`MetricsReport::absorb`] and
+///   stderr summaries iterate — plus `$Stats::write_json`, the same walk
+///   with bools kept as JSON bools, for envelopes.
+///
+/// Adding a counter is one line here and one increment site; every
+/// report and envelope picks it up.
+macro_rules! counter_set {
+    (
+        $(#[$stats_meta:meta])*
+        pub struct $Stats:ident, live $Live:ident {
+            $( $(#[$field_meta:meta])* $field:ident: $ty:ty, )+
+        }
+    ) => {
+        $(#[$stats_meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $Stats {
+            $( $(#[$field_meta])* pub $field: $ty, )+
+        }
+
+        #[derive(Debug, Default)]
+        struct $Live {
+            $( $field: std::sync::atomic::AtomicU64, )+
+        }
+
+        impl $Live {
+            fn snapshot(&self) -> $Stats {
+                use std::sync::atomic::Ordering::Relaxed;
+                $Stats {
+                    $( $field: $crate::metrics::CounterValue::from_raw(self.$field.load(Relaxed)), )+
+                }
+            }
+        }
+
+        impl $Stats {
+            /// Every field as `(name, value)`, in declaration order
+            /// (bools as 0/1).
+            pub fn fields(&self) -> [(&'static str, u64); [$( stringify!($field) ),+].len()] {
+                [ $( (stringify!($field), $crate::metrics::CounterValue::raw(self.$field)) ),+ ]
+            }
+
+            /// Appends every field to `obj` under its declared name, in
+            /// declaration order, bools as JSON bools.
+            pub fn write_json(&self, obj: &mut $crate::metrics::JsonObject) {
+                $( obj.raw(stringify!($field), self.$field); )+
+            }
+        }
+    };
+}
+pub(crate) use counter_set;
+
 /// A plain-data snapshot of a [`MetricsRegistry`], optionally joined with
 /// a trace size decomposition, exportable as JSON.
 ///
@@ -245,14 +332,24 @@ impl MetricsReport {
         }
     }
 
+    /// Adds a named-field view (a [`counter_set!`] snapshot's `fields()`,
+    /// or [`RecoveryReport::fields`](crate::recover::RecoveryReport::fields))
+    /// under `prefix` — `ingest.segments`, `net.server.frames`, … — so
+    /// collector numbers leave through the same report as the tracer's.
+    pub fn absorb(&mut self, prefix: &str, fields: impl IntoIterator<Item = (&'static str, u64)>) {
+        for (name, value) in fields {
+            self.counters.insert(format!("{prefix}.{name}"), value);
+        }
+    }
+
     /// Renders the report as a compact JSON object (see the type docs for
     /// the schema). Keys are emitted in sorted order, so output is
     /// deterministic and diffable.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
+        let map = |m: &BTreeMap<String, u64>| JsonObject::default().fields(m).finish();
+        let mut out = JsonObject::default();
         if let Some(s) = &self.size {
-            out.push_str("\"size\":{");
-            let fields: [(&str, usize); 10] = [
+            let size = [
                 ("cst_bytes", s.cst_bytes),
                 ("grammar_bytes", s.grammar_bytes),
                 ("duration_bytes", s.duration_bytes),
@@ -264,36 +361,80 @@ impl MetricsReport {
                 ("core_total", s.core_total()),
                 ("full_total", s.full_total()),
             ];
-            for (i, (k, v)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{}:{v}", json_string(k));
-            }
-            out.push_str("},");
+            out.raw("size", JsonObject::default().fields(size).finish());
         }
-        out.push_str("\"timers_ns\":");
-        write_json_map(&mut out, &self.timers_ns);
-        out.push_str(",\"counters\":");
-        write_json_map(&mut out, &self.counters);
-        out.push('}');
-        out
+        out.raw("timers_ns", map(&self.timers_ns)).raw("counters", map(&self.counters)).finish()
     }
 }
 
-fn write_json_map(out: &mut String, map: &BTreeMap<String, u64>) {
-    out.push('{');
-    for (i, (k, v)) in map.iter().enumerate() {
+/// Builds one JSON object member by member, in call order. Every JSON
+/// line the workspace prints — [`MetricsReport::to_json`], `pilgrimd`'s
+/// and `trace_tool`'s schema-1 envelopes — is rendered here, so keys and
+/// strings are escaped one way ([`json_string`]).
+#[derive(Debug, Default)]
+pub struct JsonObject {
+    buf: String,
+}
+
+impl JsonObject {
+    /// Opens a schema-1 envelope: `{"schema":1,"command":"<command>"`.
+    /// Callers append their fields and close with `"exit"` (`pilgrimd`)
+    /// or `"fidelity"` (`trace_tool`).
+    pub fn envelope(command: &str) -> Self {
+        let mut obj = JsonObject::default();
+        obj.raw("schema", 1).str("command", command);
+        obj
+    }
+
+    /// Appends `"key":value` with `value` printed as is: a number, a
+    /// bool, `null`, or JSON another writer already rendered.
+    pub fn raw(&mut self, key: &str, value: impl Display) -> &mut Self {
+        self.buf.push(if self.buf.is_empty() { '{' } else { ',' });
+        let _ = write!(self.buf, "{}:{value}", json_string(key));
+        self
+    }
+
+    /// Appends `"key":"value"` with `value` escaped.
+    pub fn str(&mut self, key: &str, value: &str) -> &mut Self {
+        self.raw(key, json_string(value))
+    }
+
+    /// Appends a named-field view, one numeric member per field.
+    pub fn fields<K: AsRef<str>>(
+        &mut self,
+        fields: impl IntoIterator<Item = (K, impl Display)>,
+    ) -> &mut Self {
+        for (name, value) in fields {
+            self.raw(name.as_ref(), value);
+        }
+        self
+    }
+
+    /// Closes the object and hands back its text.
+    pub fn finish(&mut self) -> String {
+        if self.buf.is_empty() {
+            self.buf.push('{');
+        }
+        self.buf.push('}');
+        std::mem::take(&mut self.buf)
+    }
+}
+
+/// `[a,b,c]` from items that already print as JSON values.
+pub fn json_array(items: impl IntoIterator<Item = impl Display>) -> String {
+    let mut out = String::from("[");
+    for (i, item) in items.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{}:{v}", json_string(k));
+        let _ = write!(out, "{item}");
     }
-    out.push('}');
+    out.push(']');
+    out
 }
 
 /// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -370,7 +511,65 @@ mod tests {
     #[test]
     fn json_escapes_control_characters() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_string("\r\t"), "\"\\r\\t\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn json_object_keeps_call_order_and_escapes_keys_and_strings() {
+        assert_eq!(JsonObject::default().finish(), "{}");
+        let mut obj = JsonObject::envelope("a\"b");
+        obj.raw("n", 3).raw("ok", true).str("s", "x\ty").raw("list", json_array([1, 2]));
+        obj.fields([("k\n", 7u64)]);
+        assert_eq!(
+            obj.raw("exit", 0).finish(),
+            "{\"schema\":1,\"command\":\"a\\\"b\",\"n\":3,\"ok\":true,\"s\":\"x\\ty\",\
+             \"list\":[1,2],\"k\\n\":7,\"exit\":0}"
+        );
+    }
+
+    counter_set! {
+        /// A miniature stat set: a counter, a latch and a high-water mark.
+        pub struct DemoStats, live LiveDemoStats {
+            events: u64,
+            /// Latched once, never cleared.
+            tripped: bool,
+            peak: u64,
+        }
+    }
+
+    #[test]
+    fn counter_set_declares_atomics_snapshot_and_view_in_one_order() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let live = LiveDemoStats::default();
+        assert_eq!(live.snapshot(), DemoStats::default());
+        live.events.fetch_add(2, Relaxed);
+        live.events.fetch_add(3, Relaxed);
+        live.peak.fetch_max(40, Relaxed);
+        live.peak.fetch_max(9, Relaxed);
+        let before = live.snapshot();
+        assert_eq!(before, DemoStats { events: 5, tripped: false, peak: 40 });
+        live.tripped.store(1, Relaxed);
+        let snap = live.snapshot();
+        assert!(snap.tripped, "a bool field round-trips through its atomic");
+        // Declaration order = fields() order = snapshot field order (the
+        // derived Debug prints fields as the struct lists them).
+        assert_eq!(snap.fields(), [("events", 5), ("tripped", 1), ("peak", 40)]);
+        assert_eq!(format!("{snap:?}"), "DemoStats { events: 5, tripped: true, peak: 40 }");
+        let mut obj = JsonObject::default();
+        snap.write_json(&mut obj);
+        assert_eq!(obj.finish(), "{\"events\":5,\"tripped\":true,\"peak\":40}");
+    }
+
+    #[test]
+    fn absorb_files_a_view_under_its_prefix() {
+        let mut report = MetricsRegistry::new(true).snapshot();
+        report.absorb("demo", DemoStats { events: 5, tripped: true, peak: 40 }.fields());
+        report.absorb("recover", crate::recover::RecoveryReport::default().fields());
+        assert_eq!(report.counters["demo.events"], 5);
+        assert_eq!(report.counters["demo.tripped"], 1);
+        assert_eq!(report.counters["recover.torn_wals"], 0);
+        assert!(report.to_json().contains("\"demo.peak\":40"));
     }
 
     #[test]

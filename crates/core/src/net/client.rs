@@ -7,7 +7,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -23,7 +23,9 @@ use crate::export::{persist_container, write_container};
 use crate::frame::{seal_frame, FrameReader};
 use crate::governor::{Component, DegradationEvent, DegradationStage};
 use crate::ingest::{RetryPolicy, SegmentSink};
+use crate::layout;
 use crate::merge::{RankCompletion, TraceSegment};
+use crate::metrics::counter_set;
 use crate::net_fault::NetFaultPlan;
 use crate::recover::replay_union;
 use crate::wal::{read_wal, WalRecord, WalWriter};
@@ -126,52 +128,35 @@ impl NetClientConfig {
     }
 }
 
-#[derive(Debug, Default)]
-struct ClientCounters {
-    connects: AtomicU64,
-    connect_failures: AtomicU64,
-    frames_sent: AtomicU64,
-    retransmits: AtomicU64,
-    acks: AtomicU64,
-    stray_acks: AtomicU64,
-    heartbeats: AtomicU64,
-    backpressure: AtomicU64,
-    disk_buffered: AtomicU64,
-    spilled_records: AtomicU64,
-    dropped_records: AtomicU64,
-    degraded: AtomicU64,
-    busy_sheds: AtomicU64,
-    auth_failed: AtomicU64,
-}
-
-/// Snapshot of the client counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetClientStats {
-    pub connects: u64,
-    pub connect_failures: u64,
-    pub frames_sent: u64,
-    /// Frames sent more than once (reconnect replay).
-    pub retransmits: u64,
-    pub acks: u64,
-    /// Acks that matched no unacked frame (double-delivered receipts).
-    pub stray_acks: u64,
-    pub heartbeats: u64,
-    /// Producer pushes that blocked on a full queue (no spill dir).
-    pub backpressure: u64,
-    /// Frames that overflowed to the disk outbox.
-    pub disk_buffered: u64,
-    /// Records appended to the local degrade WAL.
-    pub spilled_records: u64,
-    /// Records lost outright (degrade with no spill dir, or spill I/O
-    /// failure) — always reported in the job outcome, never silent.
-    pub dropped_records: u64,
-    pub degraded: bool,
-    /// `Busy` frames received: the collector shed this client's new
-    /// jobs under overload.
-    pub busy_sheds: u64,
-    /// The collector rejected this client's handshake (wrong key,
-    /// missing key, or version skew) — a fatal, typed condition.
-    pub auth_failed: bool,
+counter_set! {
+    /// Snapshot of the client counters.
+    pub struct NetClientStats, live LiveClientStats {
+        connects: u64,
+        connect_failures: u64,
+        frames_sent: u64,
+        /// Frames sent more than once (reconnect replay).
+        retransmits: u64,
+        acks: u64,
+        /// Acks that matched no unacked frame (double-delivered receipts).
+        stray_acks: u64,
+        heartbeats: u64,
+        /// Producer pushes that blocked on a full queue (no spill dir).
+        backpressure: u64,
+        /// Frames that overflowed to the disk outbox.
+        disk_buffered: u64,
+        /// Records appended to the local degrade WAL.
+        spilled_records: u64,
+        /// Records lost outright (degrade with no spill dir, or spill I/O
+        /// failure) — always reported in the job outcome, never silent.
+        dropped_records: u64,
+        degraded: bool,
+        /// `Busy` frames received: the collector shed this client's new
+        /// jobs under overload.
+        busy_sheds: u64,
+        /// The collector rejected this client's handshake (wrong key,
+        /// missing key, or version skew) — a fatal, typed condition.
+        auth_failed: bool,
+    }
 }
 
 /// Disk overflow for the send queue: `[len: u32 LE][frame bytes]`
@@ -268,7 +253,7 @@ struct ClientInner {
     cfg: NetClientConfig,
     state: Mutex<ClientState>,
     cv: Condvar,
-    counters: ClientCounters,
+    counters: LiveClientStats,
 }
 
 /// Everything [`NetJobHandle::finish`] reports about one job.
@@ -315,7 +300,7 @@ impl NetClient {
             cfg,
             state: Mutex::new(ClientState::default()),
             cv: Condvar::new(),
-            counters: ClientCounters::default(),
+            counters: LiveClientStats::default(),
         });
         let worker_inner = inner.clone();
         let worker = std::thread::Builder::new()
@@ -339,14 +324,14 @@ impl NetClient {
     }
 
     pub fn stats(&self) -> NetClientStats {
-        self.inner.snapshot()
+        self.inner.counters.snapshot()
     }
 
     /// Signals shutdown, waits for the worker to drain (or degrade), and
     /// returns the final counters.
     pub fn shutdown(mut self) -> NetClientStats {
         self.join_worker();
-        self.inner.snapshot()
+        self.inner.counters.snapshot()
     }
 
     fn join_worker(&mut self) {
@@ -368,26 +353,6 @@ impl Drop for NetClient {
 }
 
 impl ClientInner {
-    fn snapshot(&self) -> NetClientStats {
-        let c = &self.counters;
-        NetClientStats {
-            connects: c.connects.load(Ordering::Relaxed),
-            connect_failures: c.connect_failures.load(Ordering::Relaxed),
-            frames_sent: c.frames_sent.load(Ordering::Relaxed),
-            retransmits: c.retransmits.load(Ordering::Relaxed),
-            acks: c.acks.load(Ordering::Relaxed),
-            stray_acks: c.stray_acks.load(Ordering::Relaxed),
-            heartbeats: c.heartbeats.load(Ordering::Relaxed),
-            backpressure: c.backpressure.load(Ordering::Relaxed),
-            disk_buffered: c.disk_buffered.load(Ordering::Relaxed),
-            spilled_records: c.spilled_records.load(Ordering::Relaxed),
-            dropped_records: c.dropped_records.load(Ordering::Relaxed),
-            degraded: c.degraded.load(Ordering::Relaxed) != 0,
-            busy_sheds: c.busy_sheds.load(Ordering::Relaxed),
-            auth_failed: c.auth_failed.load(Ordering::Relaxed) != 0,
-        }
-    }
-
     /// Queues a frame without ever blocking the producer when a spill
     /// dir is configured: full queue -> disk outbox; degraded -> straight
     /// to the local WAL. Without a spill dir a full queue blocks (after
@@ -477,7 +442,7 @@ impl ClientInner {
         self.counters.degraded.store(1, Ordering::Relaxed);
         st.problems.push(format!("degraded to local spill: {reason}"));
         if let Some(dir) = &self.cfg.spill_dir {
-            let wal_dir = dir.join("wal");
+            let wal_dir = layout::wal_dir(dir);
             let created = fs::create_dir_all(&wal_dir);
             let path = wal_dir.join(format!("client-{}.wal", self.cfg.client_id));
             match created.and_then(|()| WalWriter::create(&path)) {
@@ -643,10 +608,10 @@ impl NetJobHandle {
         }
         let clean = problems.len();
         let trace = replay_union(self.nranks, self.identity_check, records, problems).finalize();
-        if trace.rank_lengths.iter().sum::<u64>() == 0 {
+        if trace.total_calls() == 0 {
             return Err("local replay rebuilt no calls".into());
         }
-        let out_path = dir.join(format!("job-{}.pilgrim", self.job));
+        let out_path = layout::job_container(dir, self.job);
         persist_container(&out_path, &write_container(&trace), false)
             .map_err(|e| format!("writing local container: {e}"))?;
         // Settle the job in the WAL so recovery on the client dir

@@ -21,6 +21,7 @@ use crate::auth::{
 };
 use crate::frame::FrameReader;
 use crate::ingest::{IngestSession, JobHandle, SegmentSink};
+use crate::metrics::counter_set;
 use crate::wal::{WalRecord, WalWriter};
 
 /// Collector-side knobs for [`serve`].
@@ -151,72 +152,49 @@ impl NetServerConfig {
     }
 }
 
-#[derive(Debug, Default)]
-struct ServerCounters {
-    connections: AtomicU64,
-    frames: AtomicU64,
-    acks: AtomicU64,
-    dup_frames: AtomicU64,
-    torn_conns: AtomicU64,
-    protocol_errors: AtomicU64,
-    bad_hello: AtomicU64,
-    idle_closed: AtomicU64,
-    stale_finishes: AtomicU64,
-    heartbeats: AtomicU64,
-    wal_errors: AtomicU64,
-    jobs_opened: AtomicU64,
-    jobs_finished: AtomicU64,
-    auth_failures: AtomicU64,
-    version_skew: AtomicU64,
-    sheds: AtomicU64,
-    throttled: AtomicU64,
-    slow_loris_closed: AtomicU64,
-    peak_conn_buffer: AtomicU64,
-    wal_bytes: AtomicU64,
-}
-
-/// Snapshot of the server counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetServerStats {
-    pub connections: u64,
-    /// Frames accepted off the wire (heartbeats included).
-    pub frames: u64,
-    pub acks: u64,
-    /// Retransmits dropped by the `(job, rank, seq)` watermark.
-    pub dup_frames: u64,
-    /// Connections dropped on a torn or corrupt frame.
-    pub torn_conns: u64,
-    pub protocol_errors: u64,
-    /// Connections that never completed a valid hello.
-    pub bad_hello: u64,
-    /// Connections closed at the idle read deadline.
-    pub idle_closed: u64,
-    /// Finish retransmits for jobs this server never saw data for
-    /// (a finish replayed across a collector restart).
-    pub stale_finishes: u64,
-    pub heartbeats: u64,
-    /// Failed conn-WAL appends (the frame was not acked).
-    pub wal_errors: u64,
-    pub jobs_opened: u64,
-    pub jobs_finished: u64,
-    /// Hellos rejected by the challenge–response (wrong key, replayed
-    /// response, or no response at all).
-    pub auth_failures: u64,
-    /// Hellos rejected for a protocol version mismatch.
-    pub version_skew: u64,
-    /// New JobOpens refused with a `Busy` frame under overload.
-    pub sheds: u64,
-    /// Connections dropped for exceeding a byte/frame rate budget.
-    pub throttled: u64,
-    /// Connections dropped for trickling bytes without ever completing
-    /// a frame (slow-loris writers).
-    pub slow_loris_closed: u64,
-    /// High-water mark of any one connection's reassembly buffer — the
-    /// bounded-memory gate for the adversarial sweep.
-    pub peak_conn_buffer: u64,
-    /// Total bytes appended across the per-connection WALs (drives the
-    /// `max_wal_bytes` shed threshold).
-    pub wal_bytes: u64,
+counter_set! {
+    /// Snapshot of the server counters.
+    pub struct NetServerStats, live LiveServerStats {
+        connections: u64,
+        /// Frames accepted off the wire (heartbeats included).
+        frames: u64,
+        acks: u64,
+        /// Retransmits dropped by the `(job, rank, seq)` watermark.
+        dup_frames: u64,
+        /// Connections dropped on a torn or corrupt frame.
+        torn_conns: u64,
+        protocol_errors: u64,
+        /// Connections that never completed a valid hello.
+        bad_hello: u64,
+        /// Connections closed at the idle read deadline.
+        idle_closed: u64,
+        /// Finish retransmits for jobs this server never saw data for
+        /// (a finish replayed across a collector restart).
+        stale_finishes: u64,
+        heartbeats: u64,
+        /// Failed conn-WAL appends (the frame was not acked).
+        wal_errors: u64,
+        jobs_opened: u64,
+        jobs_finished: u64,
+        /// Hellos rejected by the challenge–response (wrong key, replayed
+        /// response, or no response at all).
+        auth_failures: u64,
+        /// Hellos rejected for a protocol version mismatch.
+        version_skew: u64,
+        /// New JobOpens refused with a `Busy` frame under overload.
+        sheds: u64,
+        /// Connections dropped for exceeding a byte/frame rate budget.
+        throttled: u64,
+        /// Connections dropped for trickling bytes without ever completing
+        /// a frame (slow-loris writers).
+        slow_loris_closed: u64,
+        /// High-water mark of any one connection's reassembly buffer — the
+        /// bounded-memory gate for the adversarial sweep.
+        peak_conn_buffer: u64,
+        /// Total bytes appended across the per-connection WALs (drives the
+        /// `max_wal_bytes` shed threshold).
+        wal_bytes: u64,
+    }
 }
 
 /// Per-job server state: the ingest handle plus the dedup watermarks.
@@ -239,7 +217,7 @@ struct ServeShared {
     /// flush what they have buffered, then exit.
     draining: AtomicBool,
     active_conns: AtomicU64,
-    counters: ServerCounters,
+    counters: LiveServerStats,
     jobs: Mutex<HashMap<u64, Arc<Mutex<NetJobEntry>>>>,
     conns: Mutex<HashMap<u64, TcpStream>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -262,32 +240,6 @@ impl Drop for ConnGuard {
 }
 
 impl ServeShared {
-    fn stats(&self) -> NetServerStats {
-        let c = &self.counters;
-        NetServerStats {
-            connections: c.connections.load(Ordering::Relaxed),
-            frames: c.frames.load(Ordering::Relaxed),
-            acks: c.acks.load(Ordering::Relaxed),
-            dup_frames: c.dup_frames.load(Ordering::Relaxed),
-            torn_conns: c.torn_conns.load(Ordering::Relaxed),
-            protocol_errors: c.protocol_errors.load(Ordering::Relaxed),
-            bad_hello: c.bad_hello.load(Ordering::Relaxed),
-            idle_closed: c.idle_closed.load(Ordering::Relaxed),
-            stale_finishes: c.stale_finishes.load(Ordering::Relaxed),
-            heartbeats: c.heartbeats.load(Ordering::Relaxed),
-            wal_errors: c.wal_errors.load(Ordering::Relaxed),
-            jobs_opened: c.jobs_opened.load(Ordering::Relaxed),
-            jobs_finished: c.jobs_finished.load(Ordering::Relaxed),
-            auth_failures: c.auth_failures.load(Ordering::Relaxed),
-            version_skew: c.version_skew.load(Ordering::Relaxed),
-            sheds: c.sheds.load(Ordering::Relaxed),
-            throttled: c.throttled.load(Ordering::Relaxed),
-            slow_loris_closed: c.slow_loris_closed.load(Ordering::Relaxed),
-            peak_conn_buffer: c.peak_conn_buffer.load(Ordering::Relaxed),
-            wal_bytes: c.wal_bytes.load(Ordering::Relaxed),
-        }
-    }
-
     /// Must a *new* job be refused right now? Already-accepted jobs are
     /// never shed.
     fn saturated(&self) -> bool {
@@ -406,7 +358,7 @@ impl ServeHandle {
     }
 
     pub fn stats(&self) -> NetServerStats {
-        self.shared.stats()
+        self.shared.counters.snapshot()
     }
 
     /// Jobs finished so far (drives `--expect-jobs` style polling).
@@ -426,7 +378,7 @@ impl ServeHandle {
     /// process had been killed; `trace_tool recover` rebuilds them.
     pub fn stop(mut self) -> NetServerStats {
         self.join_all();
-        self.shared.stats()
+        self.shared.counters.snapshot()
     }
 
     /// Graceful shutdown: stop accepting, give live connections up to
@@ -442,7 +394,7 @@ impl ServeHandle {
             std::thread::sleep(Duration::from_millis(10));
         }
         self.join_all();
-        self.shared.stats()
+        self.shared.counters.snapshot()
     }
 
     fn join_all(&mut self) {
@@ -478,7 +430,7 @@ pub fn serve(
 ) -> std::io::Result<ServeHandle> {
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let wal_dir = session.spill_dir().map(|dir| dir.join("wal"));
+    let wal_dir = session.spill_dir().map(crate::layout::wal_dir);
     if let Some(dir) = &wal_dir {
         fs::create_dir_all(dir)?;
     }
@@ -491,7 +443,7 @@ pub fn serve(
         stop: AtomicBool::new(false),
         draining: AtomicBool::new(false),
         active_conns: AtomicU64::new(0),
-        counters: ServerCounters::default(),
+        counters: LiveServerStats::default(),
         jobs: Mutex::new(HashMap::new()),
         conns: Mutex::new(HashMap::new()),
         threads: Mutex::new(Vec::new()),

@@ -198,6 +198,11 @@ impl<'a> QueryEngine<'a> {
             if s0 >= hi {
                 break;
             }
+            // A zero-width slot (an empty rule, a zero exponent) holds no
+            // offset, and a referenced empty rule's `unit` below would be 0.
+            if s0 == s1 {
+                continue;
+            }
             let (a, b) = (lo.max(s0) - s0, hi.min(s1) - s0);
             let (sym, _) = rule.symbols[slot];
             match sym {
@@ -440,6 +445,34 @@ mod tests {
                 assert_eq!(q.window_counts(lo as u64, hi as u64), want, "[{lo}, {hi})");
             }
         }
+    }
+
+    #[test]
+    fn windows_step_over_empty_rules_and_zero_exponents() {
+        // R0 -> t0 R1 t0 t1^0, R1 -> (empty): `FlatGrammar::decode` accepts
+        // it and `validate()` is clean, so a window query must not divide
+        // by R1's zero length.
+        let mut t = ring_trace();
+        t.grammar = pilgrim_sequitur::FlatGrammar {
+            rules: vec![
+                pilgrim_sequitur::FlatRule {
+                    symbols: vec![
+                        (Symbol::Terminal(0), 1),
+                        (Symbol::Rule(1), 1),
+                        (Symbol::Terminal(0), 1),
+                        (Symbol::Terminal(1), 0),
+                    ],
+                },
+                pilgrim_sequitur::FlatRule { symbols: vec![] },
+            ],
+        };
+        t.nranks = 1;
+        t.rank_lengths = vec![2];
+        assert!(t.validate().is_empty(), "{:?}", t.validate());
+        let idx = TraceIndex::build(&t);
+        let q = QueryEngine::new(&t, &idx);
+        assert_eq!(q.rank_signature_counts(0), SigCounts::from([(0, 2)]));
+        assert_eq!(q.window_counts(1, 2), SigCounts::from([(0, 1)]));
     }
 
     #[test]

@@ -54,7 +54,9 @@ impl TraceIndex {
         let mut acc = 0u64;
         rank_offsets.push(0);
         for &l in &trace.rank_lengths {
-            acc += l;
+            // Saturating: a hand-built table may overflow (decoded ones
+            // cannot), and offsets past the expansion are never selected.
+            acc = acc.saturating_add(l);
             rank_offsets.push(acc);
         }
         let index = TraceIndex { rule_lens, rule_cum, rank_offsets };
@@ -116,7 +118,11 @@ impl TraceIndex {
         }
         loop {
             let cum = &self.rule_cum[rid];
-            // Last slot whose cumulative start is <= off.
+            // Last slot whose cumulative start is <= off. With
+            // `off < cum.last()` that slot is never zero-width (an empty
+            // rule or a zero exponent): such a slot's end equals its
+            // start, so the slot after it also starts <= off and wins.
+            // The `% unit` below relies on it — `unit` is never 0.
             let slot = cum.partition_point(|&c| c <= off) - 1;
             let (sym, _) = rules[rid].symbols[slot];
             let rem = off - cum[slot];
@@ -226,7 +232,7 @@ impl TraceIndex {
             if trace.rank_lengths.get(r).copied().unwrap_or(0) != len {
                 return Err(DecodeError::Corrupt { what: "index rank length", offset: off });
             }
-            acc += len;
+            acc = acc.saturating_add(len);
             rank_offsets.push(acc);
         }
         let rule_cum = cum_spans(&trace.grammar.rules, &rule_lens);

@@ -65,6 +65,8 @@ impl<'a> TermCursor<'a> {
         let mut off = off;
         loop {
             let cum = self.index.cum(rid);
+            // Never a zero-width slot, so `unit` below is never 0 — see
+            // `TraceIndex::term_at`.
             let slot = cum.partition_point(|&c| c <= off) - 1;
             let (sym, exp) = rules[rid].symbols[slot];
             let within = off - cum[slot];

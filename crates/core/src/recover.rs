@@ -31,6 +31,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::export::{persist_container, write_container};
+use crate::layout;
 use crate::merge::{IncrementalMerger, RankCompletion, TraceSegment};
 use crate::trace::GlobalTrace;
 use crate::wal::{read_wal, WalRecord};
@@ -128,6 +129,21 @@ impl RecoveryReport {
     pub fn lost(&self) -> usize {
         self.count(RecoveryState::Lost)
     }
+
+    /// The report's tallies as a named-field view — the shape the
+    /// collector's counter sets expose — in `recover`-envelope order.
+    pub fn fields(&self) -> [(&'static str, u64); 7] {
+        [
+            ("total", self.jobs.len()),
+            ("recovered", self.recovered()),
+            ("partial", self.partial()),
+            ("lost", self.lost()),
+            ("wal_files", self.wal_files),
+            ("torn_wals", self.torn_wals),
+            ("quarantined", self.quarantined),
+        ]
+        .map(|(name, n)| (name, n as u64))
+    }
 }
 
 /// Everything the WALs said about one job.
@@ -151,7 +167,7 @@ pub fn recover_dir(dir: &Path) -> std::io::Result<RecoveryReport> {
 
     scan_wals(dir, &mut report, &mut logs);
     let spills = scan_spills(dir, &mut report);
-    report.quarantined = count_files(&dir.join("quarantine"));
+    report.quarantined = count_files(&layout::quarantine_dir(dir));
 
     // Jobs the WAL knows about.
     let mut claimed: Vec<u64> = Vec::new();
@@ -172,11 +188,10 @@ pub fn recover_dir(dir: &Path) -> std::io::Result<RecoveryReport> {
 }
 
 fn scan_wals(dir: &Path, report: &mut RecoveryReport, logs: &mut BTreeMap<u64, JobLog>) {
-    let wal_dir = dir.join("wal");
-    let Ok(entries) = fs::read_dir(&wal_dir) else { return };
+    let Ok(entries) = fs::read_dir(layout::wal_dir(dir)) else { return };
     let mut paths: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
     paths.sort();
-    for path in paths.iter().filter(|p| p.extension().is_some_and(|e| e == "wal")) {
+    for path in paths.iter().filter(|p| layout::is_wal_file(p)) {
         let replay = match read_wal(path) {
             Ok(replay) => replay,
             Err(e) => {
@@ -215,14 +230,8 @@ fn scan_spills(dir: &Path, report: &mut RecoveryReport) -> BTreeMap<u64, PathBuf
     paths.sort();
     for path in paths {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-        let (stem, torn) = match name.strip_suffix(".pilgrim.tmp") {
-            Some(stem) => (stem, true),
-            None => match name.strip_suffix(".pilgrim") {
-                Some(stem) => (stem, false),
-                None => continue,
-            },
-        };
-        let Some(job) = stem.strip_prefix("job-").and_then(|s| s.parse::<u64>().ok()) else {
+        let Some((job, torn)) = layout::parse_container_name(name) else { continue };
+        let Some(job) = job else {
             report.problems.push(format!("{}: unrecognized container name", path.display()));
             continue;
         };
@@ -300,7 +309,7 @@ fn replay_wal_job(dir: &Path, job: u64, log: JobLog) -> RecoveredJob {
     let merger = replay_union(nranks, log.identity_check, log.records, &mut problems);
     let complete = merger.is_complete();
     let trace = merger.finalize();
-    let calls = trace.rank_lengths.iter().sum();
+    let calls = trace.total_calls();
     classify(dir, job, RecoverySource::Wal, trace, calls, complete, problems)
 }
 
@@ -389,7 +398,7 @@ fn read_spill(job: u64, path: &Path) -> Option<RecoveredJob> {
 /// Strictly decodes and classifies one spilled container's bytes.
 fn decode_spill(job: u64, path: &Path, bytes: &[u8]) -> Option<RecoveredJob> {
     let trace = GlobalTrace::decode_container(bytes).ok()?;
-    let calls = trace.rank_lengths.iter().sum();
+    let calls = trace.total_calls();
     let complete = trace.completeness.is_complete();
     let mut done = classify_trace(job, RecoverySource::Spill, trace, calls, complete, Vec::new());
     done.output = Some(path.to_path_buf());
@@ -415,7 +424,7 @@ fn recover_bare_spill(dir: &Path, job: u64, path: &Path) -> RecoveredJob {
                 salvage.timing_stripped_ranks.len(),
                 salvage.skipped_duration_grammars.len() + salvage.skipped_interval_grammars.len()
             )];
-            let calls = trace.rank_lengths.iter().sum();
+            let calls = trace.total_calls();
             // Salvage output is by definition not a clean full trace.
             classify(dir, job, RecoverySource::Salvage, trace, calls, false, problems)
         }
@@ -500,9 +509,9 @@ fn write_recovered(dir: &Path, job: u64, trace: Option<&GlobalTrace>) -> std::io
     let trace = trace.ok_or_else(|| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "no trace to write")
     })?;
-    let out_dir = dir.join("recovered");
+    let out_dir = layout::recovered_dir(dir);
     fs::create_dir_all(&out_dir)?;
-    let path = out_dir.join(format!("job-{job}.pilgrim"));
+    let path = layout::job_container(&out_dir, job);
     persist_container(&path, &write_container(trace), false)?;
     Ok(path)
 }

@@ -506,21 +506,6 @@ pub struct MinimizeResult {
     pub candidates_tried: usize,
 }
 
-/// Per-rank terminal sequences of a trace, split from the merged
-/// grammar's expansion by the rank length table.
-fn rank_terms(trace: &GlobalTrace) -> Vec<Vec<u32>> {
-    let all = trace.grammar.expand();
-    let mut out = Vec::with_capacity(trace.nranks);
-    let mut off = 0usize;
-    for rank in 0..trace.nranks {
-        let len = trace.rank_lengths.get(rank).copied().unwrap_or(0) as usize;
-        let end = (off + len).min(all.len());
-        out.push(all[off..end].to_vec());
-        off = end;
-    }
-    out
-}
-
 /// Candidate cuts for one rank's current sequence, derived from a fresh
 /// Sequitur grammar over it: for every top-level span, try dropping the
 /// whole span; for counted runs (`B^k`), also try dropping the tail
@@ -626,7 +611,7 @@ pub fn minimize(trace: &GlobalTrace) -> Result<MinimizeResult, MinimizeError> {
     for rank in 0..trace.nranks {
         orig_calls.push(decode_rank_calls(trace, rank).map_err(MinimizeError::Undecodable)?);
     }
-    let terms = rank_terms(trace);
+    let terms = trace.decode_all_ranks();
 
     // Everything kept, initially; indices are into the original decode.
     let mut kept: Vec<Vec<u64>> =
@@ -735,7 +720,7 @@ pub fn minimize(trace: &GlobalTrace) -> Result<MinimizeResult, MinimizeError> {
     };
 
     let original_calls: u64 = orig_calls.iter().map(|c| c.len() as u64).sum();
-    let minimized_calls: u64 = minimized.rank_lengths.iter().sum();
+    let minimized_calls = minimized.total_calls();
     Ok(MinimizeResult {
         original_bytes: crate::export::write_container(trace).len(),
         minimized_bytes: crate::export::write_container(&minimized).len(),

@@ -327,25 +327,46 @@ pub struct GlobalTrace {
 /// (lost or checkpoint-recovered ranks in a degraded merge).
 pub const RANK_MAP_NONE: u32 = u32::MAX;
 
+/// Sum of a rank-length table; `None` when it overflows `u64`, which only
+/// a hostile table can (two ranks declaring 2^63 calls each).
+pub(crate) fn checked_total(rank_lengths: impl IntoIterator<Item = u64>) -> Option<u64> {
+    rank_lengths.into_iter().try_fold(0u64, u64::checked_add)
+}
+
 impl GlobalTrace {
+    /// Total calls across all ranks (saturating; both strict decoders
+    /// refuse a table whose sum overflows or disagrees with the grammar).
+    pub fn total_calls(&self) -> u64 {
+        checked_total(self.rank_lengths.iter().copied()).unwrap_or(u64::MAX)
+    }
+
+    /// Each rank's slice of an expansion of `len` terminals. Clamped: a
+    /// length table that claims more than the grammar generates (a
+    /// hand-built or salvaged trace — the strict decoders refuse one)
+    /// yields short or empty tails, never an out-of-range slice.
+    fn rank_ranges(&self, len: usize) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        let mut pos = 0usize;
+        (0..self.nranks).map(move |rank| {
+            let calls = self.rank_lengths.get(rank).copied().unwrap_or(0);
+            let end = pos.saturating_add(usize::try_from(calls).unwrap_or(usize::MAX)).min(len);
+            let range = pos..end;
+            pos = end;
+            range
+        })
+    }
+
     /// Expands the merged grammar and splits it into per-rank terminal
     /// sequences.
     pub fn decode_all_ranks(&self) -> Vec<Vec<u32>> {
         let all = self.grammar.expand();
-        let mut out = Vec::with_capacity(self.nranks);
-        let mut pos = 0usize;
-        for &len in &self.rank_lengths {
-            let len = len as usize;
-            out.push(all[pos..pos + len].to_vec());
-            pos += len;
-        }
-        assert_eq!(pos, all.len(), "grammar length mismatch vs rank lengths");
-        out
+        self.rank_ranges(all.len()).map(|range| all[range].to_vec()).collect()
     }
 
-    /// Expands a single rank's terminal sequence.
+    /// Expands a single rank's terminal sequence (empty for a rank the
+    /// trace does not have).
     pub fn decode_rank(&self, rank: usize) -> Vec<u32> {
-        self.decode_all_ranks().swap_remove(rank)
+        let all = self.grammar.expand();
+        self.rank_ranges(all.len()).nth(rank).map_or_else(Vec::new, |range| all[range].to_vec())
     }
 
     /// Serializes the trace; the returned buffer's length is the trace
@@ -393,13 +414,20 @@ impl GlobalTrace {
         if nranks > buf.len().saturating_sub(pos) + 1 {
             return Err(DecodeError::Corrupt { what: "rank count", offset: nranks_off });
         }
+        let lengths_off = pos;
         let mut rank_lengths = Vec::with_capacity(nranks);
         for _ in 0..nranks {
             rank_lengths.push(decode_varint(buf, &mut pos)?);
         }
         let cst = Cst::decode(buf, &mut pos)?;
-        let (grammar, used) = FlatGrammar::decode(&buf[pos..]).map_err(|e| e.offset_by(pos))?;
+        let (grammar, used, expanded) =
+            FlatGrammar::decode_measured(&buf[pos..]).map_err(|e| e.offset_by(pos))?;
         pos += used;
+        // The table splits the expansion, so it must cover it exactly;
+        // everything downstream slices and divides on that.
+        if checked_total(rank_lengths.iter().copied()) != Some(expanded) {
+            return Err(DecodeError::Corrupt { what: "rank lengths", offset: lengths_off });
+        }
         let nd_off = pos;
         let nd = decode_varint(buf, &mut pos)? as usize;
         if nd > buf.len().saturating_sub(pos) + 1 {
@@ -514,12 +542,14 @@ impl GlobalTrace {
                 self.nranks
             ));
         }
-        let total: u64 = self.rank_lengths.iter().sum();
         let expanded = self.grammar.expanded_len();
-        if expanded != total {
-            problems.push(format!(
+        match checked_total(self.rank_lengths.iter().copied()) {
+            Some(total) if total == expanded => {}
+            Some(total) => problems.push(format!(
                 "grammar generates {expanded} calls but rank lengths sum to {total}"
-            ));
+            )),
+            None => problems
+                .push(format!("grammar generates {expanded} calls but rank lengths overflow")),
         }
         let nsigs = self.cst.len() as u64;
         let bad_terms = self.grammar.terminals().filter(|&t| t as u64 >= nsigs).count();

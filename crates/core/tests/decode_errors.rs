@@ -382,3 +382,84 @@ fn huge_rule_count_is_corruption_not_allocation() {
         DecodeError::Corrupt { what: "rule count", offset: 0 }
     );
 }
+
+/// A hand-built trace over a three-signature CST: whatever grammar and
+/// rank-length table the caller wants a decoder to be shown.
+fn crafted_trace(grammar: FlatGrammar, rank_lengths: Vec<u64>) -> GlobalTrace {
+    let mut cst = Cst::new();
+    for func in 1u16..=3 {
+        let mut sig = pilgrim::encode::SigWriter::new(func);
+        sig.int(i64::from(func));
+        cst.observe(sig.bytes(), 10);
+    }
+    GlobalTrace {
+        nranks: rank_lengths.len(),
+        encoder_cfg: pilgrim::EncoderConfig::default(),
+        cst,
+        grammar,
+        rank_lengths,
+        unique_grammars: 1,
+        duration_grammars: vec![],
+        interval_grammars: vec![],
+        duration_rank_map: vec![],
+        interval_rank_map: vec![],
+        completeness: pilgrim::TraceCompleteness::complete(),
+        nondet: None,
+    }
+}
+
+/// Reads everything a `trace_tool` subcommand would read.
+fn read_all(trace: &GlobalTrace) {
+    let _ = trace.validate();
+    let _ = trace.decode_all_ranks();
+    for rank in 0..=trace.nranks {
+        let _ = pilgrim::decode_rank_calls(trace, rank);
+    }
+}
+
+/// CRC-valid bytes from `write_container` itself — not disk damage, a
+/// hostile or buggy writer — whose rank-length table disagrees with a
+/// grammar that generates two calls: both strict decoders must refuse it,
+/// and salvage must clamp it to what the grammar generates.
+fn assert_rank_lengths_rejected(lengths: Vec<u64>) {
+    let trace = crafted_trace(flat_of(&[0, 1]), lengths.clone());
+    for (format, bytes) in [("container", write_container(&trace)), ("flat", trace.serialize())] {
+        match GlobalTrace::decode_auto(&bytes) {
+            Err(e) => assert!(
+                matches!(e, DecodeError::Corrupt { what: "rank lengths", .. }),
+                "{format} {lengths:?}: {e}"
+            ),
+            Ok(accepted) => {
+                read_all(&accepted);
+                panic!("{format} decoder accepted rank lengths {lengths:?}");
+            }
+        }
+    }
+    let (salvaged, _) = GlobalTrace::decode_salvage(&write_container(&trace)).unwrap();
+    read_all(&salvaged);
+    assert!(salvaged.total_calls() <= 2, "{lengths:?} salvaged {:?}", salvaged.rank_lengths);
+}
+
+#[test]
+fn rank_lengths_that_overrun_or_undershoot_the_grammar_are_rejected() {
+    // Ten calls declared: the per-rank split would slice past the expansion.
+    assert_rank_lengths_rejected(vec![10]);
+    assert_rank_lengths_rejected(vec![1, 0]);
+}
+
+#[test]
+fn rank_lengths_whose_sum_overflows_are_rejected() {
+    assert_rank_lengths_rejected(vec![1 << 63, 1 << 63]);
+}
+
+#[test]
+fn a_rank_the_trace_does_not_have_is_an_error_not_a_panic() {
+    let (container, _, _) = container_fixture();
+    let trace = GlobalTrace::decode_container(container).unwrap();
+    assert_eq!(
+        pilgrim::decode_rank_calls(&trace, 99).unwrap_err(),
+        DecodeError::NoSuchRank { rank: 99, nranks: 4 }
+    );
+    assert!(trace.decode_rank(99).is_empty());
+    assert_eq!(trace.decode_rank(3), trace.decode_all_ranks()[3]);
+}

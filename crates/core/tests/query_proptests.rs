@@ -11,10 +11,10 @@ use pilgrim::cst::{Cst, SigStats};
 use pilgrim::encode::{EncoderConfig, SigWriter};
 use pilgrim::trace::TraceCompleteness;
 use pilgrim::{
-    decode_rank_calls, CallIterator, GlobalTrace, PilgrimConfig, PilgrimTracer, QueryEngine,
-    TraceIndex,
+    decode_rank_calls, to_signature_listing, write_container, CallIterator, GlobalTrace,
+    PilgrimConfig, PilgrimTracer, QueryEngine, TermCursor, TraceIndex,
 };
-use pilgrim_sequitur::Grammar;
+use pilgrim_sequitur::{FlatGrammar, FlatRule, Grammar, Symbol};
 use proptest::prelude::*;
 
 /// Per-rank call sequences built from repeated blocks, so the grammar
@@ -170,6 +170,82 @@ proptest! {
         prop_assert_eq!(engine.window_counts(wlo, wlo + span), window, "[{}, {})", wlo, whi);
 
         prop_assert_eq!(pilgrim_sequitur::expansions(), before, "analytics expanded the grammar");
+    }
+}
+
+/// Small arbitrary grammars of the shapes Sequitur never emits but
+/// `FlatGrammar::decode` accepts: empty bodies, zero exponents, rules
+/// shared by several parents, terminals past the CST. Rule references
+/// point forward, so the graph is acyclic.
+fn arb_flat_grammar() -> impl Strategy<Value = FlatGrammar> {
+    let body = proptest::collection::vec((0u32..8, 0u64..4), 0..4);
+    proptest::collection::vec(body, 1..5).prop_map(|bodies| {
+        let nrules = bodies.len() as u32;
+        let rules = bodies.into_iter().enumerate().map(|(rid, body)| {
+            let later = nrules - rid as u32 - 1;
+            let symbols = body.into_iter().map(|(kind, exp)| match kind.checked_sub(4) {
+                Some(k) if later > 0 => (Symbol::Rule(rid as u32 + 1 + k % later), exp),
+                _ => (Symbol::Terminal(kind % 4), exp),
+            });
+            FlatRule { symbols: symbols.collect() }
+        });
+        FlatGrammar { rules: rules.collect() }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Anything `decode_container` accepts is safe to read: every reader a
+    // `trace_tool` subcommand reaches returns without panicking, and where
+    // `validate()` is clean the cursor and the full expansion agree.
+    #[test]
+    fn whatever_decode_accepts_is_safe_to_read(
+        grammar in arb_flat_grammar(),
+        cuts in proptest::collection::vec(any::<u64>(), 1..4),
+        hostile in 0u8..4,
+    ) {
+        let mut left = grammar.expanded_len();
+        let last = cuts.len() - 1;
+        let rank_lengths: Vec<u64> = cuts.iter().enumerate().map(|(i, &cut)| match hostile {
+            // Mostly a table that splits the expansion exactly ...
+            1.. => {
+                let take = if i == last { left } else { cut % (left + 1) };
+                left -= take;
+                take
+            }
+            // ... sometimes whatever a hostile writer declares.
+            0 if cut % 5 == 0 => 1 << 63,
+            0 => cut % 16,
+        }).collect();
+        let mut trace = build_trace(&[vec![0, 1, 2]]);
+        trace.nranks = rank_lengths.len();
+        trace.rank_lengths = rank_lengths;
+        trace.grammar = grammar;
+        let Ok(trace) = GlobalTrace::decode_container(&write_container(&trace)) else {
+            return Ok(());
+        };
+        let clean = trace.validate().is_empty();
+        let index = TraceIndex::build(&trace);
+        let engine = QueryEngine::new(&trace, &index);
+        let total = index.total_calls();
+        prop_assert_eq!(total, trace.total_calls());
+        let all: Vec<Option<u32>> = (0..=total).map(|off| index.term_at(&trace, off)).collect();
+        prop_assert_eq!(all[total as usize], None);
+        for rank in 0..=trace.nranks {
+            let decoded = decode_rank_calls(&trace, rank);
+            prop_assert!(decoded.is_ok() || rank == trace.nranks || !clean, "rank {}", rank);
+            prop_assert!(decoded.is_err() || rank < trace.nranks, "rank {}", rank);
+            let (lo, hi) = index.rank_span(rank);
+            let counts = engine.window_counts(lo, hi);
+            prop_assert_eq!(counts.values().sum::<u64>(), hi - lo);
+            prop_assert_eq!(CallIterator::new(&trace, &index, rank).count() as u64, hi - lo);
+            let streamed: Vec<u32> = TermCursor::new(&trace, &index, lo).take((hi - lo) as usize).collect();
+            prop_assert_eq!(&streamed, &trace.decode_rank(rank));
+            let probed: Vec<u32> = all[lo as usize..hi as usize].iter().flatten().copied().collect();
+            prop_assert_eq!(&probed, &streamed);
+        }
+        prop_assert_eq!(to_signature_listing(&trace).lines().count(), trace.cst.len());
     }
 }
 

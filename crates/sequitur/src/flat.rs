@@ -63,6 +63,14 @@ pub enum DecodeError {
         /// Byte offset of the section's payload.
         offset: usize,
     },
+    /// A rank was asked for that the trace does not have. Produced by
+    /// higher layers that split a grammar's expansion by rank.
+    NoSuchRank {
+        /// The rank asked for.
+        rank: usize,
+        /// Number of ranks actually present.
+        nranks: usize,
+    },
 }
 
 impl fmt::Display for DecodeError {
@@ -92,6 +100,9 @@ impl fmt::Display for DecodeError {
             DecodeError::BadChecksum { section, offset } => {
                 write!(f, "checksum mismatch in {section} section at byte {offset}")
             }
+            DecodeError::NoSuchRank { rank, nranks } => {
+                write!(f, "rank {rank} out of range ({nranks} ranks)")
+            }
         }
     }
 }
@@ -119,7 +130,8 @@ impl DecodeError {
             }
             e @ (DecodeError::BadRuleRef { .. }
             | DecodeError::CyclicRules { .. }
-            | DecodeError::BadSignature { .. }) => e,
+            | DecodeError::BadSignature { .. }
+            | DecodeError::NoSuchRank { .. }) => e,
         }
     }
 }
@@ -259,6 +271,13 @@ impl FlatGrammar {
     /// fit a `u64`. Returns the grammar and the number of bytes consumed;
     /// the caller decides whether trailing bytes are acceptable.
     pub fn decode(buf: &[u8]) -> Result<(Self, usize), DecodeError> {
+        Self::decode_measured(buf).map(|(g, used, _)| (g, used))
+    }
+
+    /// [`FlatGrammar::decode`], also handing back the expanded length of
+    /// the start rule — validation computes it anyway, so a caller that
+    /// checks it against a length table needs no second pass.
+    pub fn decode_measured(buf: &[u8]) -> Result<(Self, usize, u64), DecodeError> {
         let mut pos = 0;
         let nrules_off = pos;
         let nrules = decode_varint(buf, &mut pos)? as usize;
@@ -291,8 +310,8 @@ impl FlatGrammar {
             rules.push(FlatRule { symbols });
         }
         let g = FlatGrammar { rules };
-        g.checked_rule_lengths()?;
-        Ok((g, pos))
+        let expanded_len = g.checked_rule_lengths()?.get(TOP_RULE as usize).copied().unwrap_or(0);
+        Ok((g, pos, expanded_len))
     }
 
     /// Expanded length of every rule, from one iterative post-order walk of

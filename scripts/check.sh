@@ -18,13 +18,39 @@ echo "== rustfmt (check only) =="
 cargo fmt --check
 
 echo "== tier-1: release build + tests =="
+# `cargo test -q` runs every test target of the workspace (crates/*,
+# tests, examples) once; the lanes below only add what it cannot: the
+# release binaries driven end to end and their golden outputs. Among
+# the suites it covers:
+#  - query_proptests: indexed random access and streaming windows agree
+#    with full decode, including across repeat-rule boundaries, and
+#    whatever decode_container accepts is safe to read;
+#  - governor: every rank's working set stays within its budget on a
+#    compression-hostile workload, nothing changes when the budget is
+#    never approached, and degraded traces still decode, verify, replay
+#    and answer queries (with fidelity flags);
+#  - decode_errors: bit flips, truncations and inconsistent rank-length
+#    tables surface as errors, never panics, and salvage only ever
+#    returns ranks that verify losslessly;
+#  - merge_equivalence / merge_pinning: batch, batch+budget, streamed,
+#    streamed+budget and WAL-recovered write byte-identical containers
+#    (per budget class) and decode losslessly, held to the bytes of the
+#    commit before the merge core was unified;
+#  - ingest_recovery: a killed collector's directory is rebuilt with no
+#    job silently dropped;
+#  - net_auth / net_proptests: truncated or oversized hellos, version
+#    skew, replayed challenge responses and wrong-key clients end in
+#    typed rejections with no partial WAL state, and arbitrary bytes
+#    into the PNT1 decoders Err, never panic or allocate a
+#    declared-but-unsent length;
+#  - rr_e2e / rr_proptests: the record/replay engine's promises in
+#    process; the rr lane below proves them on the binaries;
+#  - envelopes: `pilgrimd local`'s envelope carries every declared
+#    ingest counter.
 cargo build --release
 cargo test -q
 
-echo "== query engine: proptests + golden slice/matrix output =="
-# Property tests: indexed random access and streaming windows must agree
-# with full decode, including across repeat-rule boundaries.
-cargo test -q -p pilgrim --test query_proptests
+echo "== query engine: golden slice/matrix output =="
 # Golden outputs: trace_tool's slice/matrix JSON on the committed
 # miniature trace is byte-stable (stdout only; timings go to stderr).
 ./target/release/trace_tool slice crates/bench/golden/mini.pilgrim 1 5 8 2>/dev/null |
@@ -34,31 +60,10 @@ cargo test -q -p pilgrim --test query_proptests
   diff -u crates/bench/golden/mini.matrix.json - ||
   { echo "FAIL: trace_tool matrix output diverged from golden file." >&2; exit 1; }
 
-echo "== governor: bounded memory + degraded-trace e2e =="
-# The resource governor must hold every rank's working set within the
-# budget on a compression-hostile workload, change nothing when the
-# budget is never approached, and leave degraded traces that still
-# decode, verify, replay, and answer queries (with fidelity flags).
-cargo test -q -p pilgrim --test governor
-
-echo "== corruption: checksummed container never panics =="
-# Bit flips and truncations must surface as errors, never panics, and
-# salvage must only ever return ranks that verify losslessly.
-cargo test -q -p pilgrim --test decode_errors
-
 echo "== governor: adversarial bounded-memory sweep =="
 # Deterministic budget sweep on the adversarial workload: each budget
 # rung must complete without panicking and report its ladder progress.
 cargo run --release -q -p pilgrim-bench --bin governor_sweep -- --iters 150 > /dev/null
-
-echo "== merge equivalence: every path, same bytes =="
-# One differential table: batch, batch+budget, streamed, streamed+budget
-# and WAL-recovered must write byte-identical containers (per budget
-# class) and decode losslessly — on clean runs, governor budgets, lossy
-# timing and odd world sizes. merge_pinning holds the same paths to the
-# bytes of the commit before the merge core was unified.
-cargo test -q -p pilgrim --test merge_equivalence
-cargo test -q -p pilgrim --test merge_pinning
 
 echo "== pipeline selfcheck: the benchmark's own jobs, correctness only =="
 # Every job of every benchmark workload must be byte-identical to the
@@ -97,7 +102,6 @@ echo "== crash recovery: kill the collector mid-run, then recover =="
 # other 5 of 8 jobs mid-stream with only the WAL to remember them.
 # Recovery must account for all 8 jobs — none silently dropped — and
 # rebuild at least the 3 finished ones plus every WAL-intact job.
-cargo test -q -p pilgrim --test ingest_recovery
 rm -rf target/pilgrimd-crash
 cargo run --release -q -p pilgrim-bench --bin pilgrimd -- \
   --jobs 8 --ranks 4 --iters 20 --wal --crash-at-job 3 \
@@ -143,14 +147,21 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 [ -n "$listen_addr" ] || { echo "FAIL: pilgrimd serve never reported its port." >&2; exit 1; }
-./target/release/pilgrimd send --addr "$listen_addr" --jobs 4 --ranks 2 --iters 10 \
-  --spill target/pilgrimd-net/client | tail -1 |
-  grep -q '"schema":1,"command":"send".*"exit":0' ||
+send_json=$(./target/release/pilgrimd send --addr "$listen_addr" --jobs 4 --ranks 2 --iters 10 \
+  --spill target/pilgrimd-net/client | tail -1) || true
+echo "$send_json" | grep -q '"schema":1,"command":"send".*"exit":0' ||
   { echo "FAIL: pilgrimd send envelope missing or not exit 0." >&2; exit 1; }
 wait "$serve_pid" ||
   { echo "FAIL: pilgrimd serve exited nonzero after a clean send." >&2; exit 1; }
 tail -1 target/pilgrimd-net/serve.out | grep -q '"schema":1,"command":"serve".*"exit":0' ||
   { echo "FAIL: pilgrimd serve envelope missing or not exit 0." >&2; exit 1; }
+# Envelopes are rendered from the counter-set declarations, so a counter
+# can no longer be declared and silently left out: two keys the
+# hand-written lists used to omit must be there.
+echo "$send_json" | grep -q '"frames_sent":' ||
+  { echo "FAIL: pilgrimd send envelope lacks frames_sent." >&2; exit 1; }
+tail -1 target/pilgrimd-net/serve.out | grep -q '"peak_conn_buffer":' ||
+  { echo "FAIL: pilgrimd serve envelope lacks peak_conn_buffer." >&2; exit 1; }
 for f in target/pilgrimd-net/*.pilgrim; do
   [ -e "$f" ] || { echo "FAIL: no delivered containers in target/pilgrimd-net." >&2; exit 1; }
   ./target/release/trace_tool validate "$f" > /dev/null ||
@@ -167,14 +178,6 @@ cargo run --release -q -p pilgrim-bench --bin chaos_net -- --quick > target/chao
 diff target/chaos_net.1 target/chaos_net.2 ||
   { echo "FAIL: chaos_net sweep is not deterministic." >&2; exit 1; }
 cat target/chaos_net.1
-
-echo "== net auth: handshake edges + malformed-frame proptests =="
-# Truncated/oversized hellos, version skew, replayed challenge
-# responses and wrong-key clients must all end in typed rejections with
-# no partial WAL state; arbitrary bytes into the PNT1 decoders must
-# Err, never panic or allocate a declared-but-unsent length.
-cargo test -q -p pilgrim --test net_auth
-cargo test -q -p pilgrim --test net_proptests
 
 echo "== chaos adversary: hostile-peer sweep, twice, bit-identical =="
 # Garbage hellos, oversize length prefixes, CRC-valid-but-semantically-
@@ -239,8 +242,6 @@ echo "== record/replay: bit-determinism, divergence, minimization =="
 #  4. the grammar-aware minimizer shrinks the corrupted fixture to the
 #     committed reproducer, byte-for-byte (mutate and minimize are pure
 #     functions of the trace, so the golden diff is exact).
-cargo test -q -p integration-tests --test rr_e2e
-cargo test -q -p integration-tests --test rr_proptests
 rm -rf target/rr-lane && mkdir -p target/rr-lane
 ./target/release/trace_tool record master_worker 4 20 target/rr-lane/fresh.pilgrim --rr \
   > /dev/null
