@@ -68,11 +68,12 @@
 //! the container.
 
 use std::fs;
+use std::io::{BufWriter, Write};
 use std::process::exit;
 
 use mpi_sim::FuncId;
 use pilgrim::{
-    decode_rank_calls, json_array, json_string, minimize, replay_strict, CallIterator, Divergence,
+    json_array, json_string, minimize, replay_strict, CallIterator, DecodeError, Divergence,
     GlobalTrace, JsonObject, MetricsRegistry, MinimizeError, NondetEvent, PartialReplayReport,
     PilgrimConfig, QueryEngine, RankStatus, Stage, StrictReplay, TraceIndex,
 };
@@ -349,28 +350,50 @@ fn main() {
             }
         }
         Some("signatures") if args.len() == 2 => {
-            print!("{}", pilgrim::to_signature_listing(&load(&args[1])));
+            let listing = pilgrim::to_signature_listing(&load(&args[1])).unwrap_or_else(|e| {
+                eprintln!("{} does not export: {e}", args[1]);
+                exit(1)
+            });
+            print!("{listing}");
         }
         Some("export") if args.len() >= 2 => {
-            let text = pilgrim::to_text(&load(&args[1]));
-            match args.get(2) {
-                Some(out) => {
-                    fs::write(out, &text).expect("write export");
-                    println!("exported {} lines to {out}", text.lines().count());
-                }
-                None => print!("{text}"),
+            // Streamed: definitions, then one EVT row per call straight
+            // off the grammar walker, never a materialised rank.
+            let trace = load(&args[1]);
+            let sink: Box<dyn Write> = match args.get(2) {
+                Some(out) => Box::new(fs::File::create(out).unwrap_or_else(|e| {
+                    eprintln!("cannot write {out}: {e}");
+                    exit(1)
+                })),
+                None => Box::new(std::io::stdout().lock()),
+            };
+            let mut sink = BufWriter::new(sink);
+            if let Err(e) = pilgrim::write_text(&trace, &mut sink).and_then(|()| sink.flush()) {
+                eprintln!("{} does not export: {e}", args[1]);
+                exit(1)
+            }
+            if let Some(out) = args.get(2) {
+                let lines = 4 + trace.cst.len() as u64 + trace.total_calls();
+                println!("exported {lines} lines to {out}");
             }
         }
         Some("decode") if args.len() >= 3 => {
+            // Streamed: `limit` calls cost `limit` calls, wherever the
+            // rank sits and however long it is.
             let trace = load(&args[1]);
             let rank: usize = args[2].parse().unwrap_or_else(|_| usage());
             let limit: usize =
                 args.get(3).map(|l| l.parse().unwrap_or_else(|_| usage())).unwrap_or(50);
-            let calls = decode_rank_calls(&trace, rank).unwrap_or_else(|e| {
+            let fail = |e: DecodeError| -> ! {
                 eprintln!("rank {rank} does not decode: {e}");
                 exit(1)
-            });
-            for (i, call) in calls.iter().take(limit).enumerate() {
+            };
+            if rank >= trace.nranks {
+                fail(DecodeError::NoSuchRank { rank, nranks: trace.nranks })
+            }
+            let index = TraceIndex::build(&trace);
+            for (i, call) in CallIterator::new(&trace, &index, rank).take(limit).enumerate() {
+                let call = call.unwrap_or_else(|e| fail(e));
                 let name = FuncId::from_id(call.func).map_or("?", |f| f.name());
                 println!("{i:>6}  {name}  {} args", call.args.len());
             }
@@ -426,15 +449,19 @@ fn main() {
             let metrics = MetricsRegistry::new(true);
             let index = TraceIndex::build_with_metrics(&trace, &metrics);
             let timer = metrics.time_stage(Stage::Query);
-            let window = CallIterator::new(&trace, &index, rank).skip(start as usize).take(count);
+            // A start past the rank's end (however far) is an empty window;
+            // every call yielded sits below `rank_len`, so `start + i` fits.
+            let skip = usize::try_from(start).unwrap_or(usize::MAX);
+            let window = CallIterator::new(&trace, &index, rank).skip(skip).take(count);
             let calls = window.enumerate().map(|(i, decoded)| {
+                let i = start + i as u64;
                 let call = decoded.unwrap_or_else(|e| {
-                    eprintln!("rank {rank} call {}: {e}", start + i as u64);
+                    eprintln!("rank {rank} call {i}: {e}");
                     exit(1)
                 });
                 let arg_list = call.args.iter().map(|a| json_string(&pilgrim::format_arg(a)));
                 JsonObject::default()
-                    .raw("i", start + i as u64)
+                    .raw("i", i)
                     .str("func", func_name(call.func))
                     .raw("args", json_array(arg_list))
                     .finish()

@@ -47,7 +47,10 @@ pub fn decode_term_call(trace: &GlobalTrace, term: u32) -> Result<EncodedCall, D
     decode_signature(trace.cst.signature(term)).ok_or(DecodeError::BadSignature { term })
 }
 
-/// Decodes one rank's full call sequence from a merged trace.
+/// Decodes one rank's full call sequence from a merged trace, walking that
+/// rank's span of the grammar alone. O(calls) memory by contract: for input
+/// that is not trusted, stream a [`CallIterator`] (or the raw terminals off
+/// [`GlobalTrace::rank_terms`]) and bound it with `take`.
 pub fn decode_rank_calls(
     trace: &GlobalTrace,
     rank: usize,

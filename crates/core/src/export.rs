@@ -16,15 +16,17 @@
 //! [`GlobalTrace::decode_salvage`](crate::decode) can recover every rank
 //! whose sections still checksum clean.
 
-use std::fmt::Write;
+use std::fmt::Write as _;
 use std::fs::{self, File};
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::path::Path;
 
 use mpi_sim::FuncId;
-use pilgrim_sequitur::write_varint;
+use pilgrim_sequitur::{write_varint, DecodeError};
 
-use crate::encode::{decode_signature, EncodedArg, RankCode};
+use crate::cst::SigStats;
+use crate::decode::decode_term_call;
+use crate::encode::{EncodedArg, RankCode};
 use crate::frame::crc32;
 use crate::layout::tmp_container;
 use crate::trace::{GlobalTrace, RankStatus, RANK_MAP_NONE};
@@ -86,46 +88,64 @@ pub fn format_arg(arg: &EncodedArg) -> String {
     }
 }
 
-/// Exports the whole trace as text: a `DEF` section mapping signature ids
-/// to decoded calls, then one `EVT <rank> <signature-id>` line per call.
-/// Event bodies live in the definition table, so the export stays compact
-/// for repetitive traces.
-pub fn to_text(trace: &GlobalTrace) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# pilgrim trace export (OTF-style text)");
-    let _ = writeln!(out, "# ranks {}", trace.nranks);
-    let _ = writeln!(out, "# calls {}", trace.total_calls());
-    let _ = writeln!(out, "# signatures {}", trace.cst.len());
-    for (term, sig, stats) in trace.cst.iter() {
-        let call = decode_signature(sig).expect("stored signatures decode");
+/// One definition-table entry per CST signature: `(terminal, "Name(args)",
+/// stats)`. A signature whose bytes do not decode is the same
+/// [`DecodeError::BadSignature`] the call decoder reports.
+fn definitions(
+    trace: &GlobalTrace,
+) -> impl Iterator<Item = Result<(u32, String, SigStats), DecodeError>> + '_ {
+    trace.cst.iter().map(move |(term, _, stats)| {
+        let call = decode_term_call(trace, term)?;
         let name = FuncId::from_id(call.func).map_or("MPI_<unknown>", |f| f.name());
         let args: Vec<String> = call.args.iter().map(format_arg).collect();
-        let _ = writeln!(
+        Ok((term, format!("{name}({})", args.join(", ")), stats))
+    })
+}
+
+/// Streams the whole trace as text into `out`: a `DEF` section mapping
+/// signature ids to decoded calls, then one `EVT <rank> <signature-id>`
+/// line per call, straight off [`GlobalTrace::rank_terms`] — O(grammar
+/// depth) memory however long the trace. Event bodies live in the
+/// definition table, so the export stays compact for repetitive traces.
+/// An undecodable signature surfaces as an `InvalidData` error wrapping
+/// [`DecodeError::BadSignature`]. Hand it a buffered writer.
+pub fn write_text(trace: &GlobalTrace, out: &mut impl io::Write) -> io::Result<()> {
+    writeln!(out, "# pilgrim trace export (OTF-style text)")?;
+    writeln!(out, "# ranks {}", trace.nranks)?;
+    writeln!(out, "# calls {}", trace.total_calls())?;
+    writeln!(out, "# signatures {}", trace.cst.len())?;
+    for def in definitions(trace) {
+        let (term, call, stats) = def?;
+        writeln!(
             out,
-            "DEF {term} {name}({}) count={} avg_ns={:.0}",
-            args.join(", "),
+            "DEF {term} {call} count={} avg_ns={:.0}",
             stats.count,
             stats.avg_duration()
-        );
+        )?;
     }
-    for (rank, terms) in trace.decode_all_ranks().into_iter().enumerate() {
-        for t in terms {
-            let _ = writeln!(out, "EVT {rank} {t}");
+    for rank in 0..trace.nranks {
+        for term in trace.rank_terms(rank) {
+            writeln!(out, "EVT {rank} {term}")?;
         }
     }
-    out
+    Ok(())
+}
+
+/// [`write_text`] into a `String`: O(calls) memory by contract.
+pub fn to_text(trace: &GlobalTrace) -> io::Result<String> {
+    let mut out = Vec::new();
+    write_text(trace, &mut out)?;
+    String::from_utf8(out).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// Exports only the definitions (the per-signature view of the program).
-pub fn to_signature_listing(trace: &GlobalTrace) -> String {
+pub fn to_signature_listing(trace: &GlobalTrace) -> Result<String, DecodeError> {
     let mut out = String::new();
-    for (term, sig, stats) in trace.cst.iter() {
-        let call = decode_signature(sig).expect("stored signatures decode");
-        let name = FuncId::from_id(call.func).map_or("MPI_<unknown>", |f| f.name());
-        let args: Vec<String> = call.args.iter().map(format_arg).collect();
-        let _ = writeln!(out, "{term:>6}  {name}({})  x{}", args.join(", "), stats.count);
+    for def in definitions(trace) {
+        let (term, call, stats) = def?;
+        let _ = writeln!(out, "{term:>6}  {call}  x{}", stats.count);
     }
-    out
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------
@@ -313,7 +333,7 @@ mod tests {
     #[test]
     fn export_contains_defs_and_events() {
         let trace = sample_trace();
-        let text = to_text(&trace);
+        let text = to_text(&trace).expect("every signature decodes");
         assert!(text.contains("DEF"));
         assert!(text.contains("MPI_Send"));
         assert!(text.contains("MPI_Recv"));
@@ -327,7 +347,7 @@ mod tests {
     #[test]
     fn events_reference_defined_signatures() {
         let trace = sample_trace();
-        let text = to_text(&trace);
+        let text = to_text(&trace).expect("every signature decodes");
         let defs: std::collections::HashSet<&str> = text
             .lines()
             .filter(|l| l.starts_with("DEF "))
@@ -342,9 +362,30 @@ mod tests {
     #[test]
     fn signature_listing_is_compact() {
         let trace = sample_trace();
-        let listing = to_signature_listing(&trace);
+        let listing = to_signature_listing(&trace).expect("every signature decodes");
         assert_eq!(listing.lines().count(), trace.cst.len());
         assert!(listing.contains("x5"), "counts are shown");
+    }
+
+    #[test]
+    fn undecodable_signature_is_an_error_not_a_panic() {
+        // A CST holding `ff ff ff` as its first signature: the container
+        // decodes and validates — signatures are opaque bytes to both — so
+        // every reader that parses them has to report it, not assume it.
+        let mut trace = sample_trace();
+        let mut cst = crate::cst::Cst::new();
+        for (term, sig, stats) in trace.cst.iter() {
+            cst.intern(if term == 0 { &[0xff; 3] } else { sig }, stats);
+        }
+        trace.cst = cst;
+        let trace = GlobalTrace::decode_auto(&write_container(&trace)).expect("decodes");
+        assert!(trace.validate().is_empty(), "{:?}", trace.validate());
+        let bad = DecodeError::BadSignature { term: 0 };
+        assert_eq!(crate::decode::decode_rank_calls(&trace, 0), Err(bad));
+        assert_eq!(to_signature_listing(&trace), Err(bad));
+        let err = to_text(&trace).expect_err("DEF 0 cannot be written");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), bad.to_string());
     }
 
     #[test]

@@ -167,8 +167,8 @@ pub use decode::{
 pub use encode::{decode_signature, EncodedArg, EncodedCall, EncoderConfig, RankCode};
 pub use error::DecodeError;
 pub use export::{
-    format_arg, is_container, to_signature_listing, to_text, write_container, CONTAINER_MAGIC,
-    CONTAINER_VERSION,
+    format_arg, is_container, to_signature_listing, to_text, write_container, write_text,
+    CONTAINER_MAGIC, CONTAINER_VERSION,
 };
 pub use governor::{Component, ComponentBytes, DegradationEvent, DegradationStage, Governor};
 pub use ingest::{

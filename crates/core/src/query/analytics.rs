@@ -2,17 +2,18 @@
 //! *grammar* size, not trace length.
 //!
 //! Every query here follows the same scheme: evaluate each rule body
-//! exactly once into a sparse per-signature histogram, then combine child
-//! histograms through reference sites weighted by the `A -> B^k` repeat
-//! exponents. A rule shared by a million loop iterations is therefore
-//! aggregated a single time, and the grammar is never expanded —
-//! [`pilgrim_sequitur::expansions`] stays flat across any query, which the
-//! tests assert.
+//! exactly once into a sparse per-signature histogram (the walker's
+//! bottom-up pass, children first), then combine child histograms through
+//! reference sites weighted by the `A -> B^k` repeat exponents. A window is
+//! one more rule body — its cover, from the walker's cursor. A rule shared
+//! by a million loop iterations is therefore aggregated a single time, and
+//! the grammar is never expanded — [`pilgrim_sequitur::expansions`] stays
+//! flat across any query, which the tests assert.
 
 use std::collections::HashMap;
 
 use mpi_sim::FuncId;
-use pilgrim_sequitur::{read_varint, Symbol, TOP_RULE};
+use pilgrim_sequitur::{bottom_up, read_varint, Symbol, TOP_RULE};
 
 use crate::encode::{decode_signature, EncodedArg, RankCode};
 use crate::metrics::{MetricsRegistry, Stage};
@@ -104,40 +105,17 @@ impl<'a> QueryEngine<'a> {
         metrics: Option<&'a MetricsRegistry>,
     ) -> Self {
         let _t = metrics.map(|m| m.time_stage(Stage::Query));
-        let nrules = trace.grammar.rules.len();
-        let mut rule_hists: Vec<Option<SigCounts>> = vec![None; nrules];
-        for rid in 0..nrules {
-            Self::fill_hist(trace, rid, &mut rule_hists);
-        }
-        let rule_hists = rule_hists.into_iter().map(Option::unwrap_or_default).collect();
+        let mut rule_hists = vec![SigCounts::new(); trace.grammar.rules.len()];
+        // A grammar the pass refuses (assembled in memory, never decoded)
+        // also indexes as empty, so no query reaches its histograms.
+        let _ = bottom_up(&trace.grammar, |rid, _| {
+            let mut hist = SigCounts::new();
+            for &(sym, exp) in &trace.grammar.rules[rid].symbols {
+                add_piece(&mut hist, &rule_hists, sym, exp);
+            }
+            rule_hists[rid] = hist;
+        });
         QueryEngine { trace, index, metrics, rule_hists }
-    }
-
-    /// Memoized per-rule histogram (each body evaluated exactly once;
-    /// the grammar is acyclic, so the recursion terminates).
-    fn fill_hist(trace: &GlobalTrace, rid: usize, memo: &mut Vec<Option<SigCounts>>) {
-        if memo[rid].is_some() {
-            return;
-        }
-        for &(sym, _) in &trace.grammar.rules[rid].symbols {
-            if let Symbol::Rule(r) = sym {
-                Self::fill_hist(trace, r as usize, memo);
-            }
-        }
-        let mut hist = SigCounts::new();
-        for &(sym, exp) in &trace.grammar.rules[rid].symbols {
-            match sym {
-                Symbol::Terminal(t) => *hist.entry(t).or_insert(0) += exp,
-                Symbol::Rule(r) => {
-                    if let Some(child) = &memo[r as usize] {
-                        for (&t, &c) in child {
-                            *hist.entry(t).or_insert(0) += c * exp;
-                        }
-                    }
-                }
-            }
-        }
-        memo[rid] = Some(hist);
     }
 
     fn timed(&self) -> Option<crate::metrics::StageGuard<'a>> {
@@ -169,73 +147,21 @@ impl<'a> QueryEngine<'a> {
         self.window_counts(lo, hi)
     }
 
-    /// Signature counts for the global offset window `[lo, hi)`. The
-    /// descent prunes to the window boundaries: any RHS slot (or run of
-    /// repeated instances) fully inside the window contributes its
-    /// memoized histogram scaled by the instance count.
+    /// Signature counts for the global offset window `[lo, hi)`: the sum
+    /// over the window's cover, where every rule instance fully inside the
+    /// window contributes its memoized histogram scaled by the instance
+    /// count and only the instances the boundaries cut are descended into.
     pub fn window_counts(&self, lo: u64, hi: u64) -> SigCounts {
         let _t = self.timed();
         let mut out = SigCounts::new();
-        let total = self.index.rule_len(TOP_RULE as usize);
-        let (lo, hi) = (lo.min(total), hi.min(total));
-        if lo < hi {
-            self.add_range(TOP_RULE as usize, lo, hi, &mut out);
+        let mut cover = self.index.cursor(self.trace, lo, hi);
+        while let Some((sym, count)) = cover.next_cover() {
+            add_piece(&mut out, &self.rule_hists, sym, count);
         }
         if let Some(m) = self.metrics {
             m.incr("query.windows", 1);
         }
         out
-    }
-
-    /// Adds rule `rid`'s contribution over its local offsets `[lo, hi)`.
-    fn add_range(&self, rid: usize, lo: u64, hi: u64, out: &mut SigCounts) {
-        let cum = self.index.cum(rid);
-        let rule = &self.trace.grammar.rules[rid];
-        // Slots overlapping [lo, hi): from the slot containing lo on.
-        let first = cum.partition_point(|&c| c <= lo) - 1;
-        for slot in first..rule.symbols.len() {
-            let (s0, s1) = (cum[slot], cum[slot + 1]);
-            if s0 >= hi {
-                break;
-            }
-            // A zero-width slot (an empty rule, a zero exponent) holds no
-            // offset, and a referenced empty rule's `unit` below would be 0.
-            if s0 == s1 {
-                continue;
-            }
-            let (a, b) = (lo.max(s0) - s0, hi.min(s1) - s0);
-            let (sym, _) = rule.symbols[slot];
-            match sym {
-                Symbol::Terminal(t) => *out.entry(t).or_insert(0) += b - a,
-                Symbol::Rule(r) => {
-                    let r = r as usize;
-                    let unit = self.index.rule_len(r);
-                    let first_inst = a / unit;
-                    let last_inst = (b - 1) / unit;
-                    if first_inst == last_inst {
-                        self.add_range(r, a - first_inst * unit, b - first_inst * unit, out);
-                        continue;
-                    }
-                    // Head-partial instance.
-                    let head_end = (first_inst + 1) * unit;
-                    if a < head_end {
-                        self.add_range(r, a - first_inst * unit, unit, out);
-                    }
-                    // Fully covered instances use the memoized histogram.
-                    let full = last_inst - first_inst - 1;
-                    if full > 0 {
-                        for (&t, &c) in &self.rule_hists[r] {
-                            *out.entry(t).or_insert(0) += c * full;
-                        }
-                    }
-                    // Tail-partial instance.
-                    let tail_start = last_inst * unit;
-                    if b > tail_start {
-                        self.add_range(r, 0, b - tail_start, out);
-                    }
-                }
-            }
-        }
     }
 
     /// Expands a count histogram into per-signature summary rows (sorted
@@ -309,6 +235,19 @@ impl<'a> QueryEngine<'a> {
             metrics.set_gauge("query.matrix.sends", m.total_sends());
         }
         m
+    }
+}
+
+/// Adds `count` instances of `sym` to `out`: a terminal run directly, a
+/// rule through its finished histogram.
+fn add_piece(out: &mut SigCounts, rule_hists: &[SigCounts], sym: Symbol, count: u64) {
+    match sym {
+        Symbol::Terminal(t) => *out.entry(t).or_insert(0) += count,
+        Symbol::Rule(r) => {
+            for (&t, &c) in &rule_hists[r as usize] {
+                *out.entry(t).or_insert(0) += c * count;
+            }
+        }
     }
 }
 

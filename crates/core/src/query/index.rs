@@ -1,4 +1,4 @@
-//! The trace index: per-rule expanded lengths and cumulative RHS spans.
+//! The trace index: the grammar's [`Spans`] plus per-rank call offsets.
 //!
 //! Annotating every grammar rule with its expanded length (respecting the
 //! `A -> B^k` repeat exponents) turns the compressed grammar into a
@@ -9,7 +9,9 @@
 //! be serialized alongside it, so later analysis sessions skip the
 //! length computation entirely.
 
-use pilgrim_sequitur::{decode_varint, varint_len, write_varint, DecodeError, Symbol, TOP_RULE};
+use std::borrow::Cow;
+
+use pilgrim_sequitur::{decode_varint, varint_len, write_varint, Cursor, DecodeError, Spans};
 
 use crate::encode::EncodedCall;
 use crate::metrics::{MetricsRegistry, Stage};
@@ -25,21 +27,17 @@ const INDEX_VERSION: u8 = 1;
 /// offsets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceIndex {
-    /// Expanded length of each rule.
-    rule_lens: Vec<u64>,
-    /// Per rule: cumulative expanded span before each RHS slot, with the
-    /// rule's total length appended (`symbols.len() + 1` entries), so a
-    /// slot covering offset `o` is found by binary search.
-    rule_cum: Vec<Vec<u64>>,
+    /// Expanded length and cumulative RHS spans of each rule.
+    spans: Spans,
     /// Rank `r`'s calls occupy global offsets
     /// `[rank_offsets[r], rank_offsets[r + 1])`.
     rank_offsets: Vec<u64>,
 }
 
 impl TraceIndex {
-    /// Builds the index for a trace: one pass over the grammar for the
-    /// rule lengths, one for the cumulative spans, one over the rank
-    /// lengths for the offsets.
+    /// Builds the index for a trace: one bottom-up pass over the grammar
+    /// for the rule lengths, one loop for the cumulative spans, one over
+    /// the rank lengths for the offsets.
     pub fn build(trace: &GlobalTrace) -> Self {
         Self::build_with_metrics(trace, &MetricsRegistry::default())
     }
@@ -48,8 +46,7 @@ impl TraceIndex {
     /// `index.rules` / `index.bytes` gauges recorded.
     pub fn build_with_metrics(trace: &GlobalTrace, metrics: &MetricsRegistry) -> Self {
         let _t = metrics.time_stage(Stage::IndexBuild);
-        let rule_lens = trace.grammar.rule_lengths();
-        let rule_cum = cum_spans(&trace.grammar.rules, &rule_lens);
+        let spans = Spans::measure(&trace.grammar);
         let mut rank_offsets = Vec::with_capacity(trace.nranks + 1);
         let mut acc = 0u64;
         rank_offsets.push(0);
@@ -59,15 +56,15 @@ impl TraceIndex {
             acc = acc.saturating_add(l);
             rank_offsets.push(acc);
         }
-        let index = TraceIndex { rule_lens, rule_cum, rank_offsets };
-        metrics.set_gauge("index.rules", index.rule_lens.len() as u64);
+        let index = TraceIndex { spans, rank_offsets };
+        metrics.set_gauge("index.rules", index.rule_lens().len() as u64);
         metrics.set_gauge("index.bytes", index.byte_size() as u64);
         index
     }
 
     /// Total number of calls the grammar generates.
     pub fn total_calls(&self) -> u64 {
-        self.rule_lens.first().copied().unwrap_or(0)
+        self.spans.total()
     }
 
     /// Number of ranks covered by the rank offsets.
@@ -78,7 +75,8 @@ impl TraceIndex {
     /// Global offset range `[start, end)` of one rank's calls.
     pub fn rank_span(&self, rank: usize) -> (u64, u64) {
         let start = self.rank_offsets.get(rank).copied().unwrap_or(0);
-        let end = self.rank_offsets.get(rank + 1).copied().unwrap_or(start);
+        let next = rank.checked_add(1).and_then(|next| self.rank_offsets.get(next));
+        let end = next.copied().unwrap_or(start);
         (start, end)
     }
 
@@ -90,61 +88,33 @@ impl TraceIndex {
 
     /// Expanded length of rule `rule`.
     pub fn rule_len(&self, rule: usize) -> u64 {
-        self.rule_lens.get(rule).copied().unwrap_or(0)
+        self.rule_lens().get(rule).copied().unwrap_or(0)
     }
 
     /// Per-rule expanded lengths, indexed by rule id.
     pub fn rule_lens(&self) -> &[u64] {
-        &self.rule_lens
+        self.spans.lens()
     }
 
-    /// Cumulative spans of a rule body (see [`TraceIndex`] field docs).
-    pub(crate) fn cum(&self, rule: usize) -> &[u64] {
-        &self.rule_cum[rule]
+    /// A cursor over global offsets `[lo, hi)` of `trace`, seeking through
+    /// this index's spans.
+    pub(crate) fn cursor<'a>(&'a self, trace: &'a GlobalTrace, lo: u64, hi: u64) -> Cursor<'a> {
+        Cursor::new(&trace.grammar, Cow::Borrowed(&self.spans), lo, hi)
     }
 
     /// The terminal at global offset `off`, in O(depth · log body) with
-    /// no expansion. `None` when `off` is past the end of the trace or
-    /// the grammar is malformed in a way decoding did not reject.
+    /// no expansion and no allocation. `None` when `off` is past the end
+    /// of the trace or the index was not built from `trace`.
     pub fn term_at(&self, trace: &GlobalTrace, off: u64) -> Option<u32> {
-        let rules = &trace.grammar.rules;
-        if rules.len() != self.rule_lens.len() {
-            return None;
-        }
-        let mut rid = TOP_RULE as usize;
-        let mut off = off;
-        if off >= self.rule_len(rid) {
-            return None;
-        }
-        loop {
-            let cum = &self.rule_cum[rid];
-            // Last slot whose cumulative start is <= off. With
-            // `off < cum.last()` that slot is never zero-width (an empty
-            // rule or a zero exponent): such a slot's end equals its
-            // start, so the slot after it also starts <= off and wins.
-            // The `% unit` below relies on it — `unit` is never 0.
-            let slot = cum.partition_point(|&c| c <= off) - 1;
-            let (sym, _) = rules[rid].symbols[slot];
-            let rem = off - cum[slot];
-            match sym {
-                Symbol::Terminal(t) => return Some(t),
-                Symbol::Rule(r) => {
-                    // Offset within one instance of the repeated rule.
-                    let unit = self.rule_len(r as usize);
-                    rid = r as usize;
-                    off = rem % unit;
-                }
-            }
-        }
+        self.spans.term_at(&trace.grammar, off)
     }
 
-    /// The terminal of rank `rank`'s `i`-th call.
+    /// The terminal of rank `rank`'s `i`-th call; `None` past the rank's
+    /// end, however far past.
     pub fn rank_term(&self, trace: &GlobalTrace, rank: usize, i: u64) -> Option<u32> {
         let (start, end) = self.rank_span(rank);
-        if start + i >= end {
-            return None;
-        }
-        self.term_at(trace, start + i)
+        let off = start.checked_add(i).filter(|&off| off < end)?;
+        self.term_at(trace, off)
     }
 
     /// Indexed random access: decodes rank `rank`'s `i`-th call without
@@ -160,8 +130,8 @@ impl TraceIndex {
     pub fn serialize(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&INDEX_MAGIC);
         out.push(INDEX_VERSION);
-        write_varint(out, self.rule_lens.len() as u64);
-        for &l in &self.rule_lens {
+        write_varint(out, self.rule_lens().len() as u64);
+        for &l in self.rule_lens() {
             write_varint(out, l);
         }
         write_varint(out, self.nranks() as u64);
@@ -172,8 +142,8 @@ impl TraceIndex {
 
     /// Serialized size in bytes.
     pub fn byte_size(&self) -> usize {
-        let mut n = INDEX_MAGIC.len() + 1 + varint_len(self.rule_lens.len() as u64);
-        n += self.rule_lens.iter().map(|&l| varint_len(l)).sum::<usize>();
+        let mut n = INDEX_MAGIC.len() + 1 + varint_len(self.rule_lens().len() as u64);
+        n += self.rule_lens().iter().map(|&l| varint_len(l)).sum::<usize>();
         n += varint_len(self.nranks() as u64);
         n += self.rank_offsets.windows(2).map(|w| varint_len(w[1] - w[0])).sum::<usize>();
         n
@@ -205,19 +175,8 @@ impl TraceIndex {
         }
         // Cross-check: each rule's stored length must be the sum of its
         // body's spans under the stored lengths (one non-recursive pass).
-        for (rid, rule) in trace.grammar.rules.iter().enumerate() {
-            let mut total = 0u64;
-            for &(sym, exp) in &rule.symbols {
-                let unit = match sym {
-                    Symbol::Terminal(_) => 1,
-                    Symbol::Rule(r) => rule_lens.get(r as usize).copied().unwrap_or(0),
-                };
-                total = total.saturating_add(unit.saturating_mul(exp));
-            }
-            if total != rule_lens[rid] {
-                return Err(DecodeError::Corrupt { what: "index rule length", offset: nrules_off });
-            }
-        }
+        let spans = Spans::from_lens(&trace.grammar, rule_lens)
+            .ok_or(DecodeError::Corrupt { what: "index rule length", offset: nrules_off })?;
         let nranks_off = pos;
         let nranks = decode_varint(buf, &mut pos)? as usize;
         if nranks != trace.nranks {
@@ -235,30 +194,8 @@ impl TraceIndex {
             acc = acc.saturating_add(len);
             rank_offsets.push(acc);
         }
-        let rule_cum = cum_spans(&trace.grammar.rules, &rule_lens);
-        Ok((TraceIndex { rule_lens, rule_cum, rank_offsets }, pos))
+        Ok((TraceIndex { spans, rank_offsets }, pos))
     }
-}
-
-/// Cumulative expanded spans for every rule body.
-fn cum_spans(rules: &[pilgrim_sequitur::FlatRule], rule_lens: &[u64]) -> Vec<Vec<u64>> {
-    rules
-        .iter()
-        .map(|rule| {
-            let mut cum = Vec::with_capacity(rule.symbols.len() + 1);
-            let mut acc = 0u64;
-            cum.push(0);
-            for &(sym, exp) in &rule.symbols {
-                let unit = match sym {
-                    Symbol::Terminal(_) => 1,
-                    Symbol::Rule(r) => rule_lens.get(r as usize).copied().unwrap_or(0),
-                };
-                acc += unit * exp;
-                cum.push(acc);
-            }
-            cum
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use mpi_sim::{Directive, Env, FuncId, ReplayDirector, World, WorldConfig};
-use pilgrim_sequitur::{DecodeError, Grammar, Symbol};
+use pilgrim_sequitur::{DecodeError, Grammar, Spans};
 
 use crate::decode::decode_rank_calls;
 use crate::encode::EncodedCall;
@@ -516,28 +516,20 @@ fn grammar_cuts(terms: &[u32]) -> Vec<std::ops::Range<usize>> {
         g.push(t);
     }
     let flat = g.to_flat();
-    if flat.rules.is_empty() {
-        return Vec::new();
-    }
-    let lens = flat.rule_lengths();
+    let spans = Spans::measure(&flat);
+    let top = flat.rules.first().map_or(&[][..], |rule| &rule.symbols);
     let mut cuts = Vec::new();
-    let mut pos = 0u64;
-    for &(sym, exp) in &flat.rules[0].symbols {
-        let unit = match sym {
-            Symbol::Terminal(_) => 1,
-            Symbol::Rule(r) => lens.get(r as usize).copied().unwrap_or(0),
-        };
-        let span = unit * exp;
-        if span == 0 {
+    for (&(_, exp), slot) in top.iter().zip(spans.body(0).windows(2)) {
+        let (pos, end) = (slot[0] as usize, slot[1] as usize);
+        if pos == end {
             continue;
         }
-        cuts.push(pos as usize..(pos + span) as usize);
+        cuts.push(pos..end);
         if exp > 1 {
             // Halve the run: keep the leading floor(k/2) repetitions.
-            let keep = exp / 2;
-            cuts.push((pos + unit * keep) as usize..(pos + span) as usize);
+            let unit = (end - pos) / exp as usize;
+            cuts.push(pos + unit * (exp / 2) as usize..end);
         }
-        pos += span;
     }
     cuts.sort_by_key(|c| std::cmp::Reverse(c.len()));
     cuts

@@ -3,7 +3,7 @@
 //! deduplicated timing grammars. This is what Pilgrim writes to disk; its
 //! serialized size is the "trace file size" of every experiment.
 
-use pilgrim_sequitur::{decode_varint, varint_len, write_varint, DecodeError, FlatGrammar};
+use pilgrim_sequitur::{decode_varint, varint_len, write_varint, Cursor, DecodeError, FlatGrammar};
 
 use crate::cst::Cst;
 use crate::encode::EncoderConfig;
@@ -340,33 +340,35 @@ impl GlobalTrace {
         checked_total(self.rank_lengths.iter().copied()).unwrap_or(u64::MAX)
     }
 
-    /// Each rank's slice of an expansion of `len` terminals. Clamped: a
-    /// length table that claims more than the grammar generates (a
-    /// hand-built or salvaged trace — the strict decoders refuse one)
-    /// yields short or empty tails, never an out-of-range slice.
-    fn rank_ranges(&self, len: usize) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
-        let mut pos = 0usize;
-        (0..self.nranks).map(move |rank| {
-            let calls = self.rank_lengths.get(rank).copied().unwrap_or(0);
-            let end = pos.saturating_add(usize::try_from(calls).unwrap_or(usize::MAX)).min(len);
-            let range = pos..end;
-            pos = end;
-            range
-        })
+    /// Streams rank `rank`'s terminals — and only that rank's: the cursor
+    /// seeks to the rank's span, holds O(grammar depth) memory and costs
+    /// what is consumed, so this is the primitive for input that is not
+    /// trusted. Clamped: a length table that claims more than the grammar
+    /// generates (a hand-built or salvaged trace — the strict decoders
+    /// refuse one) yields short or empty tails, and a rank the trace does
+    /// not have yields nothing.
+    pub fn rank_terms(&self, rank: usize) -> Cursor<'_> {
+        let mut lens = self.rank_lengths.iter().take(self.nranks).copied();
+        let lo = checked_total(lens.by_ref().take(rank)).unwrap_or(u64::MAX);
+        self.grammar.terms(lo, lo.saturating_add(lens.next().unwrap_or(0)))
     }
 
-    /// Expands the merged grammar and splits it into per-rank terminal
-    /// sequences.
+    /// Expands the merged grammar once and splits it into per-rank terminal
+    /// sequences. O(calls) memory by contract, grown as the walk yields; for
+    /// input that is not trusted stream [`GlobalTrace::rank_terms`] or a
+    /// [`CallIterator`](crate::query::CallIterator) instead.
     pub fn decode_all_ranks(&self) -> Vec<Vec<u32>> {
-        let all = self.grammar.expand();
-        self.rank_ranges(all.len()).map(|range| all[range].to_vec()).collect()
+        let mut all = self.grammar.terms(0, u64::MAX);
+        let lens = (0..self.nranks).map(|rank| self.rank_lengths.get(rank).copied().unwrap_or(0));
+        lens.map(|calls| all.by_ref().take(usize::try_from(calls).unwrap_or(usize::MAX)).collect())
+            .collect()
     }
 
     /// Expands a single rank's terminal sequence (empty for a rank the
-    /// trace does not have).
+    /// trace does not have) by walking that rank alone. O(calls) memory by
+    /// contract, like [`GlobalTrace::decode_all_ranks`].
     pub fn decode_rank(&self, rank: usize) -> Vec<u32> {
-        let all = self.grammar.expand();
-        self.rank_ranges(all.len()).nth(rank).map_or_else(Vec::new, |range| all[range].to_vec())
+        self.rank_terms(rank).collect()
     }
 
     /// Serializes the trace; the returned buffer's length is the trace

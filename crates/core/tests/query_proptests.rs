@@ -11,10 +11,10 @@ use pilgrim::cst::{Cst, SigStats};
 use pilgrim::encode::{EncoderConfig, SigWriter};
 use pilgrim::trace::TraceCompleteness;
 use pilgrim::{
-    decode_rank_calls, to_signature_listing, write_container, CallIterator, GlobalTrace,
-    PilgrimConfig, PilgrimTracer, QueryEngine, TermCursor, TraceIndex,
+    decode_rank_calls, to_signature_listing, write_container, write_text, CallIterator,
+    GlobalTrace, PilgrimConfig, PilgrimTracer, QueryEngine, TermCursor, TraceIndex,
 };
-use pilgrim_sequitur::{FlatGrammar, FlatRule, Grammar, Symbol};
+use pilgrim_sequitur::{DecodeError, FlatGrammar, FlatRule, Grammar, Symbol};
 use proptest::prelude::*;
 
 /// Per-rank call sequences built from repeated blocks, so the grammar
@@ -197,13 +197,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     // Anything `decode_container` accepts is safe to read: every reader a
-    // `trace_tool` subcommand reaches returns without panicking, and where
+    // `trace_tool` subcommand reaches returns without panicking — whatever
+    // offsets it is asked for and whatever bytes the CST holds — and where
     // `validate()` is clean the cursor and the full expansion agree.
     #[test]
     fn whatever_decode_accepts_is_safe_to_read(
         grammar in arb_flat_grammar(),
         cuts in proptest::collection::vec(any::<u64>(), 1..4),
         hostile in 0u8..4,
+        garbage in proptest::option::of(0u32..3),
     ) {
         let mut left = grammar.expanded_len();
         let last = cuts.len() - 1;
@@ -222,6 +224,12 @@ proptest! {
         trace.nranks = rank_lengths.len();
         trace.rank_lengths = rank_lengths;
         trace.grammar = grammar;
+        // Sometimes one signature is three bytes no encoder wrote.
+        let mut cst = Cst::new();
+        for (term, sig, stats) in trace.cst.iter() {
+            cst.intern(if garbage == Some(term) { &[0xff; 3] } else { sig }, stats);
+        }
+        trace.cst = cst;
         let Ok(trace) = GlobalTrace::decode_container(&write_container(&trace)) else {
             return Ok(());
         };
@@ -232,9 +240,11 @@ proptest! {
         prop_assert_eq!(total, trace.total_calls());
         let all: Vec<Option<u32>> = (0..=total).map(|off| index.term_at(&trace, off)).collect();
         prop_assert_eq!(all[total as usize], None);
+        let mut events = 0;
         for rank in 0..=trace.nranks {
             let decoded = decode_rank_calls(&trace, rank);
-            prop_assert!(decoded.is_ok() || rank == trace.nranks || !clean, "rank {}", rank);
+            let readable = clean && garbage.is_none();
+            prop_assert!(decoded.is_ok() || rank == trace.nranks || !readable, "rank {}", rank);
             prop_assert!(decoded.is_err() || rank < trace.nranks, "rank {}", rank);
             let (lo, hi) = index.rank_span(rank);
             let counts = engine.window_counts(lo, hi);
@@ -242,10 +252,30 @@ proptest! {
             prop_assert_eq!(CallIterator::new(&trace, &index, rank).count() as u64, hi - lo);
             let streamed: Vec<u32> = TermCursor::new(&trace, &index, lo).take((hi - lo) as usize).collect();
             prop_assert_eq!(&streamed, &trace.decode_rank(rank));
+            prop_assert_eq!(&streamed, &trace.rank_terms(rank).collect::<Vec<u32>>());
             let probed: Vec<u32> = all[lo as usize..hi as usize].iter().flatten().copied().collect();
             prop_assert_eq!(&probed, &streamed);
+            events += streamed.len();
+            // Offsets far past the end are past the end, not wrapped.
+            prop_assert!(CallIterator::new(&trace, &index, rank).nth(usize::MAX).is_none());
+            prop_assert_eq!(index.call_at(&trace, rank, u64::MAX), None);
+            prop_assert_eq!(index.call_at(&trace, rank, u64::MAX - lo), None);
         }
-        prop_assert_eq!(to_signature_listing(&trace).lines().count(), trace.cst.len());
+        let listing = to_signature_listing(&trace);
+        let mut text = Vec::new();
+        let written = write_text(&trace, &mut text);
+        match garbage {
+            Some(term) => {
+                prop_assert_eq!(listing, Err(DecodeError::BadSignature { term }));
+                prop_assert_eq!(written.unwrap_err().kind(), std::io::ErrorKind::InvalidData);
+            }
+            None => {
+                prop_assert_eq!(listing.unwrap().lines().count(), trace.cst.len());
+                prop_assert!(written.is_ok());
+                let rows = text.split(|&b| b == b'\n').filter(|l| l.starts_with(b"EVT ")).count();
+                prop_assert_eq!(rows, events);
+            }
+        }
     }
 }
 

@@ -129,7 +129,7 @@ fn decode_signature_handles_arbitrary_bytes() {
 fn export_of_roundtripped_trace_works() {
     let bytes = sample_trace_bytes();
     let trace = GlobalTrace::decode(&bytes).unwrap();
-    let text = pilgrim::to_text(&trace);
+    let text = pilgrim::to_text(&trace).expect("every signature decodes");
     assert!(text.contains("MPI_Bcast"));
 }
 

@@ -2,6 +2,8 @@
 //! expansion (decompression).
 
 use crate::symbol::{Symbol, TOP_RULE};
+use crate::walk::{bottom_up, Cursor, Spans};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Why a serialized grammar (or a larger trace embedding one) failed to
@@ -137,6 +139,14 @@ impl DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
+
+/// Undecodable input met while writing or reading a stream is
+/// [`InvalidData`](std::io::ErrorKind::InvalidData).
+impl From<DecodeError> for std::io::Error {
+    fn from(e: DecodeError) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+    }
+}
 
 /// Reads a varint, mapping a short read to [`DecodeError::TruncatedVarint`].
 pub fn decode_varint(buf: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
@@ -310,57 +320,8 @@ impl FlatGrammar {
             rules.push(FlatRule { symbols });
         }
         let g = FlatGrammar { rules };
-        let expanded_len = g.checked_rule_lengths()?.get(TOP_RULE as usize).copied().unwrap_or(0);
+        let expanded_len = bottom_up(&g, |_, _| {})?.get(TOP_RULE as usize).copied().unwrap_or(0);
         Ok((g, pos, expanded_len))
-    }
-
-    /// Expanded length of every rule, from one iterative post-order walk of
-    /// the rule-reference graph (grammars arrive from the network, so depth
-    /// is input-controlled and recursion is not an option). Fails on a
-    /// reference cycle — such a grammar generates no finite sequence — and
-    /// on a length that overflows `u64`.
-    fn checked_rule_lengths(&self) -> Result<Vec<u64>, DecodeError> {
-        const WHITE: u8 = 0;
-        const GRAY: u8 = 1;
-        const BLACK: u8 = 2;
-        let mut color = vec![WHITE; self.rules.len()];
-        let mut lens = vec![0u64; self.rules.len()];
-        // Suspended rules: (rule id, RHS slot to resume at, length so far).
-        let mut stack: Vec<(usize, usize, u64)> = Vec::new();
-        for start in 0..self.rules.len() {
-            if color[start] != WHITE {
-                continue;
-            }
-            stack.push((start, 0, 0));
-            color[start] = GRAY;
-            'rules: while let Some((rid, mut next, mut total)) = stack.pop() {
-                let body = &self.rules[rid].symbols;
-                while let Some(&(sym, exp)) = body.get(next) {
-                    let unit = match sym {
-                        Symbol::Terminal(_) => 1,
-                        Symbol::Rule(r) => match color[r as usize] {
-                            BLACK => lens[r as usize],
-                            GRAY => return Err(DecodeError::CyclicRules { rule: r }),
-                            _ => {
-                                // Measure the child first, then resume here.
-                                color[r as usize] = GRAY;
-                                stack.push((rid, next, total));
-                                stack.push((r as usize, 0, 0));
-                                continue 'rules;
-                            }
-                        },
-                    };
-                    total = unit
-                        .checked_mul(exp)
-                        .and_then(|span| total.checked_add(span))
-                        .ok_or(DecodeError::Corrupt { what: "expanded length", offset: 0 })?;
-                    next += 1;
-                }
-                lens[rid] = total;
-                color[rid] = BLACK;
-            }
-        }
-        Ok(lens)
     }
 
     /// Expanded length of **every** rule, respecting `A -> B^k` repeat
@@ -371,7 +332,7 @@ impl FlatGrammar {
     /// is not reports all-zero lengths, so every length check against it
     /// fails instead of the process aborting.
     pub fn rule_lengths(&self) -> Vec<u64> {
-        self.checked_rule_lengths().unwrap_or_else(|_| vec![0; self.rules.len()])
+        bottom_up(self, |_, _| {}).unwrap_or_else(|_| vec![0; self.rules.len()])
     }
 
     /// Length of the generated terminal sequence, without expanding it.
@@ -379,50 +340,19 @@ impl FlatGrammar {
         self.rule_lengths().get(TOP_RULE as usize).copied().unwrap_or(0)
     }
 
+    /// Streams offsets `[lo, hi)` of the generated sequence (clamped to it)
+    /// through a [`Cursor`] that measures the grammar itself: O(grammar) to
+    /// set up, O(depth) memory after that, and it costs what is consumed.
+    pub fn terms(&self, lo: u64, hi: u64) -> Cursor<'_> {
+        Cursor::new(self, Cow::Owned(Spans::measure(self)), lo, hi)
+    }
+
     /// Fully expands the grammar back into the original terminal sequence.
+    /// O(sequence) memory by contract, grown as the walk yields — for input
+    /// that is not trusted, stream [`FlatGrammar::terms`] instead.
     pub fn expand(&self) -> Vec<u32> {
         note_expansion();
-        let mut out = Vec::with_capacity(self.expanded_len() as usize);
-        self.expand_rule(TOP_RULE as usize, &mut out);
-        out
-    }
-
-    /// Streams the expansion of the grammar through a callback, terminal by
-    /// terminal with run lengths, without materializing the sequence.
-    pub fn expand_runs(&self, f: &mut impl FnMut(u32, u64)) {
-        note_expansion();
-        self.expand_rule_runs(TOP_RULE as usize, 1, f);
-    }
-
-    fn expand_rule(&self, rid: usize, out: &mut Vec<u32>) {
-        for &(sym, exp) in &self.rules[rid].symbols {
-            for _ in 0..exp {
-                match sym {
-                    Symbol::Terminal(t) => out.push(t),
-                    Symbol::Rule(r) => self.expand_rule(r as usize, out),
-                }
-            }
-        }
-    }
-
-    fn expand_rule_runs(&self, rid: usize, mult: u64, f: &mut impl FnMut(u32, u64)) {
-        for &(sym, exp) in &self.rules[rid].symbols {
-            match sym {
-                // Runs repeated by an enclosing rule with a single-symbol
-                // body multiply through; otherwise replay per repetition.
-                Symbol::Terminal(t) => f(t, exp * mult),
-                Symbol::Rule(r) => {
-                    let body = &self.rules[r as usize].symbols;
-                    if body.len() == 1 {
-                        self.expand_rule_runs(r as usize, mult * exp, f);
-                    } else {
-                        for _ in 0..exp * mult {
-                            self.expand_rule_runs(r as usize, 1, f);
-                        }
-                    }
-                }
-            }
-        }
+        self.terms(0, u64::MAX).collect()
     }
 }
 
@@ -437,11 +367,11 @@ fn note_expansion() {
     EXPANSIONS.with(|c| c.set(c.get() + 1));
 }
 
-/// Number of full grammar expansions ([`FlatGrammar::expand`] or
-/// [`FlatGrammar::expand_runs`]) performed **on the calling thread** so
-/// far. Grammar-aware analytics answer queries without ever expanding the
-/// grammar; tests assert that by reading this counter before and after a
-/// query. Thread-local so concurrently running tests don't interfere.
+/// Number of full grammar expansions ([`FlatGrammar::expand`]) performed
+/// **on the calling thread** so far. Grammar-aware analytics answer queries
+/// without ever expanding the grammar; tests assert that by reading this
+/// counter before and after a query. Thread-local so concurrently running
+/// tests don't interfere.
 pub fn expansions() -> u64 {
     EXPANSIONS.with(|c| c.get())
 }

@@ -20,11 +20,15 @@
 //! serialization (compact varint encoding), identity comparison between
 //! ranks (an integer-array form that can be compared with `memcmp`
 //! semantics), and the inter-process merge implemented by the `pilgrim`
-//! crate.
+//! crate. Everything that reads a [`FlatGrammar`] back — lengths, random
+//! access, streaming expansion, window covers — goes through the one
+//! iterative walker in [`walk`](bottom_up): a bottom-up pass and a
+//! seekable explicit-stack [`Cursor`].
 
 mod flat;
 mod grammar;
 mod symbol;
+mod walk;
 
 pub use flat::{
     decode_varint, expansions, read_varint, varint_len, write_varint, DecodeError, FlatGrammar,
@@ -32,6 +36,7 @@ pub use flat::{
 };
 pub use grammar::{compress_runs, Grammar, GrammarStats};
 pub use symbol::{Symbol, TOP_RULE};
+pub use walk::{bottom_up, Cursor, Spans};
 
 #[cfg(test)]
 mod tests;

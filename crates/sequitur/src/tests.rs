@@ -1,7 +1,14 @@
 //! Unit tests for Sequitur construction, invariants, and flat-form codecs.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
+
+use proptest::prelude::*;
+
 use crate::flat::{read_varint, varint_len, write_varint};
-use crate::{compress_runs, DecodeError, FlatGrammar, FlatRule, Grammar, Symbol};
+use crate::{
+    bottom_up, compress_runs, Cursor, DecodeError, FlatGrammar, FlatRule, Grammar, Spans, Symbol,
+};
 
 fn build(seq: &[u32]) -> Grammar {
     let mut g = Grammar::new();
@@ -207,27 +214,11 @@ fn identical_grammars_compare_equal() {
 }
 
 #[test]
-fn expand_runs_streams_correct_counts() {
-    let mut seq = Vec::new();
-    for _ in 0..50 {
-        seq.extend_from_slice(&[4, 4, 4, 9]);
-    }
-    let flat = build(&seq).to_flat();
-    let mut rebuilt = Vec::new();
-    flat.expand_runs(&mut |t, n| {
-        for _ in 0..n {
-            rebuilt.push(t);
-        }
-    });
-    assert_eq!(rebuilt, seq);
-}
-
-#[test]
 fn compress_runs_roundtrips() {
     let runs = [(1u32, 5u64), (2, 1), (1, 5), (2, 1), (1, 5), (2, 1)];
     let flat = compress_runs(&runs);
-    let mut rebuilt = Vec::new();
-    flat.expand_runs(&mut |t, n| rebuilt.push((t, n)));
+    let mut cursor = flat.terms(0, u64::MAX);
+    let rebuilt: Vec<(u32, u64)> = std::iter::from_fn(|| cursor.next_run()).collect();
     let total: u64 = runs.iter().map(|&(_, n)| n).sum();
     assert_eq!(flat.expanded_len(), total);
     let flatten = |rs: &[(u32, u64)]| -> Vec<u32> {
@@ -379,4 +370,193 @@ fn map_symbols_and_append_rewrite_every_rule() {
     a.rules[0].symbols.push((Symbol::Rule(top_b), 2));
     assert_eq!(a.expanded_len(), 5 + 2 * b_len);
     assert_eq!(&a.expand()[5..], &[4, 5, 4, 5, 4, 5, 4, 5]);
+}
+
+/// The reference the walker is held to: the plain recursive expansion the
+/// read side used before it, kept for tests only — it recurses to grammar
+/// depth and loops once per declared repetition.
+fn oracle_expand(g: &FlatGrammar, rid: usize, out: &mut Vec<u32>) {
+    for &(sym, exp) in &g.rules[rid].symbols {
+        for _ in 0..exp {
+            match sym {
+                Symbol::Terminal(t) => out.push(t),
+                Symbol::Rule(r) => oracle_expand(g, r as usize, out),
+            }
+        }
+    }
+}
+
+fn oracle(g: &FlatGrammar, rid: usize) -> Vec<u32> {
+    let mut out = Vec::new();
+    oracle_expand(g, rid, &mut out);
+    out
+}
+
+fn histogram(terms: &[u32]) -> HashMap<u32, u64> {
+    let mut hist = HashMap::new();
+    for &t in terms {
+        *hist.entry(t).or_insert(0) += 1;
+    }
+    hist
+}
+
+/// Small arbitrary grammars of every shape `FlatGrammar::decode` accepts
+/// and Sequitur never emits: empty bodies, zero exponents, sub-rules shared
+/// by several parents, single-symbol bodies — optionally hung below a chain
+/// of 64+ single-symbol rules so the walker's stack is exercised at depth.
+/// References point forward, so the graph is acyclic.
+fn arb_grammar() -> impl Strategy<Value = FlatGrammar> {
+    let body = proptest::collection::vec((0u32..8, 0u64..4), 0..5);
+    let bodies = proptest::collection::vec(body, 1..6);
+    (bodies, any::<bool>(), 64u32..72, 1u64..3).prop_map(|(bodies, deep, depth, top_exp)| {
+        let depth = if deep { depth } else { 0 };
+        let nrules = bodies.len() as u32;
+        let chain = (1..=depth).map(|next| {
+            let exp = if next == 1 { top_exp } else { 1 };
+            FlatRule { symbols: vec![(Symbol::Rule(next), exp)] }
+        });
+        let rules = bodies.into_iter().enumerate().map(|(i, body)| {
+            let rid = depth + i as u32;
+            let later = nrules - i as u32 - 1;
+            let symbols = body.into_iter().map(|(kind, exp)| match kind.checked_sub(4) {
+                Some(k) if later > 0 => (Symbol::Rule(rid + 1 + k % later), exp),
+                _ => (Symbol::Terminal(kind % 4), exp),
+            });
+            FlatRule { symbols: symbols.collect() }
+        });
+        FlatGrammar { rules: chain.chain(rules).collect() }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    // The bottom-up pass hands over every rule exactly once, after every
+    // rule it references, with the length the oracle expands it to.
+    #[test]
+    fn bottom_up_visits_each_rule_once_children_first(g in arb_grammar()) {
+        let mut order = Vec::new();
+        let lens = bottom_up(&g, |rid, lens| order.push((rid, lens[rid]))).expect("acyclic");
+        let mut rank = vec![usize::MAX; g.num_rules()];
+        for (when, &(rid, len)) in order.iter().enumerate() {
+            prop_assert_eq!(rank[rid], usize::MAX, "rule {} visited twice", rid);
+            rank[rid] = when;
+            prop_assert_eq!(len, lens[rid]);
+            prop_assert_eq!(len, oracle(&g, rid).len() as u64, "rule {}", rid);
+        }
+        prop_assert_eq!(order.len(), g.num_rules());
+        for (rid, rule) in g.rules.iter().enumerate() {
+            for &(sym, _) in &rule.symbols {
+                if let Symbol::Rule(child) = sym {
+                    prop_assert!(rank[child as usize] < rank[rid], "{} before {}", rid, child);
+                }
+            }
+        }
+        prop_assert_eq!(Spans::from_lens(&g, lens.clone()), Some(Spans::measure(&g)));
+        let mut wrong = lens;
+        wrong[0] += 1;
+        prop_assert_eq!(Spans::from_lens(&g, wrong), None);
+    }
+
+    // From every offset the cursor streams exactly the oracle's suffix —
+    // terminal by terminal and run by run — and probing agrees.
+    #[test]
+    fn cursor_from_every_offset_is_the_oracle_suffix(g in arb_grammar()) {
+        let full = oracle(&g, 0);
+        if full.len() > 96 {
+            return Ok(());
+        }
+        prop_assert_eq!(&g.expand(), &full);
+        let spans = Spans::measure(&g);
+        let mut moved = Cursor::new(&g, Cow::Borrowed(&spans), 0, u64::MAX);
+        for off in 0..=full.len() {
+            let fresh = Cursor::new(&g, Cow::Borrowed(&spans), off as u64, u64::MAX);
+            prop_assert_eq!(fresh.remaining(), (full.len() - off) as u64);
+            prop_assert_eq!(&fresh.collect::<Vec<u32>>(), &full[off..], "from {}", off);
+            moved.seek(off as u64);
+            prop_assert_eq!(moved.position(), off as u64);
+            let mut rerun = Vec::new();
+            while let Some((t, n)) = moved.next_run() {
+                prop_assert!(n > 0);
+                rerun.extend(std::iter::repeat_n(t, n as usize));
+            }
+            prop_assert_eq!(&rerun, &full[off..], "runs from {}", off);
+            prop_assert_eq!(spans.term_at(&g, off as u64), full.get(off).copied());
+            let mut skipped = Cursor::new(&g, Cow::Borrowed(&spans), 0, u64::MAX);
+            prop_assert_eq!(skipped.nth(off), full.get(off).copied());
+        }
+        // Offsets past the end, overflowing ones included, are exhausted.
+        for off in [full.len() as u64 + 1, u64::MAX] {
+            moved.seek(off);
+            prop_assert_eq!(moved.next(), None);
+            prop_assert_eq!(spans.term_at(&g, off), None);
+        }
+        moved.seek(full.len() as u64 / 2);
+        prop_assert_eq!(moved.nth(usize::MAX), None);
+    }
+
+    // The cover of every window — whole rule instances weighted by their
+    // count, terminal runs for the rest — sums to the slice's histogram.
+    #[test]
+    fn window_cover_sums_to_the_slice_histogram(g in arb_grammar()) {
+        let full = oracle(&g, 0);
+        if full.len() > 48 {
+            return Ok(());
+        }
+        let spans = Spans::measure(&g);
+        let rule_hists: Vec<_> = (0..g.num_rules()).map(|r| histogram(&oracle(&g, r))).collect();
+        for lo in 0..=full.len() {
+            for hi in lo..=full.len() + 1 {
+                let mut cover = Cursor::new(&g, Cow::Borrowed(&spans), lo as u64, hi as u64);
+                let mut got = HashMap::new();
+                while let Some((sym, n)) = cover.next_cover() {
+                    prop_assert!(n > 0);
+                    match sym {
+                        Symbol::Terminal(t) => *got.entry(t).or_insert(0) += n,
+                        Symbol::Rule(r) => {
+                            prop_assert!(!rule_hists[r as usize].is_empty());
+                            for (&t, &c) in &rule_hists[r as usize] {
+                                *got.entry(t).or_insert(0) += c * n;
+                            }
+                        }
+                    }
+                }
+                prop_assert_eq!(got, histogram(&full[lo..hi.min(full.len())]), "[{}, {})", lo, hi);
+            }
+        }
+    }
+}
+
+#[test]
+fn cursor_is_bounded_by_what_it_yields_not_by_what_is_declared() {
+    // R0 -> R1^(2^60) t7^(2^40) R2^(2^50), R1 -> R2^(2^60), R2 -> (empty):
+    // 2^40 terminals behind 2^120 declared repetitions of nothing.
+    let g = FlatGrammar {
+        rules: vec![
+            FlatRule {
+                symbols: vec![
+                    (Symbol::Rule(1), 1 << 60),
+                    (Symbol::Terminal(7), 1 << 40),
+                    (Symbol::Rule(2), 1 << 50),
+                ],
+            },
+            FlatRule { symbols: vec![(Symbol::Rule(2), 1 << 60)] },
+            FlatRule { symbols: vec![] },
+        ],
+    };
+    let mut buf = Vec::new();
+    g.serialize(&mut buf);
+    let (g, _) = FlatGrammar::decode(&buf).expect("finite and acyclic");
+    let spans = Spans::measure(&g);
+    assert_eq!(spans.total(), 1 << 40);
+    let mut cursor = Cursor::new(&g, Cow::Borrowed(&spans), 0, u64::MAX);
+    assert_eq!(cursor.by_ref().take(1000).collect::<Vec<_>>(), vec![7; 1000]);
+    assert_eq!(cursor.by_ref().skip(1 << 39).take(8).collect::<Vec<_>>(), vec![7; 8]);
+    assert_eq!(cursor.position(), 1000 + (1 << 39) + 8);
+    assert_eq!(cursor.next_run(), Some((7, (1 << 39) - 1008)));
+    assert_eq!(cursor.next_run(), None);
+    let mut cover = Cursor::new(&g, Cow::Borrowed(&spans), 1, (1 << 40) - 1);
+    assert_eq!(cover.next_cover(), Some((Symbol::Terminal(7), (1 << 40) - 2)));
+    assert_eq!(cover.next_cover(), None);
+    assert_eq!(spans.term_at(&g, (1 << 40) - 1), Some(7));
 }

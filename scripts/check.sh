@@ -25,6 +25,11 @@ echo "== tier-1: release build + tests =="
 #  - query_proptests: indexed random access and streaming windows agree
 #    with full decode, including across repeat-rule boundaries, and
 #    whatever decode_container accepts is safe to read;
+#  - read_bounds + the walker proptest in crates/sequitur: the one
+#    grammar walker agrees with the recursive oracle from every offset
+#    and over every window, and a 2^40-call container and a 200 000-rule
+#    chain are read on a 256 KiB stack with heap bounded by the
+#    container's length;
 #  - governor: every rank's working set stays within its budget on a
 #    compression-hostile workload, nothing changes when the budget is
 #    never approached, and degraded traces still decode, verify, replay
@@ -59,6 +64,13 @@ echo "== query engine: golden slice/matrix output =="
 ./target/release/trace_tool matrix crates/bench/golden/mini.pilgrim 2>/dev/null |
   diff -u crates/bench/golden/mini.matrix.json - ||
   { echo "FAIL: trace_tool matrix output diverged from golden file." >&2; exit 1; }
+# A start index that would wrap a u64 is past the end, not rank 0's tail;
+# `decode <file> <rank> <limit>` streams exactly `limit` calls.
+./target/release/trace_tool slice crates/bench/golden/mini.pilgrim 1 18446744073709551615 2 \
+  2>/dev/null | grep -q '"calls":\[\]' ||
+  { echo "FAIL: trace_tool slice wrapped an out-of-range start index." >&2; exit 1; }
+[ "$(./target/release/trace_tool decode crates/bench/golden/mini.pilgrim 1 5 | wc -l)" -eq 5 ] ||
+  { echo "FAIL: trace_tool decode did not print exactly its limit." >&2; exit 1; }
 
 echo "== governor: adversarial bounded-memory sweep =="
 # Deterministic budget sweep on the adversarial workload: each budget
@@ -259,10 +271,11 @@ then echo "FAIL: strict replay accepted a corrupted recording." >&2; exit 1; fi
 diff -u crates/bench/golden/rr_reproducer.json target/rr-lane/reproducer.json ||
   { echo "FAIL: minimized reproducer diverged from golden file." >&2; exit 1; }
 
-echo "== panic hygiene: no new unwrap/expect in non-test core code =="
+echo "== panic hygiene: no new unwrap/expect in non-test core or sequitur code =="
 # The merge and fabric must degrade, not panic, on peer failure, and
-# every module under crates/core/src meets untrusted input somewhere
-# (adversarial workloads, corrupt bytes, torn WALs, hostile peers).
+# every module under crates/core/src and crates/sequitur/src meets
+# untrusted input somewhere (adversarial workloads, corrupt bytes, torn
+# WALs, hostile peers, grammars off the wire).
 # Counts cover non-test code only; lower is fine, higher fails the gate.
 check_panics() {
   local file=$1 budget=$2
@@ -277,19 +290,22 @@ check_panics() {
   echo "$file: $n/$budget unwrap()/expect() calls"
 }
 check_panics crates/mpi-sim/src/fabric.rs 5
-# Every core module, present or future, gets budget 0 unless it is on
-# this frozen allowlist — a new file can never be forgotten.
-core_budget() {
-  case ${1#crates/core/src/} in
-    avl.rs) echo 6 ;;
-    export.rs) echo 2 ;;
-    idpool.rs | lib.rs) echo 1 ;;
-    replay.rs) echo 8 ;;
+# Every core and sequitur module, present or future, gets budget 0 unless
+# it is on this frozen allowlist — a new file can never be forgotten. The
+# grammar readers (`flat.rs`, `walk.rs`) meet bytes from the network and
+# are at 0; `sequitur/src/tests.rs` is the crate's unit-test module.
+panic_budget() {
+  case $1 in
+    crates/core/src/avl.rs) echo 6 ;;
+    crates/core/src/idpool.rs | crates/core/src/lib.rs) echo 1 ;;
+    crates/core/src/replay.rs) echo 8 ;;
+    crates/sequitur/src/grammar.rs) echo 1 ;;
     *) echo 0 ;;
   esac
 }
-for file in $(find crates/core/src -name '*.rs' | sort); do
-  check_panics "$file" "$(core_budget "$file")"
+for file in $(find crates/core/src crates/sequitur/src -name '*.rs' \
+  ! -path crates/sequitur/src/tests.rs | sort); do
+  check_panics "$file" "$(panic_budget "$file")"
 done
 
 echo "== bench baseline: no >10% ingest throughput regression =="
