@@ -45,7 +45,7 @@ use std::io::Write as _;
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pilgrim::{
     serve, AuthKey, GlobalTrace, IngestConfig, IngestSession, JobDesc, JsonObject, MetricsReport,
@@ -65,6 +65,20 @@ fn auth_key_flag(args: &[String]) -> Option<AuthKey> {
             exit(2)
         }
     }
+}
+
+/// `--ranks R` (default 4). The jobs rotate through [`WORKLOADS`], so a
+/// rank count one of them cannot run is a usage error (exit 2), caught
+/// before any rank thread starts.
+fn ranks_flag(args: &[String]) -> usize {
+    let ranks = flag(args, "--ranks").unwrap_or(4) as usize;
+    for workload in WORKLOADS {
+        if let Err(problem) = mpi_workloads::check(workload, ranks) {
+            eprintln!("pilgrimd: {problem}");
+            exit(2)
+        }
+    }
+    ranks
 }
 
 /// Set by the SIGINT/SIGTERM handler; `serve` polls it and drains.
@@ -254,7 +268,7 @@ fn run_send(args: &[String]) -> ! {
         exit(2)
     };
     let jobs = flag(args, "--jobs").unwrap_or(4) as usize;
-    let ranks = flag(args, "--ranks").unwrap_or(4) as usize;
+    let ranks = ranks_flag(args);
     let iters = flag(args, "--iters").unwrap_or(20) as usize;
     let budget = flag(args, "--budget").map(|b| b as usize);
     let client_id = flag(args, "--client-id").unwrap_or(1);
@@ -371,7 +385,7 @@ fn run_send(args: &[String]) -> ! {
 
 fn run_local(args: &[String]) -> ! {
     let jobs = flag(args, "--jobs").unwrap_or(8) as usize;
-    let ranks = flag(args, "--ranks").unwrap_or(4) as usize;
+    let ranks = ranks_flag(args);
     let iters = flag(args, "--iters").unwrap_or(30) as usize;
     let budget = flag(args, "--budget").map(|b| b as usize);
     let shards = flag(args, "--shards").unwrap_or(4) as usize;
@@ -398,6 +412,8 @@ fn run_local(args: &[String]) -> ! {
     );
 
     let finished = Arc::new(AtomicU64::new(0));
+    // World execution + ingest + canonical finalize of every job.
+    let start = Instant::now();
     let outcomes: Vec<_> = (0..jobs)
         .map(|j| {
             let session = session.clone();
@@ -430,6 +446,7 @@ fn run_local(args: &[String]) -> ! {
         .into_iter()
         .map(|h| h.join().expect("driver thread panicked"))
         .collect();
+    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
 
     let mut failures = 0usize;
     for (workload, out) in &outcomes {
@@ -472,6 +489,9 @@ fn run_local(args: &[String]) -> ! {
     }
     let mut envelope = JsonObject::envelope("local");
     envelope.raw("jobs", jobs).raw("lossless", jobs - failures).raw("failures", failures);
+    // With `wall_ms`, the sustained ingest rate of the fleet (calls/s).
+    let calls: u64 = outcomes.iter().map(|(_, out)| out.calls).sum();
+    envelope.raw("calls", calls).raw("wall_ms", format!("{wall_ms:.1}"));
     stats.write_json(&mut envelope);
     // The two keys schema 1 shipped before every counter was emitted
     // under its declared name (`bytes`, `jobs_sealed`).

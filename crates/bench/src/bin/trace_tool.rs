@@ -208,6 +208,10 @@ fn main() {
             let workload = &args[1];
             let ranks: usize = args[2].parse().unwrap_or_else(|_| usage());
             let iters: usize = args[3].parse().unwrap_or_else(|_| usage());
+            if let Err(problem) = mpi_workloads::check(workload, ranks) {
+                eprintln!("trace_tool record: {problem}");
+                exit(2)
+            }
             let mut cfg = PilgrimConfig::default();
             let mut rr = false;
             let mut rest = args[5..].iter();

@@ -1,5 +1,7 @@
 //! The schema-1 envelope of a real `pilgrimd` run carries every counter
-//! its stat set declares: an envelope cannot trail its declaration.
+//! its stat set declares: an envelope cannot trail its declaration. And
+//! input a binary cannot run is a usage error (exit 2), never a panic or
+//! a silently different experiment.
 
 use std::process::Command;
 
@@ -44,4 +46,33 @@ fn local_envelope_carries_every_declared_ingest_counter() {
     assert_eq!(value("sealed"), value("jobs_sealed"));
     let keys: std::collections::HashSet<&str> = fields.iter().map(|(k, _)| *k).collect();
     assert_eq!(keys.len(), fields.len(), "duplicate key in {fields:?}");
+}
+
+/// Runs a bench binary expecting a usage error: exit 2, the reason on
+/// stderr, no panic.
+fn assert_usage_error(exe: &str, args: &[&str], reason: &str) {
+    let out = Command::new(exe).args(args).output().expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?} stdout: {:?} stderr: {stderr}", out.stdout);
+    assert!(stderr.contains(reason), "{args:?} stderr lacks {reason:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+}
+
+#[test]
+fn record_reports_a_world_it_cannot_run_as_a_usage_error() {
+    let tool = env!("CARGO_BIN_EXE_trace_tool");
+    let out = std::env::temp_dir().join(format!("pilgrim-usage-{}.pilgrim", std::process::id()));
+    let out = out.to_str().expect("utf-8 temp path");
+    assert_usage_error(tool, &["record", "lu", "0", "10", out], "at least 1 rank");
+    assert_usage_error(tool, &["record", "nosuch", "4", "10", out], "unknown workload");
+    assert_usage_error(tool, &["record", "sp", "5", "10", out], "square number of processes");
+    assert!(!std::path::Path::new(out).exists(), "a refused record wrote {out}");
+    assert_usage_error(env!("CARGO_BIN_EXE_pilgrimd"), &["--jobs", "1", "--ranks", "0"], "1 rank");
+}
+
+#[test]
+fn an_unparsable_scale_flag_is_a_usage_error_not_the_default_experiment() {
+    let fig8 = env!("CARGO_BIN_EXE_fig8_decomposition");
+    assert_usage_error(fig8, &["--iters", "abc", "--max-procs", "4"], "--iters needs a numeric");
+    assert_usage_error(fig8, &["--max-procs"], "--max-procs needs a numeric");
 }

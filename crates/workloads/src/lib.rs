@@ -59,6 +59,23 @@ pub fn by_name(name: &str, iters: usize) -> Body {
     }
 }
 
+/// Whether `by_name(name, _)` can run on `ranks` processes: a known name,
+/// at least one rank, and a square count for SP/BT's process grid. The
+/// one statement of that rule — binaries report an `Err` as a usage error
+/// before any rank thread starts.
+pub fn check(name: &str, ranks: usize) -> Result<(), String> {
+    if !ALL_WORKLOADS.contains(&name) {
+        return Err(format!("unknown workload {name:?} (known: {})", ALL_WORKLOADS.join(", ")));
+    }
+    if ranks == 0 {
+        return Err("a world needs at least 1 rank".to_string());
+    }
+    if matches!(name, "sp" | "bt") && grid::isqrt(ranks).pow(2) != ranks {
+        return Err(format!("{name} requires a square number of processes, got {ranks}"));
+    }
+    Ok(())
+}
+
 /// All workload names `by_name` accepts.
 pub const ALL_WORKLOADS: &[&str] = &[
     "stencil2d",
@@ -76,3 +93,20 @@ pub const ALL_WORKLOADS: &[&str] = &[
     "adversarial",
     "master_worker",
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn check_states_the_rank_rule_once() {
+        for name in ALL_WORKLOADS {
+            assert_eq!(check(name, 4), Ok(()), "{name}");
+            assert!(check(name, 0).unwrap_err().contains("at least 1 rank"));
+        }
+        assert!(check("nosuch", 4).unwrap_err().contains("unknown workload"));
+        assert!(check("sp", 5).unwrap_err().contains("square"));
+        assert_eq!(check("bt", 1), Ok(()));
+        assert_eq!(check("lu", 5), Ok(()));
+    }
+}

@@ -51,7 +51,11 @@ echo "== tier-1: release build + tests =="
 #  - rr_e2e / rr_proptests: the record/replay engine's promises in
 #    process; the rr lane below proves them on the binaries;
 #  - envelopes: `pilgrimd local`'s envelope carries every declared
-#    ingest counter.
+#    ingest counter, and a world or flag a binary cannot run is a usage
+#    error (exit 2), never a panic or the default experiment;
+#  - sizes: every row of the size ledger a debug build affords is
+#    re-measured and equals `results/SIZES.tsv` field by field (the last
+#    lane below diffs the whole file in release).
 cargo build --release
 cargo test -q
 
@@ -77,16 +81,24 @@ echo "== governor: adversarial bounded-memory sweep =="
 # rung must complete without panicking and report its ladder progress.
 cargo run --release -q -p pilgrim-bench --bin governor_sweep -- --iters 150 > /dev/null
 
-echo "== pipeline selfcheck: the benchmark's own jobs, correctness only =="
+echo "== pipeline selfcheck: the benchmark's own jobs, bytes and exact counts =="
 # Every job of every benchmark workload must be byte-identical to the
 # batch-merged container over the wire, through the WAL and after
-# recovery, with zero retransmits and exact counts that repeat. Smoke
-# sized: this lane checks bytes, not speed.
+# recovery, with zero retransmits and exact counts that repeat — and the
+# counts (calls, segments, segment bytes, signatures, rules, container
+# bytes, WAL records) must be the committed ones: a PR that adds one byte
+# to a segment, one WAL record to a job or one rule to a grammar on the
+# collector path fails here by name. Smoke sized: bytes, not speed.
 for w in stencil_steady amr_churn hostile_stream hostile_bulk; do
-  cargo run --release --offline --quiet --manifest-path benchmarks/pipeline/Cargo.toml -- \
-    --workload "$w" --seed 1 --smoke --selfcheck > /dev/null ||
+  out=$(cargo run --release --offline --quiet --manifest-path benchmarks/pipeline/Cargo.toml -- \
+    --workload "$w" --seed 1 --smoke --selfcheck) ||
     { echo "FAIL: pipeline --selfcheck failed on workload $w." >&2; exit 1; }
-done
+  echo "$out" | grep ' same$' | sed "s/^/$w /"
+done > target/pipeline_counts.txt
+diff -u results/PIPELINE_COUNTS.txt target/pipeline_counts.txt ||
+  { echo "FAIL: the collector path's exact counts changed. If intended, regenerate with" >&2
+    echo "  cp target/pipeline_counts.txt results/PIPELINE_COUNTS.txt" >&2
+    echo "and say why in CHANGES.md." >&2; exit 1; }
 
 echo "== pilgrimd: concurrent streaming ingest smoke =="
 # Eight concurrent 4-rank jobs stream into one ingest session (odd jobs
@@ -308,23 +320,15 @@ for file in $(find crates/core/src crates/sequitur/src -name '*.rs' \
   check_panics "$file" "$(panic_budget "$file")"
 done
 
-echo "== bench baseline: no >10% ingest throughput regression =="
-# Fresh best-of-2 sweep vs the committed conservative (worst-of-3)
-# baseline; any row more than 10% below the baseline's calls/sec fails.
-# Refresh after an intentional perf change with:
-#   ingest_bench --reps 3 --stat min --json-out results/BENCH_ingest.json
-grep -q '"bench":"ingest"' results/BENCH_ingest.json ||
-  { echo "FAIL: results/BENCH_ingest.json missing or malformed." >&2; exit 1; }
-cargo run --release -q -p pilgrim-bench --bin ingest_bench -- \
-  --max-jobs 8 --check-against results/BENCH_ingest.json
-
-echo "== bench baseline: no >10% sequitur push-throughput regression =="
-# Same protocol for the grammar hot path: fresh best-of-2 vs the
-# committed worst-of-3 baseline. Refresh after an intentional change:
-#   sequitur_gate --reps 3 --stat min --json-out results/BENCH_sequitur.json
-grep -q '"bench":"sequitur"' results/BENCH_sequitur.json ||
-  { echo "FAIL: results/BENCH_sequitur.json missing or malformed." >&2; exit 1; }
-cargo run --release -q -p pilgrim-bench --bin sequitur_gate -- \
-  --check-against results/BENCH_sequitur.json
+echo "== size ledger: every trace size of §4.1 and Figs 5, 6, 9, 10, at 0 % =="
+# Sizes are exact functions of (workload, variant, ranks, iterations), so
+# the whole matrix is re-measured (~35 s) and must equal the committed
+# ledger byte for byte. Timings are not gated here at all: on this box
+# they are only comparable parent-against-change in alternating pairs
+# (`bench_pair`, DESIGN.md §14).
+./target/release/sizes | diff -u results/SIZES.tsv - ||
+  { echo "FAIL: a trace size changed. If intended, regenerate with" >&2
+    echo "  ./target/release/sizes > results/SIZES.tsv" >&2
+    echo "and say why in CHANGES.md." >&2; exit 1; }
 
 echo "All checks passed."
