@@ -18,8 +18,8 @@
 
 use std::collections::{HashMap, HashSet};
 
+use mpi_sim::funcs::Object;
 use mpi_sim::hooks::Arg;
-use mpi_sim::FuncId;
 use pilgrim_sequitur::{decode_varint, DecodeError, FlatGrammar};
 
 use crate::cst::Cst;
@@ -127,8 +127,15 @@ pub fn verify_lossless_with(
                     cap.rec.args.len()
                 ));
             }
-            let bases = status_bases(&cap.rec, cap.caller_rank, &req_base);
-            let mut status_idx = 0usize;
+            // Each returned status is relative to the caller's rank in the
+            // communicator its request was created on, as the tracer
+            // encoded it.
+            let shape = cap.rec.func.shape();
+            let completions = shape.completions(&cap.rec.args);
+            let status_base = |slot: usize| {
+                let done = completions.as_ref().and_then(|c| c.slot(slot));
+                done.and_then(|d| req_base.get(&d.request)).copied().unwrap_or(cap.caller_rank)
+            };
             for (j, (dec, raw)) in call.args.iter().zip(&cap.rec.args).enumerate() {
                 check_arg(
                     dec,
@@ -139,13 +146,13 @@ pub fn verify_lossless_with(
                     j,
                     &mut comm_map,
                     &mut freed_comms,
-                    &cap.rec.func,
-                    &bases,
-                    &mut status_idx,
+                    &status_base,
                 )?;
                 report.args_checked += 1;
             }
-            track_requests(&cap.rec, cap.caller_rank, &mut req_base);
+            if let Some(raw) = shape.created(&cap.rec.args) {
+                req_base.insert(raw, cap.caller_rank);
+            }
             report.calls_checked += 1;
         }
     }
@@ -153,84 +160,6 @@ pub fn verify_lossless_with(
     // the whole trace (`calls_checked`).
     metrics.set_gauge("verify.peak_materialized_calls", peak_calls);
     Ok(report)
-}
-
-/// Mirrors the tracer's per-request status bases using the reference
-/// capture's raw request ids.
-fn status_bases(
-    rec: &mpi_sim::CallRec,
-    caller_rank: i64,
-    req_base: &HashMap<u64, i64>,
-) -> Vec<i64> {
-    let look = |raw: u64| -> i64 { req_base.get(&raw).copied().unwrap_or(caller_rank) };
-    let arr = |a: &Arg| -> Vec<u64> {
-        match a {
-            Arg::RequestArr(v) => v.clone(),
-            _ => Vec::new(),
-        }
-    };
-    let int = |a: &Arg| -> i64 {
-        match a {
-            Arg::Int(v) => *v,
-            _ => 0,
-        }
-    };
-    match rec.func {
-        FuncId::Wait | FuncId::Test => match rec.args.first() {
-            Some(Arg::Request(r)) if *r != u64::MAX => vec![look(*r)],
-            _ => vec![caller_rank],
-        },
-        FuncId::Waitall | FuncId::Testall => arr(&rec.args[1])
-            .into_iter()
-            .map(|r| if r == u64::MAX { caller_rank } else { look(r) })
-            .collect(),
-        FuncId::Waitany => {
-            let idx = int(&rec.args[2]);
-            if idx >= 0 {
-                vec![look(arr(&rec.args[1])[idx as usize])]
-            } else {
-                vec![caller_rank]
-            }
-        }
-        FuncId::Testany => {
-            let idx = int(&rec.args[2]);
-            if int(&rec.args[3]) == 1 && idx >= 0 {
-                vec![look(arr(&rec.args[1])[idx as usize])]
-            } else {
-                vec![caller_rank]
-            }
-        }
-        FuncId::Waitsome | FuncId::Testsome => {
-            let reqs = arr(&rec.args[1]);
-            match &rec.args[3] {
-                Arg::IntArr(idx) => idx.iter().map(|&i| look(reqs[i as usize])).collect(),
-                _ => vec![],
-            }
-        }
-        _ => vec![],
-    }
-}
-
-/// Tracks request creation so later statuses use the right base.
-fn track_requests(rec: &mpi_sim::CallRec, caller_rank: i64, req_base: &mut HashMap<u64, i64>) {
-    let creates = matches!(
-        rec.func,
-        FuncId::Isend
-            | FuncId::Ibsend
-            | FuncId::Issend
-            | FuncId::Irsend
-            | FuncId::Irecv
-            | FuncId::Ibarrier
-            | FuncId::Iallreduce
-            | FuncId::CommIdup
-    );
-    if creates {
-        if let Some(Arg::Request(raw)) =
-            rec.args.iter().rev().find(|a| matches!(a, Arg::Request(_)))
-        {
-            req_base.insert(*raw, caller_rank);
-        }
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -243,10 +172,9 @@ fn check_arg(
     argi: usize,
     comm_map: &mut HashMap<u64, u32>,
     freed_comms: &mut HashSet<u32>,
-    func: &FuncId,
-    bases: &[i64],
-    status_idx: &mut usize,
+    status_base: &dyn Fn(usize) -> i64,
 ) -> Result<(), String> {
+    let func = cap.rec.func;
     let fail = |msg: String| Err(format!("rank {rank} call {call} ({func:?}) arg {argi}: {msg}"));
     match (dec, raw) {
         (EncodedArg::Int(d), Arg::Int(r)) => {
@@ -283,7 +211,7 @@ fn check_arg(
                     comm_map.insert(*sym, *h);
                 }
             }
-            if *func == FuncId::CommFree {
+            if func.shape().object == Some(Object::FreeComm(argi as u8)) {
                 freed_comms.insert(*h);
             }
         }
@@ -307,9 +235,7 @@ fn check_arg(
         }
         (EncodedArg::Ptr { .. }, Arg::Ptr(_)) => {}
         (EncodedArg::Status { source, tag }, Arg::Status { source: rs, tag: rt }) => {
-            let base = bases.get(*status_idx).copied().unwrap_or(cap.caller_rank);
-            *status_idx += 1;
-            if source.absolutize(base) != *rs as i64 {
+            if source.absolutize(status_base(0)) != *rs as i64 {
                 return fail(format!("status source {source:?} != {rs}"));
             }
             if *tag != *rt as i64 {
@@ -320,10 +246,8 @@ fn check_arg(
             if d.len() != r.len() {
                 return fail(format!("status array {} != {}", d.len(), r.len()));
             }
-            for ((src, tag), (rs, rt)) in d.iter().zip(r) {
-                let base = bases.get(*status_idx).copied().unwrap_or(cap.caller_rank);
-                *status_idx += 1;
-                if src.absolutize(base) != *rs as i64 || *tag != *rt as i64 {
+            for (k, ((src, tag), (rs, rt))) in d.iter().zip(r).enumerate() {
+                if src.absolutize(status_base(k)) != *rs as i64 || *tag != *rt as i64 {
                     return fail("status array entry mismatch".into());
                 }
             }

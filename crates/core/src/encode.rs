@@ -7,6 +7,7 @@
 //! value carries a tag byte — so [`decode_signature`] recovers the full
 //! argument list, which is what makes the trace (near) lossless.
 
+use mpi_sim::funcs::ArgView;
 use pilgrim_sequitur::{read_varint, write_varint};
 
 /// Marker values for special ranks.
@@ -190,6 +191,70 @@ pub struct EncodedCall {
     pub args: Vec<EncodedArg>,
 }
 
+impl ArgView for EncodedArg {
+    type Status = (RankCode, i64);
+
+    fn int(&self) -> Option<i64> {
+        match self {
+            EncodedArg::Int(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    fn ints(&self) -> Option<&[i64]> {
+        match self {
+            EncodedArg::IntArr(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    fn requests(&self) -> Option<usize> {
+        match self {
+            EncodedArg::Request(_) => Some(1),
+            EncodedArg::RequestArr(v) => Some(v.len()),
+            _ => None,
+        }
+    }
+
+    fn request_at(&self, k: usize) -> Option<u64> {
+        match self {
+            EncodedArg::Request(sym) if k == 0 => (*sym != u64::MAX).then_some(*sym),
+            EncodedArg::RequestArr(v) => *v.get(k)?,
+            _ => None,
+        }
+    }
+
+    fn status_at(&self, k: usize) -> Option<(RankCode, i64)> {
+        match self {
+            EncodedArg::Status { source, tag } if k == 0 => Some((*source, *tag)),
+            EncodedArg::StatusArr(v) => v.get(k).copied(),
+            _ => None,
+        }
+    }
+
+    fn is_any_source(&self) -> bool {
+        matches!(self, EncodedArg::Rank(RankCode::AnySource))
+    }
+
+    fn is_proc_null(&self) -> bool {
+        matches!(self, EncodedArg::Rank(RankCode::ProcNull))
+    }
+
+    fn is_any_tag(&self) -> bool {
+        matches!(self, EncodedArg::Tag(-1))
+    }
+
+    /// A `Relative` source is the delta itself; an `Absolute` one (a trace
+    /// encoded without relative ranks) is taken against `base`.
+    fn relative_to((source, tag): (RankCode, i64), base: i64) -> Option<(i32, i32)> {
+        match source {
+            RankCode::Relative(d) => Some((d as i32, tag as i32)),
+            RankCode::Absolute(r) => Some(((r - base) as i32, tag as i32)),
+            RankCode::AnySource | RankCode::ProcNull => None,
+        }
+    }
+}
+
 /// Incremental signature writer.
 #[derive(Debug, Default)]
 pub struct SigWriter {
@@ -313,7 +378,12 @@ impl SigWriter {
         self.uv(sym);
     }
 
-    pub fn request_arr(&mut self, syms: &[Option<u64>]) {
+    pub fn request_arr<I>(&mut self, syms: I)
+    where
+        I: IntoIterator<Item = Option<u64>>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let syms = syms.into_iter();
         self.tag(ValTag::RequestArr);
         self.uv(syms.len() as u64);
         for s in syms {
@@ -338,24 +408,22 @@ impl SigWriter {
     }
 
     pub fn status_arr(&mut self, sts: &[(i32, i32)], caller_rank: i64, cfg: &EncoderConfig) {
-        let bases = vec![caller_rank; sts.len()];
-        self.status_arr_with_bases(sts, &bases, cfg);
+        self.status_arr_with(sts, |_| caller_rank, cfg);
     }
 
     /// Status-array encoding with a per-entry relative base (each status
     /// belongs to a request that may have been created on a different
-    /// communicator).
-    pub fn status_arr_with_bases(
+    /// communicator): entry `k` is encoded relative to `base_of(k)`.
+    pub fn status_arr_with(
         &mut self,
         sts: &[(i32, i32)],
-        bases: &[i64],
+        mut base_of: impl FnMut(usize) -> i64,
         cfg: &EncoderConfig,
     ) {
-        debug_assert_eq!(sts.len(), bases.len());
         self.tag(ValTag::StatusArr);
         self.uv(sts.len() as u64);
-        for (&(s, t), &base) in sts.iter().zip(bases) {
-            self.rank_code(Self::code_for(s, base, cfg.relative_ranks));
+        for (k, &(s, t)) in sts.iter().enumerate() {
+            self.rank_code(Self::code_for(s, base_of(k), cfg.relative_ranks));
             self.iv(t as i64);
         }
     }
@@ -495,7 +563,7 @@ mod tests {
         w.op(1);
         w.group(4);
         w.request(12);
-        w.request_arr(&[Some(0), None, Some(3)]);
+        w.request_arr([Some(0), None, Some(3)]);
         w.ptr(5, 128, &c);
         w.status(1, 42, 3, &c);
         w.status_arr(&[(0, 1), (-2, -1)], 3, &c);

@@ -26,17 +26,15 @@
 //! back to assuming the caller's communicator rank equals its world
 //! rank, which holds for `MPI_COMM_WORLD` and its duplicates.)
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
+use mpi_sim::funcs::{ArgView, Form, Shape};
 use mpi_sim::{Directive, FuncId};
 use pilgrim_sequitur::{read_varint, write_varint, DecodeError};
 
 use crate::decode::decode_rank_calls;
-use crate::encode::{unzigzag, zigzag, EncodedArg, EncodedCall, RankCode};
+use crate::encode::{unzigzag, zigzag, EncodedArg, EncodedCall};
 use crate::trace::GlobalTrace;
-
-/// `MPI_ANY_TAG` as it appears in recorded tag arguments.
-const ANY_TAG: i64 = -1;
 
 /// One recorded nondeterministic resolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -256,19 +254,57 @@ impl NondetLog {
         let mut ranks = Vec::with_capacity(trace.nranks);
         for rank in 0..trace.nranks {
             let calls = decode_rank_calls(trace, rank)?;
-            ranks.push(derive_rank(rank as i64, &calls, BTreeMap::new()));
+            ranks.push(derive_rank_events(rank as i64, &calls));
         }
         Ok(NondetLog { ranks })
     }
 }
 
-/// [`derive_rank`] for one already-decoded rank — the minimizer's pure
-/// oracle evaluates candidate call subsets without rebuilding a trace.
-pub(crate) fn derive_rank_events(
-    world_rank: i64,
-    calls: &[EncodedCall],
-) -> BTreeMap<u64, NondetEvent> {
-    derive_rank(world_rank, calls, BTreeMap::new())
+/// The event a call records at its own index, read off its arguments: what
+/// a wildcard receive or probe matched, what an `Iprobe` saw, which of its
+/// requests a `Wait*` / `Test*` picked. `base` is the rank a resolved
+/// source is a delta from. One reading for the recorder's raw arguments
+/// and the deriver's decoded ones — what each does about the *requests*
+/// those calls create and complete is its own.
+pub(crate) fn call_event<A: ArgView>(shape: &Shape, args: &[A], base: i64) -> Option<NondetEvent> {
+    let matched = || shape.outcome(args).and_then(|status| A::relative_to(status, base));
+    if shape.recv.is_some() {
+        // An iprobe's flag is nondeterministic even for a concrete
+        // `(source, tag)`, so it is recorded every time. An `Irecv` returns
+        // no status: its match is reported when its request completes.
+        return match shape.flag {
+            Some(_) => Some(NondetEvent::Iprobe { hit: matched() }),
+            None if shape.is_wildcard(args) => {
+                matched().map(|(source, tag)| NondetEvent::Match { source, tag })
+            }
+            None => None,
+        };
+    }
+    let completion = shape.completes?;
+    let index = completion.index.and_then(|at| args.get(at as usize));
+    match completion.form {
+        Form::Any => {
+            let picked = index.and_then(A::int).filter(|&v| v >= 0 && shape.flagged(args));
+            Some(NondetEvent::AnyOf { index: picked.map(|v| v as u32) })
+        }
+        Form::Some => {
+            let indices = index.and_then(A::ints).unwrap_or(&[]).iter().map(|&v| v as u32);
+            Some(NondetEvent::SomeOf { indices: indices.collect() })
+        }
+        Form::One | Form::All => {
+            shape.flag.map(|_| NondetEvent::Flag { flag: shape.flagged(args) })
+        }
+    }
+}
+
+/// The match a completed wildcard `Irecv` resolved to, from the status its
+/// completion returned.
+pub(crate) fn resolved_match<A: ArgView>(
+    status: Option<A::Status>,
+    base: i64,
+) -> Option<NondetEvent> {
+    let (source, tag) = A::relative_to(status?, base)?;
+    Some(NondetEvent::Match { source, tag })
 }
 
 /// Derive-side request bookkeeping: one entry per live request symbol
@@ -282,219 +318,41 @@ struct DReq {
     persistent: bool,
 }
 
-/// Extracts one rank's events from its decoded call sequence.
-fn derive_rank(
+/// Extracts one rank's events from its decoded call sequence — the
+/// minimizer's pure oracle evaluates candidate call subsets with it without
+/// rebuilding a trace. A resolved `Absolute` source (a trace encoded
+/// without relative ranks) is taken against `world_rank`, see the module
+/// docs.
+pub(crate) fn derive_rank_events(
     world_rank: i64,
     calls: &[EncodedCall],
-    mut out: BTreeMap<u64, NondetEvent>,
 ) -> BTreeMap<u64, NondetEvent> {
-    use EncodedArg as A;
-    let mut fifo: HashMap<u64, Vec<DReq>> = HashMap::new();
-    for (i, call) in calls.iter().enumerate() {
-        let idx = i as u64;
-        let a = &call.args;
-        let rank_at = |j: usize| match a.get(j) {
-            Some(A::Rank(code)) => Some(*code),
-            _ => None,
-        };
-        let tag_at = |j: usize| match a.get(j) {
-            Some(A::Tag(t)) => Some(*t),
-            _ => None,
-        };
-        let int_at = |j: usize| match a.get(j) {
-            Some(A::Int(v)) => Some(*v),
-            _ => None,
-        };
-        let status_at = |j: usize| match a.get(j) {
-            Some(A::Status { source, tag }) => Some((*source, *tag)),
-            _ => None,
-        };
-        // A resolved status source as a caller-relative delta (see the
-        // module docs for the `Absolute` fallback).
-        let delta_of = |code: RankCode| match code {
-            RankCode::Relative(d) => Some(d as i32),
-            RankCode::Absolute(r) => Some((r - world_rank) as i32),
-            RankCode::AnySource | RankCode::ProcNull => None,
-        };
-        let wildcard = |src: Option<RankCode>, tag: Option<i64>| {
-            !matches!(src, Some(RankCode::ProcNull))
-                && (matches!(src, Some(RankCode::AnySource)) || tag == Some(ANY_TAG))
-        };
-        let match_event = |st: Option<(RankCode, i64)>| {
-            st.and_then(|(code, tag)| {
-                delta_of(code).map(|source| NondetEvent::Match { source, tag: tag as i32 })
-            })
-        };
-        let Some(func) = FuncId::from_id(call.func) else { continue };
-        // Completion bookkeeping shared by the wait/test family: pop the
-        // completed symbol's oldest live entry and, if it was a wildcard
-        // irecv, report the match it resolved to at the irecv's index.
-        let complete = |fifo: &mut HashMap<u64, Vec<DReq>>,
-                        out: &mut BTreeMap<u64, NondetEvent>,
-                        sym: u64,
-                        st: Option<(RankCode, i64)>| {
-            let Some(q) = fifo.get_mut(&sym) else { return };
-            if q.is_empty() {
-                return;
+    let mut out = BTreeMap::new();
+    let mut fifo: HashMap<u64, VecDeque<DReq>> = HashMap::new();
+    for (idx, call) in (0u64..).zip(calls) {
+        let Some(shape) = FuncId::from_id(call.func).map(FuncId::shape) else { continue };
+        if let Some(event) = call_event(shape, &call.args, world_rank) {
+            out.insert(idx, event);
+        }
+        if let Some(sym) = shape.created(&call.args) {
+            let wildcard = shape.is_wildcard(&call.args).then_some(idx);
+            let persistent = shape.creates.is_some_and(|c| c.persistent);
+            fifo.entry(sym).or_default().push_back(DReq { wildcard, persistent });
+        }
+        // Pop the completed symbol's oldest live entry and, if it was a
+        // wildcard irecv, report the match it resolved to at the irecv's
+        // index.
+        let frees = shape.completes.is_some_and(|c| c.frees);
+        for done in shape.completed(&call.args) {
+            let Some(queue) = fifo.get_mut(&done.request) else { continue };
+            if !frees && queue.front().is_none_or(|entry| entry.persistent) {
+                continue;
             }
-            if q[0].persistent {
-                return;
+            let wildcard = queue.pop_front().and_then(|entry| entry.wildcard);
+            let resolved = resolved_match::<EncodedArg>(done.status, world_rank);
+            if let (Some(irecv_idx), Some(event)) = (wildcard, resolved) {
+                out.insert(irecv_idx, event);
             }
-            let entry = q.remove(0);
-            if let (Some(irecv_idx), Some(ev)) = (entry.wildcard, match_event(st)) {
-                out.insert(irecv_idx, ev);
-            }
-        };
-        let req_sym = |j: usize| match a.get(j) {
-            Some(A::Request(sym)) => Some(*sym),
-            _ => None,
-        };
-        let req_arr = |j: usize| match a.get(j) {
-            Some(A::RequestArr(v)) => Some(v.as_slice()),
-            _ => None,
-        };
-        let status_arr = |j: usize| match a.get(j) {
-            Some(A::StatusArr(v)) => Some(v.as_slice()),
-            _ => None,
-        };
-        match func {
-            FuncId::Recv if wildcard(rank_at(3), tag_at(4)) => {
-                if let Some(ev) = match_event(status_at(6)) {
-                    out.insert(idx, ev);
-                }
-            }
-            FuncId::Sendrecv if wildcard(rank_at(8), tag_at(9)) => {
-                if let Some(ev) = match_event(status_at(11)) {
-                    out.insert(idx, ev);
-                }
-            }
-            FuncId::SendrecvReplace if wildcard(rank_at(5), tag_at(6)) => {
-                if let Some(ev) = match_event(status_at(8)) {
-                    out.insert(idx, ev);
-                }
-            }
-            FuncId::Probe if wildcard(rank_at(0), tag_at(1)) => {
-                if let Some(ev) = match_event(status_at(3)) {
-                    out.insert(idx, ev);
-                }
-            }
-            FuncId::Iprobe => {
-                let hit = if int_at(3) == Some(1) {
-                    status_at(4).and_then(|(code, tag)| delta_of(code).map(|d| (d, tag as i32)))
-                } else {
-                    None
-                };
-                out.insert(idx, NondetEvent::Iprobe { hit });
-            }
-            FuncId::Irecv => {
-                let wc = wildcard(rank_at(3), tag_at(4));
-                if let Some(sym) = req_sym(6) {
-                    fifo.entry(sym)
-                        .or_default()
-                        .push(DReq { wildcard: wc.then_some(idx), persistent: false });
-                }
-            }
-            FuncId::Isend
-            | FuncId::Ibsend
-            | FuncId::Issend
-            | FuncId::Irsend
-            | FuncId::Ibarrier
-            | FuncId::Iallreduce
-            | FuncId::CommIdup => {
-                if let Some(A::Request(sym)) = a.iter().rev().find(|x| matches!(x, A::Request(_))) {
-                    fifo.entry(*sym).or_default().push(DReq { wildcard: None, persistent: false });
-                }
-            }
-            FuncId::SendInit
-            | FuncId::BsendInit
-            | FuncId::SsendInit
-            | FuncId::RsendInit
-            | FuncId::RecvInit => {
-                if let Some(A::Request(sym)) = a.iter().rev().find(|x| matches!(x, A::Request(_))) {
-                    fifo.entry(*sym).or_default().push(DReq { wildcard: None, persistent: true });
-                }
-            }
-            FuncId::RequestFree => {
-                if let Some(sym) = req_sym(0) {
-                    if let Some(q) = fifo.get_mut(&sym) {
-                        if !q.is_empty() {
-                            q.remove(0);
-                        }
-                    }
-                }
-            }
-            FuncId::Wait => {
-                if let Some(sym) = req_sym(0) {
-                    complete(&mut fifo, &mut out, sym, status_at(1));
-                }
-            }
-            FuncId::Waitall => {
-                let (Some(syms), sts) = (req_arr(1), status_arr(2)) else { continue };
-                for (k, sym) in syms.iter().enumerate() {
-                    if let Some(sym) = sym {
-                        let st = sts.and_then(|s| s.get(k)).copied();
-                        complete(&mut fifo, &mut out, *sym, st);
-                    }
-                }
-            }
-            FuncId::Waitany => {
-                let picked = int_at(2).filter(|&v| v >= 0);
-                out.insert(idx, NondetEvent::AnyOf { index: picked.map(|v| v as u32) });
-                if let (Some(v), Some(syms)) = (picked, req_arr(1)) {
-                    if let Some(Some(sym)) = syms.get(v as usize) {
-                        complete(&mut fifo, &mut out, *sym, status_at(3));
-                    }
-                }
-            }
-            FuncId::Testany => {
-                let picked =
-                    (int_at(3) == Some(1)).then(|| int_at(2).filter(|&v| v >= 0)).flatten();
-                out.insert(idx, NondetEvent::AnyOf { index: picked.map(|v| v as u32) });
-                if let (Some(v), Some(syms)) = (picked, req_arr(1)) {
-                    if let Some(Some(sym)) = syms.get(v as usize) {
-                        complete(&mut fifo, &mut out, *sym, status_at(4));
-                    }
-                }
-            }
-            FuncId::Waitsome | FuncId::Testsome => {
-                let indices: Vec<u32> = match a.get(3) {
-                    Some(A::IntArr(v)) => v.iter().map(|&x| x as u32).collect(),
-                    _ => Vec::new(),
-                };
-                out.insert(idx, NondetEvent::SomeOf { indices: indices.clone() });
-                if let Some(syms) = req_arr(1) {
-                    let sts = status_arr(4);
-                    for (k, &j) in indices.iter().enumerate() {
-                        if let Some(Some(sym)) = syms.get(j as usize) {
-                            let st = sts.and_then(|s| s.get(k)).copied();
-                            complete(&mut fifo, &mut out, *sym, st);
-                        }
-                    }
-                }
-            }
-            FuncId::Test => {
-                let flag = int_at(1) == Some(1);
-                out.insert(idx, NondetEvent::Flag { flag });
-                if flag {
-                    if let Some(sym) = req_sym(0) {
-                        complete(&mut fifo, &mut out, sym, status_at(2));
-                    }
-                }
-            }
-            FuncId::Testall => {
-                let flag = int_at(2) == Some(1);
-                out.insert(idx, NondetEvent::Flag { flag });
-                if flag {
-                    let (Some(syms), sts) = (req_arr(1), status_arr(3)) else { continue };
-                    for (k, sym) in syms.iter().enumerate() {
-                        if let Some(sym) = sym {
-                            let st = sts.and_then(|s| s.get(k)).copied();
-                            complete(&mut fifo, &mut out, *sym, st);
-                        }
-                    }
-                }
-            }
-            _ => {}
         }
     }
     out

@@ -265,44 +265,24 @@ fn sig_func(trace: &GlobalTrace, term: u32) -> u16 {
     read_varint(sig, &mut pos).unwrap_or(0) as u16
 }
 
-/// Classifies a signature's rank arguments into message endpoints.
-/// Persistent-request inits and probes are skipped — they move no data at
-/// the call site — matching how communication matrices are conventionally
-/// attributed.
+/// Classifies a signature's rank arguments into message endpoints: the
+/// destination of the message it sends and the source of the receive it
+/// posts, where its function's shape says they sit. Persistent-request
+/// inits and probes are skipped — they move no data at the call site —
+/// matching how communication matrices are conventionally attributed.
 fn classify_peers(trace: &GlobalTrace, term: u32) -> Vec<(PeerRole, RankCode)> {
-    let sig = trace.cst.signature(term);
-    let Some(call) = decode_signature(sig) else {
+    let Some(call) = decode_signature(trace.cst.signature(term)) else {
         return Vec::new();
     };
-    let Some(func) = FuncId::from_id(call.func) else {
+    let Some(shape) = FuncId::from_id(call.func).map(FuncId::shape) else {
         return Vec::new();
     };
-    let rank_args: Vec<RankCode> = call
-        .args
-        .iter()
-        .filter_map(|a| match a {
-            EncodedArg::Rank(code) => Some(*code),
-            _ => None,
-        })
-        .collect();
-    use FuncId::*;
-    match func {
-        Send | Bsend | Ssend | Rsend | Isend | Ibsend | Issend | Irsend => {
-            rank_args.first().map(|&c| (PeerRole::SendDst, c)).into_iter().collect()
-        }
-        Recv | Irecv => rank_args.first().map(|&c| (PeerRole::RecvSrc, c)).into_iter().collect(),
-        Sendrecv | SendrecvReplace => {
-            let mut v = Vec::new();
-            if let Some(&dst) = rank_args.first() {
-                v.push((PeerRole::SendDst, dst));
-            }
-            if let Some(&src) = rank_args.get(1) {
-                v.push((PeerRole::RecvSrc, src));
-            }
-            v
-        }
-        _ => Vec::new(),
-    }
+    let peer = |role: PeerRole, at: Option<u8>| match call.args.get(at? as usize)? {
+        EncodedArg::Rank(code) => Some((role, *code)),
+        _ => None,
+    };
+    let source = shape.recv.filter(|recv| !recv.probe).map(|recv| recv.source);
+    peer(PeerRole::SendDst, shape.dst).into_iter().chain(peer(PeerRole::RecvSrc, source)).collect()
 }
 
 #[cfg(test)]
@@ -320,13 +300,21 @@ mod tests {
     fn ring_trace() -> GlobalTrace {
         let cfg = EncoderConfig::default();
         let mut cst = Cst::new();
-        let mut send = SigWriter::new(FuncId::Send.id());
-        send.rank(1, 0, &cfg); // Relative(+1)
-        let mut recv = SigWriter::new(FuncId::Recv.id());
-        recv.rank(2, 3, &cfg); // Relative(-1)
-        let mut any = SigWriter::new(FuncId::Recv.id());
-        any.rank(-1, 0, &cfg); // ANY_SOURCE
-                               // Each signature occurs 4 times on each of the 3 ranks.
+        // The head of a send's or receive's record: buffer, count,
+        // datatype, then the peer where the function's shape expects it.
+        let p2p = |func: FuncId, peer: i32, caller: i64| {
+            let mut w = SigWriter::new(func.id());
+            w.ptr(0, 0, &cfg);
+            w.int(1);
+            w.datatype(0);
+            w.rank(peer, caller, &cfg);
+            w
+        };
+        let send = p2p(FuncId::Send, 1, 0); // Relative(+1)
+        let recv = p2p(FuncId::Recv, 2, 3); // Relative(-1)
+        let any = p2p(FuncId::Recv, -1, 0); // ANY_SOURCE
+
+        // Each signature occurs 4 times on each of the 3 ranks.
         let stats = |dur: u64| crate::cst::SigStats { count: 12, dur_sum: 12 * dur };
         let s = cst.intern(send.bytes(), stats(100));
         let r = cst.intern(recv.bytes(), stats(200));

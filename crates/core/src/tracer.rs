@@ -3,13 +3,13 @@
 //! assigns symbolic ids to every MPI object, and runs the inter-process
 //! merge at finalize.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
-use mpi_sim::funcs::FuncId;
+use mpi_sim::funcs::{Completions, Object, Shape};
 use mpi_sim::hooks::{Arg, CallRec, ToolRequest, TraceCtx, Tracer};
-use mpi_sim::{ANY_SOURCE, ANY_TAG, PROC_NULL};
 use pilgrim_sequitur::{FlatGrammar, Grammar};
 
 use crate::checkpoint::{decode_checkpoint, encode_checkpoint};
@@ -21,7 +21,7 @@ use crate::ingest::SegmentSink;
 use crate::memtracker::MemTracker;
 use crate::merge::{self, LocalPiece, MergeError, RankCompletion, RankSegments, TraceSegment};
 use crate::metrics::{MetricsRegistry, MetricsReport, Stage};
-use crate::nondet::NondetEvent;
+use crate::nondet::{call_event, resolved_match, NondetEvent};
 use crate::stats::OverheadStats;
 use crate::timing::TimingCompressor;
 use crate::trace::GlobalTrace;
@@ -461,145 +461,52 @@ impl PilgrimTracer {
     }
 
     // ------------------------------------------------------------------
-    // Request completion semantics
+    // Request completion
     // ------------------------------------------------------------------
 
-    /// Raw request ids whose completion this record reports.
-    fn completed_requests(rec: &CallRec) -> Vec<u64> {
-        let arr = |a: &Arg| -> Vec<u64> {
-            match a {
-                Arg::RequestArr(v) => v.clone(),
-                _ => Vec::new(),
-            }
-        };
-        let int = |a: &Arg| -> i64 {
-            match a {
-                Arg::Int(v) => *v,
-                _ => 0,
-            }
-        };
-        match rec.func {
-            FuncId::Wait | FuncId::RequestFree => match rec.args.first() {
-                Some(Arg::Request(r)) if *r != u64::MAX => vec![*r],
-                _ => vec![],
-            },
-            FuncId::Waitall => arr(&rec.args[1]).into_iter().filter(|&r| r != u64::MAX).collect(),
-            FuncId::Waitany => {
-                let idx = int(&rec.args[2]);
-                if idx < 0 {
-                    vec![]
-                } else {
-                    vec![arr(&rec.args[1])[idx as usize]]
-                }
-            }
-            FuncId::Waitsome | FuncId::Testsome => {
-                let reqs = arr(&rec.args[1]);
-                match &rec.args[3] {
-                    Arg::IntArr(idx) => idx.iter().map(|&i| reqs[i as usize]).collect(),
-                    _ => vec![],
-                }
-            }
-            FuncId::Test => match (&rec.args[0], int(&rec.args[1])) {
-                (Arg::Request(r), 1) if *r != u64::MAX => vec![*r],
-                _ => vec![],
-            },
-            FuncId::Testall => {
-                if int(&rec.args[2]) == 1 {
-                    arr(&rec.args[1]).into_iter().filter(|&r| r != u64::MAX).collect()
-                } else {
-                    vec![]
-                }
-            }
-            FuncId::Testany => {
-                let idx = int(&rec.args[2]);
-                if int(&rec.args[3]) == 1 && idx >= 0 {
-                    vec![arr(&rec.args[1])[idx as usize]]
-                } else {
-                    vec![]
-                }
-            }
-            _ => vec![],
-        }
+    /// The caller's rank in the call's (first) communicator argument; world
+    /// rank when the record carries no communicator.
+    fn caller_rank(&self, ctx: &TraceCtx<'_>, rec: &CallRec) -> i64 {
+        rec.args
+            .iter()
+            .find_map(|a| match a {
+                Arg::Comm(h) if *h != u32::MAX => ctx.comm_rank(*h).map(|r| r as i64),
+                _ => None,
+            })
+            .unwrap_or(self.rank as i64)
     }
 
-    /// Is this a call whose trailing `Request` argument *creates* a request?
-    fn creates_request(func: FuncId) -> bool {
-        matches!(
-            func,
-            FuncId::Isend
-                | FuncId::Ibsend
-                | FuncId::Issend
-                | FuncId::Irsend
-                | FuncId::Irecv
-                | FuncId::Ibarrier
-                | FuncId::Iallreduce
-                | FuncId::CommIdup
-        ) || Self::creates_persistent(func)
+    /// The relative-rank base of a request's statuses: the caller's rank in
+    /// the communicator the request was created on; `caller_rank` when the
+    /// request is unknown.
+    fn status_base(&self, raw: u64, caller_rank: i64) -> i64 {
+        self.reqs.get(&raw).map_or(caller_rank, |e| e.comm_rank)
     }
 
-    /// Persistent-request constructors (`MPI_*_init`).
-    fn creates_persistent(func: FuncId) -> bool {
-        matches!(
-            func,
-            FuncId::SendInit
-                | FuncId::BsendInit
-                | FuncId::SsendInit
-                | FuncId::RsendInit
-                | FuncId::RecvInit
-        )
+    /// The base of the record's returned status `slot`: that of the request
+    /// whose completion it reports.
+    fn slot_base(
+        &self,
+        completions: Option<&Completions<'_, Arg>>,
+        slot: usize,
+        caller_rank: i64,
+    ) -> i64 {
+        let done = completions.and_then(|c| c.slot(slot));
+        done.map_or(caller_rank, |d| self.status_base(d.request, caller_rank))
     }
 
-    /// Caller ranks to use when encoding the statuses of a completion
-    /// record: each status belongs to a specific request, whose creation
-    /// communicator determines the relative-rank base. Falls back to
-    /// `caller_rank` when the request is unknown.
-    fn status_ranks(&self, rec: &CallRec, caller_rank: i64) -> Vec<i64> {
-        let look = |raw: u64| -> i64 { self.reqs.get(&raw).map_or(caller_rank, |e| e.comm_rank) };
-        let arr = |a: &Arg| -> Vec<u64> {
-            match a {
-                Arg::RequestArr(v) => v.clone(),
-                _ => Vec::new(),
-            }
-        };
-        let int = |a: &Arg| -> i64 {
-            match a {
-                Arg::Int(v) => *v,
-                _ => 0,
-            }
-        };
-        match rec.func {
-            FuncId::Wait | FuncId::Test => match rec.args.first() {
-                Some(Arg::Request(r)) if *r != u64::MAX => vec![look(*r)],
-                _ => vec![caller_rank],
-            },
-            FuncId::Waitall | FuncId::Testall => arr(&rec.args[1])
-                .into_iter()
-                .map(|r| if r == u64::MAX { caller_rank } else { look(r) })
-                .collect(),
-            FuncId::Waitany => {
-                let idx = int(&rec.args[2]);
-                if idx >= 0 {
-                    vec![look(arr(&rec.args[1])[idx as usize])]
-                } else {
-                    vec![caller_rank]
+    /// Releases the symbolic ids of the requests a call completed.
+    /// Persistent requests keep theirs across completions and release it
+    /// only at `MPI_Request_free`.
+    fn release(&mut self, rec: &CallRec, shape: &Shape) {
+        let frees = shape.completes.is_some_and(|c| c.frees);
+        for done in shape.completed(&rec.args) {
+            if let Entry::Occupied(entry) = self.reqs.entry(done.request) {
+                if frees || !entry.get().persistent {
+                    let entry = entry.remove();
+                    self.req_pools.release(&entry.pool_sig, entry.sym);
                 }
             }
-            FuncId::Testany => {
-                let idx = int(&rec.args[2]);
-                if int(&rec.args[3]) == 1 && idx >= 0 {
-                    vec![look(arr(&rec.args[1])[idx as usize])]
-                } else {
-                    vec![caller_rank]
-                }
-            }
-            FuncId::Waitsome | FuncId::Testsome => {
-                let reqs = arr(&rec.args[1]);
-                match &rec.args[3] {
-                    Arg::IntArr(idx) => idx.iter().map(|&i| look(reqs[i as usize])).collect(),
-                    _ => vec![],
-                }
-            }
-            _ => vec![],
         }
     }
 
@@ -607,189 +514,33 @@ impl PilgrimTracer {
     // Nondeterminism recording (record/replay side-channel)
     // ------------------------------------------------------------------
 
-    /// Mirrors the derive rules in [`crate::nondet`] on the live record:
-    /// a faithful recording satisfies `NondetLog::derive(trace) ==
-    /// recorded`, which is exactly the pure divergence oracle strict
-    /// replay checks first. Must run before completed request ids are
-    /// released, so completion statuses can still be attributed to the
-    /// communicator rank at the request's creation.
-    fn observe_nondet(&mut self, rec: &CallRec, caller_rank: i64) {
+    /// Records what [`crate::nondet`] will derive from the decoded trace: a
+    /// faithful recording satisfies `NondetLog::derive(trace) == recorded`,
+    /// which is exactly the pure divergence oracle strict replay checks
+    /// first. Both read a call's own event off its arguments the same way
+    /// ([`call_event`]); which request a completion resolves is tracked
+    /// here by raw id and there by symbol, independently. Must run before
+    /// completed request ids are released.
+    fn observe_nondet(&mut self, rec: &CallRec, shape: &Shape, caller_rank: i64) {
         let idx = self.calls;
-        let relative = self.cfg.encoder.relative_ranks;
-        let world = self.rank as i64;
-        // The delta the decoded trace will imply for a resolved status
+        // The base the decoded trace will imply for a resolved status
         // source (`nondet::derive` reads `Relative` codes directly and
         // falls back to a world-rank base for `Absolute` ones).
-        let delta = |source: i32, base: i64| -> Option<i32> {
-            if source < 0 {
-                return None;
-            }
-            Some((source as i64 - if relative { base } else { world }) as i32)
-        };
-        let rank_at = |j: usize| match rec.args.get(j) {
-            Some(Arg::Rank(r)) => Some(*r),
-            _ => None,
-        };
-        let tag_at = |j: usize| match rec.args.get(j) {
-            Some(Arg::Tag(t)) => Some(*t),
-            _ => None,
-        };
-        let int_at = |j: usize| match rec.args.get(j) {
-            Some(Arg::Int(v)) => Some(*v),
-            _ => None,
-        };
-        let status_at = |j: usize| match rec.args.get(j) {
-            Some(Arg::Status { source, tag }) => Some((*source, *tag)),
-            _ => None,
-        };
-        let req_at = |j: usize| match rec.args.get(j) {
-            Some(Arg::Request(r)) if *r != u64::MAX => Some(*r),
-            _ => None,
-        };
-        let arr_at = |j: usize| match rec.args.get(j) {
-            Some(Arg::RequestArr(v)) => Some(v.as_slice()),
-            _ => None,
-        };
-        let starr_at = |j: usize| match rec.args.get(j) {
-            Some(Arg::StatusArr(v)) => Some(v.as_slice()),
-            _ => None,
-        };
-        let wildcard = |src: Option<i32>, tag: Option<i32>| {
-            src != Some(PROC_NULL) && (src == Some(ANY_SOURCE) || tag == Some(ANY_TAG))
-        };
-        // Completed raw request ids, each with the status that revealed
-        // the completion — attributed to pending wildcard irecvs below.
-        let mut done: Vec<(u64, Option<(i32, i32)>)> = Vec::new();
-        match rec.func {
-            FuncId::Recv if wildcard(rank_at(3), tag_at(4)) => {
-                if let Some((source, tag)) = status_at(6) {
-                    if let Some(source) = delta(source, caller_rank) {
-                        self.nondet.insert(idx, NondetEvent::Match { source, tag });
-                    }
-                }
-            }
-            FuncId::Sendrecv if wildcard(rank_at(8), tag_at(9)) => {
-                if let Some((source, tag)) = status_at(11) {
-                    if let Some(source) = delta(source, caller_rank) {
-                        self.nondet.insert(idx, NondetEvent::Match { source, tag });
-                    }
-                }
-            }
-            FuncId::SendrecvReplace if wildcard(rank_at(5), tag_at(6)) => {
-                if let Some((source, tag)) = status_at(8) {
-                    if let Some(source) = delta(source, caller_rank) {
-                        self.nondet.insert(idx, NondetEvent::Match { source, tag });
-                    }
-                }
-            }
-            FuncId::Probe if wildcard(rank_at(0), tag_at(1)) => {
-                if let Some((source, tag)) = status_at(3) {
-                    if let Some(source) = delta(source, caller_rank) {
-                        self.nondet.insert(idx, NondetEvent::Match { source, tag });
-                    }
-                }
-            }
-            FuncId::Iprobe => {
-                // Recorded unconditionally: the flag outcome is
-                // nondeterministic even for concrete (source, tag).
-                let hit = if int_at(3) == Some(1) {
-                    status_at(4).and_then(|(s, t)| delta(s, caller_rank).map(|d| (d, t)))
-                } else {
-                    None
-                };
-                self.nondet.insert(idx, NondetEvent::Iprobe { hit });
-            }
-            FuncId::Irecv if wildcard(rank_at(3), tag_at(4)) => {
-                if let Some(raw) = req_at(6) {
-                    self.wildcard_irecvs.insert(raw, idx);
-                }
-            }
-            FuncId::RequestFree => {
-                if let Some(raw) = req_at(0) {
-                    self.wildcard_irecvs.remove(&raw);
-                }
-            }
-            FuncId::Wait => {
-                if let Some(raw) = req_at(0) {
-                    done.push((raw, status_at(1)));
-                }
-            }
-            FuncId::Waitall => {
-                if let Some(reqs) = arr_at(1) {
-                    let sts = starr_at(2);
-                    for (k, &raw) in reqs.iter().enumerate() {
-                        if raw != u64::MAX {
-                            done.push((raw, sts.and_then(|s| s.get(k)).copied()));
-                        }
-                    }
-                }
-            }
-            FuncId::Waitany => {
-                let picked = int_at(2).filter(|&v| v >= 0);
-                self.nondet.insert(idx, NondetEvent::AnyOf { index: picked.map(|v| v as u32) });
-                if let (Some(v), Some(reqs)) = (picked, arr_at(1)) {
-                    if let Some(&raw) = reqs.get(v as usize) {
-                        done.push((raw, status_at(3)));
-                    }
-                }
-            }
-            FuncId::Testany => {
-                let picked =
-                    (int_at(3) == Some(1)).then(|| int_at(2).filter(|&v| v >= 0)).flatten();
-                self.nondet.insert(idx, NondetEvent::AnyOf { index: picked.map(|v| v as u32) });
-                if let (Some(v), Some(reqs)) = (picked, arr_at(1)) {
-                    if let Some(&raw) = reqs.get(v as usize) {
-                        done.push((raw, status_at(4)));
-                    }
-                }
-            }
-            FuncId::Waitsome | FuncId::Testsome => {
-                let indices: Vec<u32> = match rec.args.get(3) {
-                    Some(Arg::IntArr(v)) => v.iter().map(|&x| x as u32).collect(),
-                    _ => Vec::new(),
-                };
-                self.nondet.insert(idx, NondetEvent::SomeOf { indices: indices.clone() });
-                if let Some(reqs) = arr_at(1) {
-                    let sts = starr_at(4);
-                    for (k, &j) in indices.iter().enumerate() {
-                        if let Some(&raw) = reqs.get(j as usize) {
-                            done.push((raw, sts.and_then(|s| s.get(k)).copied()));
-                        }
-                    }
-                }
-            }
-            FuncId::Test => {
-                let flag = int_at(1) == Some(1);
-                self.nondet.insert(idx, NondetEvent::Flag { flag });
-                if flag {
-                    if let Some(raw) = req_at(0) {
-                        done.push((raw, status_at(2)));
-                    }
-                }
-            }
-            FuncId::Testall => {
-                let flag = int_at(2) == Some(1);
-                self.nondet.insert(idx, NondetEvent::Flag { flag });
-                if flag {
-                    if let Some(reqs) = arr_at(1) {
-                        let sts = starr_at(3);
-                        for (k, &raw) in reqs.iter().enumerate() {
-                            if raw != u64::MAX {
-                                done.push((raw, sts.and_then(|s| s.get(k)).copied()));
-                            }
-                        }
-                    }
-                }
-            }
-            _ => {}
+        let relative = self.cfg.encoder.relative_ranks;
+        let world = self.rank as i64;
+        let implied = |base: i64| if relative { base } else { world };
+        if let Some(event) = call_event(shape, &rec.args, implied(caller_rank)) {
+            self.nondet.insert(idx, event);
         }
-        for (raw, st) in done {
-            if let Some(irecv_idx) = self.wildcard_irecvs.remove(&raw) {
-                let base = self.reqs.get(&raw).map_or(caller_rank, |e| e.comm_rank);
-                if let Some((source, tag)) = st {
-                    if let Some(source) = delta(source, base) {
-                        self.nondet.insert(irecv_idx, NondetEvent::Match { source, tag });
-                    }
+        // A wildcard `Irecv` resolves when its request completes.
+        if let Some(raw) = shape.created(&rec.args).filter(|_| shape.is_wildcard(&rec.args)) {
+            self.wildcard_irecvs.insert(raw, idx);
+        }
+        for done in shape.completed(&rec.args) {
+            if let Some(irecv_idx) = self.wildcard_irecvs.remove(&done.request) {
+                let base = implied(self.status_base(done.request, caller_rank));
+                if let Some(event) = resolved_match::<Arg>(done.status, base) {
+                    self.nondet.insert(irecv_idx, event);
                 }
             }
         }
@@ -799,56 +550,20 @@ impl PilgrimTracer {
     // Signature encoding
     // ------------------------------------------------------------------
 
-    fn encode(&mut self, ctx: &TraceCtx<'_>, rec: &CallRec) -> (Vec<u8>, i64) {
+    fn encode(&mut self, rec: &CallRec, shape: &Shape, caller_rank: i64) -> Vec<u8> {
         let mut cfg = self.cfg.encoder;
         // Relative-rank encoding applies to point-to-point src/dst ranks
         // (§3.4.2). Collective roots and leader ranks are the same value on
         // every rank already; encoding them relative would *destroy*
         // cross-rank signature sharing.
-        if !matches!(
-            rec.func,
-            FuncId::Send
-                | FuncId::Bsend
-                | FuncId::Ssend
-                | FuncId::Rsend
-                | FuncId::Recv
-                | FuncId::Isend
-                | FuncId::Ibsend
-                | FuncId::Issend
-                | FuncId::Irsend
-                | FuncId::Irecv
-                | FuncId::Sendrecv
-                | FuncId::SendrecvReplace
-                | FuncId::Probe
-                | FuncId::Iprobe
-                | FuncId::Wait
-                | FuncId::Waitall
-                | FuncId::Waitany
-                | FuncId::Waitsome
-                | FuncId::Test
-                | FuncId::Testall
-                | FuncId::Testany
-                | FuncId::Testsome
-        ) {
+        if !shape.is_p2p() {
             cfg.relative_ranks = false;
         }
-        // The caller's rank in the call's (first) communicator argument;
-        // world rank when the record carries no communicator.
-        let caller_rank = rec
-            .args
-            .iter()
-            .find_map(|a| match a {
-                Arg::Comm(h) if *h != u32::MAX => ctx.comm_rank(*h).map(|r| r as i64),
-                _ => None,
-            })
-            .unwrap_or(self.rank as i64);
-        let creates = Self::creates_request(rec.func);
-        let status_ranks = self.status_ranks(rec, caller_rank);
-        let mut status_idx = 0usize;
-        let next_status_rank =
-            |n: usize| -> i64 { status_ranks.get(n).copied().unwrap_or(caller_rank) };
+        // Each returned status belongs to a specific completed request,
+        // whose creation communicator determines its relative-rank base.
+        let completions = shape.completions(&rec.args);
         let mut w = SigWriter::new(rec.func.id());
-        for arg in &rec.args {
+        for (at, arg) in rec.args.iter().enumerate() {
             match arg {
                 Arg::Int(v) => w.int(*v),
                 Arg::Rank(r) => w.rank(*r, caller_rank, &cfg),
@@ -860,7 +575,7 @@ impl PilgrimTracer {
                     // resolved by the time the communicator is used.
                     let sym = if *h == u32::MAX {
                         u64::MAX
-                    } else if rec.func == FuncId::CommIdup
+                    } else if shape.object == Some(Object::NewComm(at as u8))
                         && self.pending_idups.iter().any(|&(p, _)| p == *h)
                     {
                         u64::MAX - 2
@@ -878,8 +593,8 @@ impl PilgrimTracer {
                     let sym = self.group_sym(*h);
                     w.group(sym);
                 }
-                Arg::Request(raw) => {
-                    if creates {
+                Arg::Request(raw) => match shape.creates.filter(|c| c.at as usize == at) {
+                    Some(creates) => {
                         // The request argument is excluded from the pool
                         // signature (§3.4.3): use the bytes written so far.
                         // (Ablation: one shared pool uses an empty key.)
@@ -895,44 +610,28 @@ impl PilgrimTracer {
                                 sym,
                                 pool_sig,
                                 comm_rank: caller_rank,
-                                persistent: Self::creates_persistent(rec.func),
+                                persistent: creates.persistent,
                             },
                         );
                         w.request(sym);
-                    } else if *raw == u64::MAX {
-                        w.request(u64::MAX);
-                    } else {
-                        let sym = self.reqs.get(raw).map_or(u64::MAX - 1, |e| e.sym);
-                        w.request(sym);
                     }
-                }
-                Arg::RequestArr(raws) => {
-                    let syms: Vec<Option<u64>> = raws
-                        .iter()
-                        .map(|&r| {
-                            if r == u64::MAX {
-                                None
-                            } else {
-                                Some(self.reqs.get(&r).map_or(u64::MAX - 1, |e| e.sym))
-                            }
-                        })
-                        .collect();
-                    w.request_arr(&syms);
-                }
+                    None if *raw == u64::MAX => w.request(u64::MAX),
+                    None => w.request(self.reqs.get(raw).map_or(u64::MAX - 1, |e| e.sym)),
+                },
+                Arg::RequestArr(raws) => w.request_arr(raws.iter().map(|r| {
+                    (*r != u64::MAX).then(|| self.reqs.get(r).map_or(u64::MAX - 1, |e| e.sym))
+                })),
                 Arg::Ptr(addr) => {
                     let code = self.mem.encode_ptr(*addr);
                     w.ptr(code.segment, code.offset, &cfg);
                 }
                 Arg::Status { source, tag } => {
-                    let base = next_status_rank(status_idx);
-                    status_idx += 1;
+                    let base = self.slot_base(completions.as_ref(), 0, caller_rank);
                     w.status(*source, *tag, base, &cfg);
                 }
                 Arg::StatusArr(sts) => {
-                    let bases: Vec<i64> =
-                        (0..sts.len()).map(|k| next_status_rank(status_idx + k)).collect();
-                    status_idx += sts.len();
-                    w.status_arr_with_bases(sts, &bases, &cfg);
+                    let base_of = |slot| self.slot_base(completions.as_ref(), slot, caller_rank);
+                    w.status_arr_with(sts, base_of, &cfg);
                 }
                 Arg::IntArr(v) => w.int_arr(v),
                 Arg::Color(c) => w.color(*c, caller_rank, &cfg),
@@ -940,7 +639,7 @@ impl PilgrimTracer {
                 Arg::Str(s) => w.str(s),
             }
         }
-        (w.into_bytes(), caller_rank)
+        w.into_bytes()
     }
 
     // ------------------------------------------------------------------
@@ -1117,83 +816,62 @@ impl Tracer for PilgrimTracer {
         let timer = Instant::now();
         self.poll_pending_idups();
 
+        let shape = rec.func.shape();
         // Object lifecycle — communicator creation needs its id assigned
         // before (or as part of) encoding.
-        match rec.func {
-            FuncId::CommDup
-            | FuncId::CommSplit
-            | FuncId::CommCreate
-            | FuncId::CartCreate
-            | FuncId::IntercommCreate
-            | FuncId::IntercommMerge => {
-                // The new communicator is the last Comm argument.
-                if let Some(Arg::Comm(h)) =
-                    rec.args.iter().rev().find(|a| matches!(a, Arg::Comm(_)))
-                {
-                    if *h != u32::MAX {
-                        self.assign_comm_id(ctx, *h);
+        if let Some(Object::NewComm(at)) = shape.object {
+            if let Some(Arg::Comm(new)) = rec.args.get(at as usize) {
+                match (shape.creates, rec.args.first()) {
+                    // Non-blocking (`MPI_Comm_idup`): start the tool-lane
+                    // all-reduce over the parent (same group as the
+                    // duplicate) and resolve later.
+                    (Some(_), Some(Arg::Comm(parent))) => {
+                        let req = ctx.tool_iallreduce_max(*parent, self.comm_high_water);
+                        self.pending_idups.push((*new, req));
                     }
+                    (None, _) if *new != u32::MAX => self.assign_comm_id(ctx, *new),
+                    _ => {}
                 }
             }
-            FuncId::CommIdup => {
-                // Non-blocking: start the tool-lane all-reduce over the
-                // parent (same group as the duplicate) and resolve later.
-                if let (Some(Arg::Comm(parent)), Some(Arg::Comm(new))) =
-                    (rec.args.first(), rec.args.get(1))
-                {
-                    let req = ctx.tool_iallreduce_max(*parent, self.comm_high_water);
-                    self.pending_idups.push((*new, req));
-                }
-            }
-            _ => {}
         }
 
         // Encode the signature (assigns request/datatype/group ids).
         let t_encode = self.metrics.is_enabled().then(Instant::now);
-        let (sig, caller_rank) = self.encode(ctx, rec);
+        let caller_rank = self.caller_rank(ctx, rec);
+        let sig = self.encode(rec, shape, caller_rank);
         let encode_dur = t_encode.map(|t| t.elapsed());
 
-        // Record/replay side-channel — before the release loop below so
+        // Record/replay side-channel — before the release below so
         // completion statuses still see their request's creation state.
         if self.cfg.record_nondet {
-            self.observe_nondet(rec, caller_rank);
+            self.observe_nondet(rec, shape, caller_rank);
         }
 
         // Post-encoding lifecycle: release ids of completed/freed objects.
-        // Persistent requests keep their symbolic id across completions
-        // and release it only at MPI_Request_free.
-        let freeing = rec.func == FuncId::RequestFree;
-        for raw in Self::completed_requests(rec) {
-            let persistent = self.reqs.get(&raw).is_some_and(|e| e.persistent);
-            if !persistent || freeing {
-                if let Some(entry) = self.reqs.remove(&raw) {
-                    self.req_pools.release(&entry.pool_sig, entry.sym);
-                }
-            }
-        }
-        match rec.func {
-            FuncId::TypeFree => {
-                if let Some(Arg::Datatype(h)) = rec.args.first() {
+        self.release(rec, shape);
+        match shape.object {
+            Some(Object::FreeDatatype(at)) => {
+                if let Some(Arg::Datatype(h)) = rec.args.get(at as usize) {
                     if let Some(sym) = self.dtype_ids.remove(h) {
                         self.dtype_pool.release(sym - DERIVED_DTYPE_BASE);
                     }
                 }
             }
-            FuncId::GroupFree => {
-                if let Some(Arg::Group(h)) = rec.args.first() {
+            Some(Object::FreeGroup(at)) => {
+                if let Some(Arg::Group(h)) = rec.args.get(at as usize) {
                     if let Some(sym) = self.group_ids.remove(h) {
                         self.group_pool.release(sym);
                     }
                 }
             }
-            FuncId::CommFree => {
-                if let Some(Arg::Comm(h)) = rec.args.first() {
+            Some(Object::FreeComm(at)) => {
+                if let Some(Arg::Comm(h)) = rec.args.get(at as usize) {
                     // Comm ids are monotonic (never pooled): global
                     // consistency relies on max+1 assignment.
                     self.comm_ids.remove(h);
                 }
             }
-            _ => {}
+            Some(Object::NewComm(_)) | None => {}
         }
 
         // CST + CFG growth.

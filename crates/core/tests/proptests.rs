@@ -66,7 +66,7 @@ proptest! {
         syms in proptest::collection::vec(proptest::option::of(0u64..100), 0..32),
     ) {
         let mut w = SigWriter::new(3);
-        w.request_arr(&syms);
+        w.request_arr(syms.iter().copied());
         let call = decode_signature(&w.into_bytes()).unwrap();
         prop_assert_eq!(call.args[0].clone(), EncodedArg::RequestArr(syms));
     }

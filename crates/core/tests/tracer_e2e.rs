@@ -349,3 +349,29 @@ fn persistent_requests_trace_and_verify() {
     // The loop compresses to O(1) grammar space.
     assert!(trace.size_bytes() < 600, "trace is {} bytes", trace.size_bytes());
 }
+
+/// A persistent request's statuses are encoded relative to the caller's
+/// rank in the communicator it was created on, and the verifier has to know
+/// that of `MPI_*_init` requests too: on a split half the comm rank is not
+/// the world rank.
+#[test]
+fn persistent_requests_on_a_subcommunicator_verify() {
+    let (trace, tracers) = traced_run(4, verify_cfg(), |env| {
+        let me = env.world_rank();
+        let world = env.comm_world();
+        let dt = env.basic(BasicType::LongLong);
+        let buf = env.malloc(8);
+        let half = env.comm_split(world, (me / 2) as i32, me as i32).unwrap();
+        let mut req = if me % 2 == 0 {
+            env.send_init(buf, 1, dt, 1, 3, half)
+        } else {
+            env.recv_init(buf, 1, dt, 0, 3, half)
+        };
+        for _ in 0..5 {
+            env.start(req);
+            env.wait(&mut req);
+        }
+        env.request_free(&mut req);
+    });
+    check(&trace, &tracers);
+}

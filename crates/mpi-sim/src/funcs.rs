@@ -9,243 +9,267 @@
 //!   with per-tool coverage classification used to regenerate the table.
 //!   Pilgrim's wrappers are generated from the standard and cover all of
 //!   them; ScalaTrace covers ~125 and Cypress ~56.
+//!
+//! The paper generates its wrappers from one machine-readable description
+//! of the standard (§3.1). The equivalent here is the `traced_functions!`
+//! table: one row per traced function says what its arguments mean (its
+//! [`Shape`]), and one walk over a record and its shape answers what the
+//! call completed and matched — for the raw arguments a tracer sees and for
+//! the decoded ones a trace stores (DESIGN.md §15).
 
-/// Functions the simulator implements and traces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[repr(u16)]
-pub enum FuncId {
-    Init,
-    Finalize,
-    CommRank,
-    CommSize,
-    CommDup,
-    CommSplit,
-    CommCreate,
-    CommIdup,
-    CommFree,
-    CommGroup,
-    CommSetName,
-    IntercommCreate,
-    IntercommMerge,
-    GroupIncl,
-    GroupFree,
-    Send,
-    Bsend,
-    Ssend,
-    Rsend,
-    Recv,
-    Isend,
-    Ibsend,
-    Issend,
-    Irsend,
-    Irecv,
-    Sendrecv,
-    Probe,
-    Iprobe,
-    Wait,
-    Waitall,
-    Waitany,
-    Waitsome,
-    Test,
-    Testall,
-    Testany,
-    Testsome,
-    RequestFree,
-    Barrier,
-    Bcast,
-    Reduce,
-    Allreduce,
-    Gather,
-    Gatherv,
-    Scatter,
-    Scatterv,
-    Allgather,
-    Allgatherv,
-    Alltoall,
-    Alltoallv,
-    ReduceScatterBlock,
-    Scan,
-    Exscan,
-    Ibarrier,
-    Iallreduce,
-    TypeContiguous,
-    TypeVector,
-    TypeIndexed,
-    TypeCreateStruct,
-    TypeCommit,
-    TypeFree,
-    SendInit,
-    BsendInit,
-    SsendInit,
-    RsendInit,
-    RecvInit,
-    Start,
-    Startall,
-    CartCreate,
-    CartRank,
-    CartCoords,
-    CartShift,
-    DimsCreate,
-    SendrecvReplace,
+use crate::hooks::Arg;
+use crate::request::REQUEST_NULL;
+use crate::types::{ANY_SOURCE, ANY_TAG, PROC_NULL};
+
+/// How a completion call picks the requests it completes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Form {
+    /// The one `Request` argument (`MPI_Wait`, `MPI_Test`, `MPI_Request_free`).
+    One,
+    /// Every entry of the `RequestArr` (`MPI_Waitall`, `MPI_Testall`).
+    All,
+    /// The entry the `Int` at [`Completion::index`] names, if not negative.
+    Any,
+    /// The entries the `IntArr` at [`Completion::index`] lists, in that order.
+    Some,
 }
 
-impl FuncId {
-    /// All implemented functions, in id order.
-    pub const ALL: &'static [FuncId] = &[
-        FuncId::Init,
-        FuncId::Finalize,
-        FuncId::CommRank,
-        FuncId::CommSize,
-        FuncId::CommDup,
-        FuncId::CommSplit,
-        FuncId::CommCreate,
-        FuncId::CommIdup,
-        FuncId::CommFree,
-        FuncId::CommGroup,
-        FuncId::CommSetName,
-        FuncId::IntercommCreate,
-        FuncId::IntercommMerge,
-        FuncId::GroupIncl,
-        FuncId::GroupFree,
-        FuncId::Send,
-        FuncId::Bsend,
-        FuncId::Ssend,
-        FuncId::Rsend,
-        FuncId::Recv,
-        FuncId::Isend,
-        FuncId::Ibsend,
-        FuncId::Issend,
-        FuncId::Irsend,
-        FuncId::Irecv,
-        FuncId::Sendrecv,
-        FuncId::Probe,
-        FuncId::Iprobe,
-        FuncId::Wait,
-        FuncId::Waitall,
-        FuncId::Waitany,
-        FuncId::Waitsome,
-        FuncId::Test,
-        FuncId::Testall,
-        FuncId::Testany,
-        FuncId::Testsome,
-        FuncId::RequestFree,
-        FuncId::Barrier,
-        FuncId::Bcast,
-        FuncId::Reduce,
-        FuncId::Allreduce,
-        FuncId::Gather,
-        FuncId::Gatherv,
-        FuncId::Scatter,
-        FuncId::Scatterv,
-        FuncId::Allgather,
-        FuncId::Allgatherv,
-        FuncId::Alltoall,
-        FuncId::Alltoallv,
-        FuncId::ReduceScatterBlock,
-        FuncId::Scan,
-        FuncId::Exscan,
-        FuncId::Ibarrier,
-        FuncId::Iallreduce,
-        FuncId::TypeContiguous,
-        FuncId::TypeVector,
-        FuncId::TypeIndexed,
-        FuncId::TypeCreateStruct,
-        FuncId::TypeCommit,
-        FuncId::TypeFree,
-        FuncId::SendInit,
-        FuncId::BsendInit,
-        FuncId::SsendInit,
-        FuncId::RsendInit,
-        FuncId::RecvInit,
-        FuncId::Start,
-        FuncId::Startall,
-        FuncId::CartCreate,
-        FuncId::CartRank,
-        FuncId::CartCoords,
-        FuncId::CartShift,
-        FuncId::DimsCreate,
-        FuncId::SendrecvReplace,
-    ];
+/// The requests a call completes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Completion {
+    pub form: Form,
+    /// Position of the `Request` ([`Form::One`]) or `RequestArr`.
+    pub requests: u8,
+    /// Position of the completed index ([`Form::Any`]) or indices
+    /// ([`Form::Some`]).
+    pub index: Option<u8>,
+    /// `MPI_Request_free`: the request is gone even when persistent.
+    pub frees: bool,
+}
 
-    /// The MPI C name of the function.
-    pub fn name(self) -> &'static str {
-        match self {
-            FuncId::Init => "MPI_Init",
-            FuncId::Finalize => "MPI_Finalize",
-            FuncId::CommRank => "MPI_Comm_rank",
-            FuncId::CommSize => "MPI_Comm_size",
-            FuncId::CommDup => "MPI_Comm_dup",
-            FuncId::CommSplit => "MPI_Comm_split",
-            FuncId::CommCreate => "MPI_Comm_create",
-            FuncId::CommIdup => "MPI_Comm_idup",
-            FuncId::CommFree => "MPI_Comm_free",
-            FuncId::CommGroup => "MPI_Comm_group",
-            FuncId::CommSetName => "MPI_Comm_set_name",
-            FuncId::IntercommCreate => "MPI_Intercomm_create",
-            FuncId::IntercommMerge => "MPI_Intercomm_merge",
-            FuncId::GroupIncl => "MPI_Group_incl",
-            FuncId::GroupFree => "MPI_Group_free",
-            FuncId::Send => "MPI_Send",
-            FuncId::Bsend => "MPI_Bsend",
-            FuncId::Ssend => "MPI_Ssend",
-            FuncId::Rsend => "MPI_Rsend",
-            FuncId::Recv => "MPI_Recv",
-            FuncId::Isend => "MPI_Isend",
-            FuncId::Ibsend => "MPI_Ibsend",
-            FuncId::Issend => "MPI_Issend",
-            FuncId::Irsend => "MPI_Irsend",
-            FuncId::Irecv => "MPI_Irecv",
-            FuncId::Sendrecv => "MPI_Sendrecv",
-            FuncId::Probe => "MPI_Probe",
-            FuncId::Iprobe => "MPI_Iprobe",
-            FuncId::Wait => "MPI_Wait",
-            FuncId::Waitall => "MPI_Waitall",
-            FuncId::Waitany => "MPI_Waitany",
-            FuncId::Waitsome => "MPI_Waitsome",
-            FuncId::Test => "MPI_Test",
-            FuncId::Testall => "MPI_Testall",
-            FuncId::Testany => "MPI_Testany",
-            FuncId::Testsome => "MPI_Testsome",
-            FuncId::RequestFree => "MPI_Request_free",
-            FuncId::Barrier => "MPI_Barrier",
-            FuncId::Bcast => "MPI_Bcast",
-            FuncId::Reduce => "MPI_Reduce",
-            FuncId::Allreduce => "MPI_Allreduce",
-            FuncId::Gather => "MPI_Gather",
-            FuncId::Gatherv => "MPI_Gatherv",
-            FuncId::Scatter => "MPI_Scatter",
-            FuncId::Scatterv => "MPI_Scatterv",
-            FuncId::Allgather => "MPI_Allgather",
-            FuncId::Allgatherv => "MPI_Allgatherv",
-            FuncId::Alltoall => "MPI_Alltoall",
-            FuncId::Alltoallv => "MPI_Alltoallv",
-            FuncId::ReduceScatterBlock => "MPI_Reduce_scatter_block",
-            FuncId::Scan => "MPI_Scan",
-            FuncId::Exscan => "MPI_Exscan",
-            FuncId::Ibarrier => "MPI_Ibarrier",
-            FuncId::Iallreduce => "MPI_Iallreduce",
-            FuncId::TypeContiguous => "MPI_Type_contiguous",
-            FuncId::TypeVector => "MPI_Type_vector",
-            FuncId::TypeIndexed => "MPI_Type_indexed",
-            FuncId::TypeCreateStruct => "MPI_Type_create_struct",
-            FuncId::TypeCommit => "MPI_Type_commit",
-            FuncId::TypeFree => "MPI_Type_free",
-            FuncId::SendInit => "MPI_Send_init",
-            FuncId::BsendInit => "MPI_Bsend_init",
-            FuncId::SsendInit => "MPI_Ssend_init",
-            FuncId::RsendInit => "MPI_Rsend_init",
-            FuncId::RecvInit => "MPI_Recv_init",
-            FuncId::Start => "MPI_Start",
-            FuncId::Startall => "MPI_Startall",
-            FuncId::CartCreate => "MPI_Cart_create",
-            FuncId::CartRank => "MPI_Cart_rank",
-            FuncId::CartCoords => "MPI_Cart_coords",
-            FuncId::CartShift => "MPI_Cart_shift",
-            FuncId::DimsCreate => "MPI_Dims_create",
-            FuncId::SendrecvReplace => "MPI_Sendrecv_replace",
+/// The receive or probe a call posts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Recv {
+    /// Position of the source `Rank`.
+    pub source: u8,
+    /// Position of the `Tag`.
+    pub tag: u8,
+    /// A probe looks at a message without receiving it.
+    pub probe: bool,
+}
+
+/// The request a call creates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Creates {
+    /// Position of the new `Request`.
+    pub at: u8,
+    /// `MPI_*_init`: the request survives its completions.
+    pub persistent: bool,
+}
+
+/// The object whose lifetime a call starts or ends, by argument position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Object {
+    NewComm(u8),
+    FreeComm(u8),
+    FreeDatatype(u8),
+    FreeGroup(u8),
+}
+
+/// What a traced function's arguments mean, by position in the record
+/// [`crate::Env`] builds for it. Declared once per function in the table
+/// below; everything that has to know which argument is a completed
+/// request, a wildcard source or a returned status reads it from here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Shape {
+    /// Position of the destination `Rank` of the message the call sends.
+    pub dst: Option<u8>,
+    pub recv: Option<Recv>,
+    pub creates: Option<Creates>,
+    pub completes: Option<Completion>,
+    /// Position of the `Int` that is 1 when the call's outcome (its status,
+    /// its completions) is real: `MPI_Test*`, `MPI_Iprobe`.
+    pub flag: Option<u8>,
+    /// Position of the `Status` or `StatusArr` the call returns.
+    pub status: Option<u8>,
+    pub object: Option<Object>,
+}
+
+/// The clauses a table row is written in.
+impl Shape {
+    const NONE: Shape = Shape {
+        dst: None,
+        recv: None,
+        creates: None,
+        completes: None,
+        flag: None,
+        status: None,
+        object: None,
+    };
+
+    const fn send(self, dst: u8) -> Shape {
+        Shape { dst: Some(dst), ..self }
+    }
+
+    const fn recv(self, source: u8, tag: u8) -> Shape {
+        Shape { recv: Some(Recv { source, tag, probe: false }), ..self }
+    }
+
+    const fn probe(self, source: u8, tag: u8) -> Shape {
+        Shape { recv: Some(Recv { source, tag, probe: true }), ..self }
+    }
+
+    const fn creates(self, at: u8) -> Shape {
+        Shape { creates: Some(Creates { at, persistent: false }), ..self }
+    }
+
+    const fn persistent(self, at: u8) -> Shape {
+        Shape { creates: Some(Creates { at, persistent: true }), ..self }
+    }
+
+    const fn completes(self, form: Form, requests: u8) -> Shape {
+        Shape { completes: Some(Completion { form, requests, index: None, frees: false }), ..self }
+    }
+
+    const fn index(self, at: u8) -> Shape {
+        match self.completes {
+            Some(c) => Shape { completes: Some(Completion { index: Some(at), ..c }), ..self },
+            None => panic!("an index belongs to a completion"),
         }
     }
 
+    const fn frees(self, request: u8) -> Shape {
+        let freed = Completion { form: Form::One, requests: request, index: None, frees: true };
+        Shape { completes: Some(freed), ..self }
+    }
+
+    const fn flag(self, at: u8) -> Shape {
+        Shape { flag: Some(at), ..self }
+    }
+
+    const fn status(self, at: u8) -> Shape {
+        Shape { status: Some(at), ..self }
+    }
+
+    const fn object(self, object: Object) -> Shape {
+        Shape { object: Some(object), ..self }
+    }
+}
+
+/// One row per traced function — variant, MPI C name, then the clauses of
+/// its [`Shape`] — generates [`FuncId`], [`FuncId::ALL`], [`FuncId::name`]
+/// and [`FuncId::shape`]. Ids are row numbers and are written into every
+/// call signature: new functions go at the end.
+macro_rules! traced_functions {
+    ($($variant:ident $name:literal $($clause:ident($($arg:expr),*))*;)*) => {
+        /// Functions the simulator implements and traces.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        #[repr(u16)]
+        pub enum FuncId {
+            $($variant),*
+        }
+
+        impl FuncId {
+            /// All implemented functions, in id order.
+            pub const ALL: &'static [FuncId] = &[$(FuncId::$variant),*];
+
+            /// The MPI C name of the function.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(FuncId::$variant => $name),*
+                }
+            }
+
+            /// What the function's arguments mean.
+            #[inline]
+            pub fn shape(self) -> &'static Shape {
+                const SHAPES: &[Shape] = &[$(Shape::NONE$(.$clause($($arg),*))*),*];
+                &SHAPES[self as usize]
+            }
+        }
+    };
+}
+
+use Form::{All, Any, One};
+use Object::{FreeComm, FreeDatatype, FreeGroup, NewComm};
+
+traced_functions! {
+    Init               "MPI_Init";
+    Finalize           "MPI_Finalize";
+    CommRank           "MPI_Comm_rank";
+    CommSize           "MPI_Comm_size";
+    CommDup            "MPI_Comm_dup"             object(NewComm(1));
+    CommSplit          "MPI_Comm_split"           object(NewComm(3));
+    CommCreate         "MPI_Comm_create"          object(NewComm(2));
+    CommIdup           "MPI_Comm_idup"            object(NewComm(1)) creates(2);
+    CommFree           "MPI_Comm_free"            object(FreeComm(0));
+    CommGroup          "MPI_Comm_group";
+    CommSetName        "MPI_Comm_set_name";
+    IntercommCreate    "MPI_Intercomm_create"     object(NewComm(5));
+    IntercommMerge     "MPI_Intercomm_merge"      object(NewComm(2));
+    GroupIncl          "MPI_Group_incl";
+    GroupFree          "MPI_Group_free"           object(FreeGroup(0));
+    Send               "MPI_Send"                 send(3);
+    Bsend              "MPI_Bsend"                send(3);
+    Ssend              "MPI_Ssend"                send(3);
+    Rsend              "MPI_Rsend"                send(3);
+    Recv               "MPI_Recv"                 recv(3, 4) status(6);
+    Isend              "MPI_Isend"                send(3) creates(6);
+    Ibsend             "MPI_Ibsend"               send(3) creates(6);
+    Issend             "MPI_Issend"               send(3) creates(6);
+    Irsend             "MPI_Irsend"               send(3) creates(6);
+    Irecv              "MPI_Irecv"                recv(3, 4) creates(6);
+    Sendrecv           "MPI_Sendrecv"             send(3) recv(8, 9) status(11);
+    Probe              "MPI_Probe"                probe(0, 1) status(3);
+    Iprobe             "MPI_Iprobe"               probe(0, 1) flag(3) status(4);
+    Wait               "MPI_Wait"                 completes(One, 0) status(1);
+    Waitall            "MPI_Waitall"              completes(All, 1) status(2);
+    Waitany            "MPI_Waitany"              completes(Any, 1) index(2) status(3);
+    Waitsome           "MPI_Waitsome"             completes(Form::Some, 1) index(3) status(4);
+    Test               "MPI_Test"                 completes(One, 0) flag(1) status(2);
+    Testall            "MPI_Testall"              completes(All, 1) flag(2) status(3);
+    Testany            "MPI_Testany"              completes(Any, 1) index(2) flag(3) status(4);
+    Testsome           "MPI_Testsome"             completes(Form::Some, 1) index(3) status(4);
+    RequestFree        "MPI_Request_free"         frees(0);
+    Barrier            "MPI_Barrier";
+    Bcast              "MPI_Bcast";
+    Reduce             "MPI_Reduce";
+    Allreduce          "MPI_Allreduce";
+    Gather             "MPI_Gather";
+    Gatherv            "MPI_Gatherv";
+    Scatter            "MPI_Scatter";
+    Scatterv           "MPI_Scatterv";
+    Allgather          "MPI_Allgather";
+    Allgatherv         "MPI_Allgatherv";
+    Alltoall           "MPI_Alltoall";
+    Alltoallv          "MPI_Alltoallv";
+    ReduceScatterBlock "MPI_Reduce_scatter_block";
+    Scan               "MPI_Scan";
+    Exscan             "MPI_Exscan";
+    Ibarrier           "MPI_Ibarrier"             creates(1);
+    Iallreduce         "MPI_Iallreduce"           creates(6);
+    TypeContiguous     "MPI_Type_contiguous";
+    TypeVector         "MPI_Type_vector";
+    TypeIndexed        "MPI_Type_indexed";
+    TypeCreateStruct   "MPI_Type_create_struct";
+    TypeCommit         "MPI_Type_commit";
+    TypeFree           "MPI_Type_free"            object(FreeDatatype(0));
+    SendInit           "MPI_Send_init"            persistent(6);
+    BsendInit          "MPI_Bsend_init"           persistent(6);
+    SsendInit          "MPI_Ssend_init"           persistent(6);
+    RsendInit          "MPI_Rsend_init"           persistent(6);
+    RecvInit           "MPI_Recv_init"            persistent(6);
+    Start              "MPI_Start";
+    Startall           "MPI_Startall";
+    CartCreate         "MPI_Cart_create"          object(NewComm(5));
+    CartRank           "MPI_Cart_rank";
+    CartCoords         "MPI_Cart_coords";
+    CartShift          "MPI_Cart_shift";
+    DimsCreate         "MPI_Dims_create";
+    SendrecvReplace    "MPI_Sendrecv_replace"     send(3) recv(5, 6) status(8);
+}
+
+impl FuncId {
     /// Numeric id (stable, dense) used in call signatures.
     #[inline]
     pub fn id(self) -> u16 {
@@ -256,11 +280,199 @@ impl FuncId {
     pub fn from_id(id: u16) -> Option<FuncId> {
         FuncId::ALL.get(id as usize).copied().filter(|f| f.id() == id)
     }
+}
 
-    /// Is this one of the `MPI_Test*` calls that ScalaTrace and Cypress do
-    /// not record (the paper's motivating example)?
-    pub fn is_test_family(self) -> bool {
-        matches!(self, FuncId::Test | FuncId::Testall | FuncId::Testany | FuncId::Testsome)
+/// One argument of a record, as the walk over a [`Shape`] reads it: the raw
+/// [`Arg`] a tracer is handed, or the decoded form a trace stores. Every
+/// getter answers `None` (or `false`) for an argument of another kind, so a
+/// record that does not have its function's shape reads as one that
+/// completed and matched nothing.
+pub trait ArgView {
+    /// A returned status.
+    type Status: Copy;
+
+    fn int(&self) -> Option<i64>;
+
+    fn ints(&self) -> Option<&[i64]>;
+
+    /// How many requests the argument holds: 1 for a `Request`.
+    fn requests(&self) -> Option<usize>;
+
+    /// Request `k` of the argument, unless it is `MPI_REQUEST_NULL`.
+    fn request_at(&self, k: usize) -> Option<u64>;
+
+    /// Status `k` of the argument; a lone `Status` is status 0.
+    fn status_at(&self, k: usize) -> Option<Self::Status>;
+
+    fn is_any_source(&self) -> bool;
+
+    fn is_proc_null(&self) -> bool;
+
+    fn is_any_tag(&self) -> bool;
+
+    /// The `(source - base, tag)` a status names once its source is a
+    /// rank; `None` while it is still a wildcard or `MPI_PROC_NULL`.
+    fn relative_to(status: Self::Status, base: i64) -> Option<(i32, i32)>;
+}
+
+impl ArgView for Arg {
+    type Status = (i32, i32);
+
+    fn int(&self) -> Option<i64> {
+        match self {
+            Arg::Int(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    fn ints(&self) -> Option<&[i64]> {
+        match self {
+            Arg::IntArr(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    fn requests(&self) -> Option<usize> {
+        match self {
+            Arg::Request(_) => Some(1),
+            Arg::RequestArr(v) => Some(v.len()),
+            _ => None,
+        }
+    }
+
+    fn request_at(&self, k: usize) -> Option<u64> {
+        let raw = match self {
+            Arg::Request(r) if k == 0 => *r,
+            Arg::RequestArr(v) => *v.get(k)?,
+            _ => return None,
+        };
+        (raw != REQUEST_NULL.0).then_some(raw)
+    }
+
+    fn status_at(&self, k: usize) -> Option<(i32, i32)> {
+        match self {
+            Arg::Status { source, tag } if k == 0 => Some((*source, *tag)),
+            Arg::StatusArr(v) => v.get(k).copied(),
+            _ => None,
+        }
+    }
+
+    fn is_any_source(&self) -> bool {
+        matches!(self, Arg::Rank(ANY_SOURCE))
+    }
+
+    fn is_proc_null(&self) -> bool {
+        matches!(self, Arg::Rank(PROC_NULL))
+    }
+
+    fn is_any_tag(&self) -> bool {
+        matches!(self, Arg::Tag(ANY_TAG))
+    }
+
+    fn relative_to((source, tag): (i32, i32), base: i64) -> Option<(i32, i32)> {
+        (source >= 0).then(|| ((source as i64 - base) as i32, tag))
+    }
+}
+
+/// One request a completion record reports complete.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Done<S> {
+    /// Which of the record's returned statuses is this request's.
+    pub slot: usize,
+    pub request: u64,
+    pub status: Option<S>,
+}
+
+/// A completion record read through its shape: which of its requests each
+/// of its returned statuses belongs to.
+pub struct Completions<'a, A> {
+    form: Form,
+    requests: &'a A,
+    index: Option<&'a A>,
+    status: Option<&'a A>,
+    /// Statuses `0..slots` may belong to a completed request.
+    slots: usize,
+}
+
+impl<A: ArgView> Completions<'_, A> {
+    /// The request whose completion the record's status `slot` reports.
+    /// This is the one place that says which request a `Wait*` / `Test*`
+    /// record completed.
+    pub fn slot(&self, slot: usize) -> Option<Done<A::Status>> {
+        let entry = match self.form {
+            Form::One | Form::All => slot,
+            Form::Any if slot == 0 => usize::try_from(self.index?.int()?).ok()?,
+            Form::Any => return None,
+            Form::Some => usize::try_from(*self.index?.ints()?.get(slot)?).ok()?,
+        };
+        let request = self.requests.request_at(entry)?;
+        Some(Done { slot, request, status: self.status.and_then(|a| a.status_at(slot)) })
+    }
+}
+
+/// The walk: what a record with this shape completed and matched. Every
+/// position is looked up with `get`, so the walk is safe on records decoded
+/// from a container nobody vouches for.
+impl Shape {
+    /// Point-to-point calls carry the ranks that are encoded relative to
+    /// the caller; a collective's root is the same number on every rank.
+    pub fn is_p2p(&self) -> bool {
+        self.dst.is_some() || self.recv.is_some() || self.completes.is_some()
+    }
+
+    fn arg<A>(args: &[A], at: Option<u8>) -> Option<&A> {
+        args.get(at? as usize)
+    }
+
+    /// Whether the call's outcome is real: no flag argument, or a flag of 1.
+    pub fn flagged<A: ArgView>(&self, args: &[A]) -> bool {
+        self.flag.is_none() || Self::arg(args, self.flag).and_then(A::int) == Some(1)
+    }
+
+    /// The record's completions with their positions resolved; `None` when
+    /// it reports none (not a completion call, a flag of 0, an argument of
+    /// the wrong kind).
+    pub fn completions<'a, A: ArgView>(&self, args: &'a [A]) -> Option<Completions<'a, A>> {
+        let c = self.completes.filter(|_| self.flagged(args))?;
+        let requests = args.get(c.requests as usize)?;
+        let index = Self::arg(args, c.index);
+        let slots = match c.form {
+            Form::One | Form::All => requests.requests()?,
+            Form::Any => 1,
+            Form::Some => index?.ints()?.len(),
+        };
+        let status = Self::arg(args, self.status);
+        Some(Completions { form: c.form, requests, index, status, slots })
+    }
+
+    /// Every request the record completed, by ascending status slot.
+    pub fn completed<'a, A: ArgView>(
+        &self,
+        args: &'a [A],
+    ) -> impl Iterator<Item = Done<A::Status>> + 'a {
+        let completions = self.completions(args);
+        let slots = completions.as_ref().map_or(0, |c| c.slots);
+        (0..slots).filter_map(move |slot| completions.as_ref()?.slot(slot))
+    }
+
+    /// The request the record created.
+    pub fn created<A: ArgView>(&self, args: &[A]) -> Option<u64> {
+        args.get(self.creates?.at as usize)?.request_at(0)
+    }
+
+    /// Whether the record posts a receive or probe that names no one
+    /// message: `MPI_ANY_SOURCE` or `MPI_ANY_TAG`, and not `MPI_PROC_NULL`.
+    pub fn is_wildcard<A: ArgView>(&self, args: &[A]) -> bool {
+        let Some(recv) = self.recv else { return false };
+        let source = args.get(recv.source as usize);
+        let any_tag = args.get(recv.tag as usize).is_some_and(A::is_any_tag);
+        !source.is_some_and(A::is_proc_null) && (source.is_some_and(A::is_any_source) || any_tag)
+    }
+
+    /// The one status the call itself returned, when its flag says it is
+    /// real: what a receive or probe matched.
+    pub fn outcome<A: ArgView>(&self, args: &[A]) -> Option<A::Status> {
+        Self::arg(args, self.status).filter(|_| self.flagged(args))?.status_at(0)
     }
 }
 
@@ -1090,11 +1302,5 @@ mod tests {
             assert!(seen.insert(f.id()));
         }
         assert_eq!(seen.len(), FuncId::ALL.len());
-    }
-
-    #[test]
-    fn test_family_flag() {
-        assert!(FuncId::Testsome.is_test_family());
-        assert!(!FuncId::Waitsome.is_test_family());
     }
 }

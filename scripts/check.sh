@@ -320,6 +320,26 @@ for file in $(find crates/core/src crates/sequitur/src -name '*.rs' \
   check_panics "$file" "$(panic_budget "$file")"
 done
 
+echo "== call shapes: what a function's arguments mean is written once =="
+# Which argument of a Wait*/Test* record is the completed request, the
+# index, the flag or the status is declared in one table
+# (crates/mpi-sim/src/funcs.rs, DESIGN.md §15) and read through one walk.
+# A match on those functions anywhere else in the core is a second copy
+# of the table; replay.rs re-issues calls, which is per-function by nature.
+if grep -rnE 'FuncId::(Wait|Test)(all|any|some)?\b' crates/core/src --include='*.rs' |
+  grep -v '^crates/core/src/replay\.rs:'; then
+  echo "FAIL: a completion call is matched by name outside replay.rs." >&2
+  echo "An argument position belongs in its row of crates/mpi-sim/src/funcs.rs;" >&2
+  echo "read it through FuncId::shape() and the Shape walk." >&2
+  exit 1
+fi
+if grep -rnwE 'completed_requests|status_ranks|creates_request|creates_persistent|status_bases|track_requests' \
+  crates tests examples --include='*.rs'; then
+  echo "FAIL: a per-consumer copy of the call-shape walk is back." >&2
+  echo "An argument position belongs in its row of crates/mpi-sim/src/funcs.rs." >&2
+  exit 1
+fi
+
 echo "== size ledger: every trace size of §4.1 and Figs 5, 6, 9, 10, at 0 % =="
 # Sizes are exact functions of (workload, variant, ranks, iterations), so
 # the whole matrix is re-measured (~35 s) and must equal the committed

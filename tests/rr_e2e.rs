@@ -61,6 +61,38 @@ fn recorded_log_matches_derived_log() {
     assert_eq!(recorded, &derived);
 }
 
+/// The same agreement where comm rank is not world rank: persistent
+/// requests on a split half, started, polled once with `MPI_Test` and
+/// waited for. Recorder and deriver read the `Flag` off the same argument
+/// of the same shape, each from its own data.
+#[test]
+fn recorded_log_matches_derived_log_on_a_subcommunicator() {
+    let trace = record(4, PilgrimConfig::new(), |env| {
+        let me = env.world_rank();
+        let world = env.comm_world();
+        let dt = env.basic(mpi_sim::datatype::BasicType::LongLong);
+        let buf = env.malloc(8);
+        let half = env.comm_split(world, (me / 2) as i32, me as i32).unwrap();
+        let mut req = if me % 2 == 0 {
+            env.send_init(buf, 1, dt, 1, 3, half)
+        } else {
+            env.recv_init(buf, 1, dt, 0, 3, half)
+        };
+        for _ in 0..5 {
+            env.start(req);
+            env.test(&mut req);
+            env.wait(&mut req);
+        }
+        env.request_free(&mut req);
+    })
+    .expect("rank 0 trace");
+    let recorded = trace.nondet.as_ref().expect("nondet log");
+    let flags = recorded.ranks.iter().flat_map(|events| events.values());
+    assert_eq!(flags.filter(|ev| matches!(ev, NondetEvent::Flag { .. })).count(), 4 * 5);
+    let derived = pilgrim::NondetLog::derive(&trace).expect("derive");
+    assert_eq!(recorded, &derived);
+}
+
 /// Strict replay of a faithful recording is deterministic, and replaying
 /// the same recording twice yields byte-identical retrace containers.
 #[test]
