@@ -3,11 +3,14 @@
 //! This module provides the common runners (trace a workload under
 //! Pilgrim / ScalaTrace / raw / untraced) and flag parsing; [`sizes`] is
 //! the one fixed matrix behind every trace-size table of the paper
-//! (§4.1, Figs 5, 6, 9, 10), committed as `results/SIZES.tsv`. The
-//! paper's largest runs used 4K–16K cluster processors; rank counts here
-//! are laptop-friendly, and the wall-clock binaries (`fig7_overhead`,
-//! `fig8_decomposition`, `ablations`) take `--max-procs N` / `--iters N`.
+//! (§4.1, Figs 5, 6, 9, 10), committed as `results/SIZES.tsv`, and
+//! [`chaos`] the one set of seeded fault-injection sweeps, committed as
+//! `results/CHAOS.md`. The paper's largest runs used 4K–16K cluster
+//! processors; rank counts here are laptop-friendly, and the wall-clock
+//! binaries (`fig7_overhead`, `fig8_decomposition`, `ablations`) take
+//! `--max-procs N` / `--iters N`.
 
+pub mod chaos;
 pub mod sizes;
 
 use std::time::{Duration, Instant};
