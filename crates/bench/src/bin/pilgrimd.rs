@@ -48,9 +48,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pilgrim::{
-    serve, AuthKey, GlobalTrace, IngestConfig, IngestSession, JobDesc, JsonObject, MetricsReport,
-    NetClient, NetClientConfig, NetFaultPlan, NetServerConfig, PilgrimConfig, PilgrimTracer,
-    RetryPolicy, SegmentSink,
+    serve, write_container, AuthKey, GlobalTrace, IngestConfig, IngestSession, JobDesc, JsonObject,
+    MetricsReport, NetClient, NetClientConfig, NetFaultPlan, NetServerConfig, PilgrimConfig,
+    PilgrimTracer, RetryPolicy, SegmentSink,
 };
 use pilgrim_bench::{fflag, flag, sflag, WORKLOADS};
 
@@ -458,8 +458,8 @@ fn run_local(args: &[String]) -> ! {
         let spill_ok = match (&out.spill_path, trace) {
             (Some(path), Some(t)) => std::fs::read(path)
                 .ok()
-                .and_then(|b| GlobalTrace::decode_auto(&b).ok())
-                .is_some_and(|back| back.serialize() == t.serialize()),
+                .and_then(|b| GlobalTrace::decode_container(&b).ok())
+                .is_some_and(|back| write_container(&back) == write_container(t)),
             (Some(_), None) => false,
             (None, _) => true,
         };

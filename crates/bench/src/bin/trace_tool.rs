@@ -63,9 +63,9 @@
 //!   partial/lost jobs, `record`/`replay`/`minimize` on a trace whose
 //!   ranks are truncated, lost, or salvaged
 //!
-//! Readers accept both trace formats — the legacy flat stream and the
-//! checksummed `PGC1` container — by sniffing the magic; `record` writes
-//! the container.
+//! Every trace file is a checksummed `PGC1` container: `record` writes
+//! one, and every reader decodes it strictly, refusing a damaged file with
+//! the byte offset of the first problem (`recover` salvages what it can).
 
 use std::fs;
 use std::io::{BufWriter, Write};
@@ -121,7 +121,7 @@ fn load(path: &str) -> GlobalTrace {
         eprintln!("cannot read {path}: {e}");
         exit(1)
     });
-    GlobalTrace::decode_auto(&bytes).unwrap_or_else(|e| {
+    GlobalTrace::decode_container(&bytes).unwrap_or_else(|e| {
         eprintln!("{path} is not a valid pilgrim trace: {e}");
         exit(1)
     })
@@ -328,7 +328,7 @@ fn main() {
                 Ok(b) => b,
                 Err(e) => input_failure("validate", format!("cannot read {path}: {e}")),
             };
-            let trace = match GlobalTrace::decode_auto(&bytes) {
+            let trace = match GlobalTrace::decode_container(&bytes) {
                 Ok(t) => t,
                 Err(e) => input_failure("validate", format!("decode failed: {e}")),
             };

@@ -417,7 +417,7 @@ fn world_row(seed: u64, nranks: usize, iters: usize, kills: usize, ckpt: bool) -
         traced.to_string(),
         kept.to_string(),
         format!("{pct:.1}%"),
-        trace.serialize().len().to_string(),
+        trace.size_report().full_total().to_string(),
     ]
 }
 
@@ -452,7 +452,7 @@ fn governor(s: &mut Section) {
             let transitions = events.len();
             let peak = tracers.iter().map(|t| t.governor().peak_bytes()).max().unwrap_or(0);
             let trace = tracers[0].take_output().trace.expect("rank 0 holds the merged trace");
-            let bytes = trace.serialize().len();
+            let bytes = trace.size_report().full_total();
             vec![
                 budget.map_or("none".into(), |b| format!("{} KiB", b >> 10)),
                 // An unbudgeted governor does no accounting, so it has no peak.

@@ -179,9 +179,10 @@ pub fn matrix() -> Vec<Row> {
     rows
 }
 
-/// Runs one row and returns its exact integers: calls, the flat trace
-/// (`size_bytes()`, what the paper's figures plot) and its `PGC1`
-/// container, the comparator where the figure has one (ScalaTrace for
+/// Runs one row and returns its exact integers: calls, the paper's trace
+/// size (`size_bytes()`, what its figures plot; the column keeps its
+/// historical name `flat_bytes`) and the `PGC1` container's length, the
+/// comparator where the figure has one (ScalaTrace for
 /// Figs 5 and 6, the raw trace for OSU), the table and grammar shapes, and
 /// `size_report()`'s per-component split.
 pub fn measure(row: &Row) -> Cells {

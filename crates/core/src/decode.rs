@@ -25,8 +25,8 @@ use pilgrim_sequitur::{decode_varint, DecodeError, FlatGrammar};
 use crate::cst::Cst;
 use crate::encode::{decode_signature, EncodedArg, EncodedCall, EncoderConfig};
 use crate::export::{
-    is_container, section_name, CONTAINER_MAGIC, CONTAINER_VERSION, SEC_CST, SEC_DURATION,
-    SEC_GRAMMAR, SEC_INTERVAL, SEC_META, SEC_NONDET, SEC_RANK,
+    section_name, CONTAINER_MAGIC, CONTAINER_VERSION, SEC_CST, SEC_DURATION, SEC_GRAMMAR,
+    SEC_INTERVAL, SEC_META, SEC_NONDET, SEC_RANK,
 };
 use crate::frame::crc32;
 use crate::governor::DegradationEvent;
@@ -437,7 +437,7 @@ fn decode_container_inner(
     if buf.len() < CONTAINER_MAGIC.len() + 1 {
         return Err(DecodeError::Truncated { what: "container header", offset: 0 });
     }
-    if !is_container(buf) {
+    if buf[..CONTAINER_MAGIC.len()] != CONTAINER_MAGIC {
         return Err(DecodeError::Corrupt { what: "container magic", offset: 0 });
     }
     if buf[CONTAINER_MAGIC.len()] != CONTAINER_VERSION {
@@ -624,8 +624,8 @@ fn decode_container_inner(
         }
     }
     report.skipped_ranks.sort_unstable();
-    // Aggregate-timing traces have no timing grammars and serialize no
-    // maps; mirror the flat format so roundtrips compare equal.
+    // Aggregate-timing traces have no timing grammars, so they carry no
+    // rank maps: every RANK section's 0 entries decode to empty maps.
     if nd == 0 && ni == 0 {
         duration_rank_map.clear();
         interval_rank_map.clear();
@@ -670,14 +670,10 @@ impl GlobalTrace {
         decode_container_inner(buf, true)
     }
 
-    /// Decodes either trace format, sniffing the container magic:
-    /// containers go through [`GlobalTrace::decode_container`], anything
-    /// else through the legacy flat [`GlobalTrace::decode`].
+    /// The same as [`GlobalTrace::decode_container`], kept for the frozen
+    /// `benchmarks/pipeline` harness that calls it by this name. `PGC1` is
+    /// the only trace format; new code calls `decode_container`.
     pub fn decode_auto(buf: &[u8]) -> Result<GlobalTrace, DecodeError> {
-        if is_container(buf) {
-            GlobalTrace::decode_container(buf)
-        } else {
-            GlobalTrace::decode(buf)
-        }
+        GlobalTrace::decode_container(buf)
     }
 }

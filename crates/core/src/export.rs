@@ -185,12 +185,6 @@ pub(crate) fn section_name(kind: u8) -> &'static str {
     }
 }
 
-/// True when `buf` starts with the container magic (regardless of
-/// version). Lets tools sniff container vs. legacy flat traces.
-pub fn is_container(buf: &[u8]) -> bool {
-    buf.len() >= CONTAINER_MAGIC.len() && buf[..CONTAINER_MAGIC.len()] == CONTAINER_MAGIC
-}
-
 fn push_section(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     out.push(kind);
     write_varint(out, payload.len() as u64);
@@ -207,12 +201,12 @@ fn map_entry(map: &[u32], rank: usize) -> u64 {
     }
 }
 
-/// Serializes a trace into the `PGC1` container: magic + version, then a
-/// sequence of `(kind, length, payload, CRC32)` sections. Content is
-/// identical to [`GlobalTrace::serialize`] but regrouped so each
-/// independently recoverable piece — the merged CST, the call grammar,
-/// each timing grammar, and each rank's metadata — is checksummed on its
-/// own. Decode with [`GlobalTrace::decode_container`] (strict) or
+/// Serializes a trace into the `PGC1` container, the one on-disk trace
+/// form: magic + version, then a sequence of `(kind, length, payload,
+/// CRC32)` sections, grouped so each independently recoverable piece — the
+/// merged CST, the call grammar, each timing grammar, and each rank's
+/// metadata — is checksummed on its own. Decode with
+/// [`GlobalTrace::decode_container`] (strict) or
 /// [`GlobalTrace::decode_salvage`] (best effort).
 pub fn write_container(trace: &GlobalTrace) -> Vec<u8> {
     let mut out = Vec::new();
@@ -378,7 +372,7 @@ mod tests {
             cst.intern(if term == 0 { &[0xff; 3] } else { sig }, stats);
         }
         trace.cst = cst;
-        let trace = GlobalTrace::decode_auto(&write_container(&trace)).expect("decodes");
+        let trace = GlobalTrace::decode_container(&write_container(&trace)).expect("decodes");
         assert!(trace.validate().is_empty(), "{:?}", trace.validate());
         let bad = DecodeError::BadSignature { term: 0 };
         assert_eq!(crate::decode::decode_rank_calls(&trace, 0), Err(bad));
@@ -392,12 +386,15 @@ mod tests {
     fn container_starts_with_magic_and_sniffs() {
         let trace = sample_trace();
         let bytes = write_container(&trace);
-        assert!(is_container(&bytes));
         assert_eq!(&bytes[..4], b"PGC1");
         assert_eq!(bytes[4], CONTAINER_VERSION);
-        // The legacy flat serialization is not mistaken for a container.
-        assert!(!is_container(&trace.serialize()));
-        assert!(!is_container(b"PG"));
+        // Bytes without the magic are refused before anything is parsed.
+        let magic = DecodeError::Corrupt { what: "container magic", offset: 0 };
+        assert_eq!(GlobalTrace::decode_container(&bytes[1..]).unwrap_err(), magic);
+        assert!(matches!(
+            GlobalTrace::decode_container(b"PG"),
+            Err(DecodeError::Truncated { offset: 0, .. })
+        ));
     }
 
     #[test]

@@ -50,10 +50,12 @@ impl IdPool {
     }
 }
 
-/// Per-signature id pools for `MPI_Request` symbolic ids.
+/// Per-signature id pools for `MPI_Request` symbolic ids. Pools are named
+/// by index, so a live request remembers a `u32` instead of its signature.
 #[derive(Debug, Default)]
 pub struct SigPools {
-    pools: HashMap<Vec<u8>, IdPool>,
+    index: HashMap<Vec<u8>, u32>,
+    pools: Vec<IdPool>,
 }
 
 impl SigPools {
@@ -62,14 +64,24 @@ impl SigPools {
     }
 
     /// Acquires an id from the pool of the given signature (the call
-    /// signature *excluding* the request argument).
-    pub fn acquire(&mut self, sig: &[u8]) -> u64 {
-        self.pools.entry(sig.to_vec()).or_default().acquire()
+    /// signature *excluding* the request argument) and returns it with the
+    /// pool's index. The signature is copied only the first time it is seen.
+    pub fn acquire(&mut self, sig: &[u8]) -> (u32, u64) {
+        let pool = match self.index.get(sig) {
+            Some(&pool) => pool,
+            None => {
+                let pool = self.pools.len() as u32;
+                self.index.insert(sig.to_vec(), pool);
+                self.pools.push(IdPool::new());
+                pool
+            }
+        };
+        (pool, self.pools[pool as usize].acquire())
     }
 
-    /// Releases an id back to its signature's pool.
-    pub fn release(&mut self, sig: &[u8], id: u64) {
-        self.pools.get_mut(sig).expect("release for unknown signature pool").release(id);
+    /// Releases an id back to the pool [`SigPools::acquire`] took it from.
+    pub fn release(&mut self, pool: u32, id: u64) {
+        self.pools[pool as usize].release(id);
     }
 
     /// Number of distinct signature pools.
@@ -112,11 +124,11 @@ mod tests {
         let mut sp = SigPools::new();
         let a = b"sig-a".to_vec();
         let b = b"sig-b".to_vec();
-        assert_eq!(sp.acquire(&a), 0);
-        assert_eq!(sp.acquire(&b), 0, "different signatures use separate pools");
-        assert_eq!(sp.acquire(&a), 1);
-        sp.release(&a, 0);
-        assert_eq!(sp.acquire(&a), 0);
+        assert_eq!(sp.acquire(&a), (0, 0));
+        assert_eq!(sp.acquire(&b), (1, 0), "different signatures use separate pools");
+        assert_eq!(sp.acquire(&a), (0, 1));
+        sp.release(0, 0);
+        assert_eq!(sp.acquire(&a), (0, 0));
         assert_eq!(sp.num_pools(), 2);
     }
 
@@ -126,17 +138,17 @@ mod tests {
         // completed in random order; ids must repeat across iterations.
         let mut sp = SigPools::new();
         let sigs: Vec<Vec<u8>> = (0..3).map(|i| vec![i as u8]).collect();
-        let mut first_iter: Option<Vec<u64>> = None;
+        let mut first_iter: Option<Vec<(u32, u64)>> = None;
         let completion_orders = [[0usize, 1, 2], [2, 1, 0], [1, 2, 0], [0, 2, 1]];
         for order in completion_orders {
-            let ids: Vec<u64> = sigs.iter().map(|s| sp.acquire(s)).collect();
+            let ids: Vec<(u32, u64)> = sigs.iter().map(|s| sp.acquire(s)).collect();
             if let Some(f) = &first_iter {
                 assert_eq!(&ids, f, "ids must be stable across iterations");
             } else {
                 first_iter = Some(ids.clone());
             }
             for &i in &order {
-                sp.release(&sigs[i], ids[i]);
+                sp.release(ids[i].0, ids[i].1);
             }
         }
     }

@@ -40,8 +40,8 @@
 //!
 //! All of it is driven deterministically by a seeded
 //! [`IngestFaultPlan`](crate::ingest_fault::IngestFaultPlan) threaded
-//! through [`IngestConfig::faults`] — the `chaos_ingest` bench sweeps
-//! fault rates and asserts recovery.
+//! through [`IngestConfig::faults`] — the `chaos` binary's `ingest`
+//! layer sweeps fault rates and asserts recovery.
 
 use std::collections::HashMap;
 use std::fs;
@@ -1071,8 +1071,8 @@ mod tests {
         let out = session.finish_job(&h);
         let path = out.spill_path.clone().expect("spill path set");
         let bytes = fs::read(&path).unwrap();
-        let back = GlobalTrace::decode_auto(&bytes).unwrap();
-        assert_eq!(back.serialize(), out.trace.unwrap().serialize());
+        GlobalTrace::decode_container(&bytes).unwrap();
+        assert_eq!(bytes, write_container(&out.trace.unwrap()));
         assert!(!path.with_extension("pilgrim.tmp").exists(), "tmp file must be renamed away");
         drop(session);
         let _ = fs::remove_dir_all(&dir);

@@ -105,7 +105,7 @@
 //! ## Errors
 //!
 //! Every fallible decoder returns `Result<_, `[`DecodeError`]`>` —
-//! [`GlobalTrace::decode`], [`Cst::decode`](cst::Cst::decode), and
+//! [`GlobalTrace::decode_container`], [`Cst::decode`](cst::Cst::decode), and
 //! `FlatGrammar::decode` in `pilgrim_sequitur` — reporting *why* and at
 //! which byte offset a malformed buffer was rejected (truncation, bad
 //! rule references, cyclic rule graphs, trailing bytes, impossible
@@ -167,8 +167,8 @@ pub use decode::{
 pub use encode::{decode_signature, EncodedArg, EncodedCall, EncoderConfig, RankCode};
 pub use error::DecodeError;
 pub use export::{
-    format_arg, is_container, to_signature_listing, to_text, write_container, write_text,
-    CONTAINER_MAGIC, CONTAINER_VERSION,
+    format_arg, to_signature_listing, to_text, write_container, write_text, CONTAINER_MAGIC,
+    CONTAINER_VERSION,
 };
 pub use governor::{Component, ComponentBytes, DegradationEvent, DegradationStage, Governor};
 pub use ingest::{

@@ -509,7 +509,7 @@ mod tests {
                 m.complete_rank(completion(r, 3, 1)).unwrap();
             }
             assert!(m.is_complete());
-            m.finalize().serialize()
+            crate::export::write_container(&m.finalize())
         };
         assert_eq!(run(0), run(1));
     }

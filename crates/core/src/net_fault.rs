@@ -8,8 +8,8 @@
 //! splitmix64-style on `(job, rank, seq)` for per-frame faults and on
 //! `(client, attempt)` for connection faults. Two runs with the same
 //! plan inject exactly the same faults no matter how the client and
-//! server threads interleave, which is what the `chaos_net` sweep's
-//! bit-identical gate relies on.
+//! server threads interleave, which is what the `chaos` binary's `net`
+//! layer relies on to match `results/CHAOS.md` byte for byte.
 //!
 //! Frame faults fire on a frame's *first* transmission only (the client
 //! keys them off its retransmit counter): a cut or corrupted frame
@@ -135,9 +135,9 @@ impl NetFaultPlan {
 }
 
 /// The behaviors in the hostile-peer corpus. Each adversary connection
-/// in the `chaos_adversary` sweep plays exactly one of these against a
-/// live collector; none of them may panic it, hang it, or grow its
-/// memory without bound.
+/// in the `chaos` binary's `adversary` layer plays exactly one of these
+/// against a live collector; none of them may panic it, hang it, or grow
+/// its memory without bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdversaryKind {
     /// Random bytes where the `PNT1` magic + hello should be.

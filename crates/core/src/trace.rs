@@ -1,9 +1,10 @@
-//! The merged trace format: a globally merged CST, one grammar generating
-//! the concatenation of all ranks' terminal sequences, and (optionally)
-//! deduplicated timing grammars. This is what Pilgrim writes to disk; its
-//! serialized size is the "trace file size" of every experiment.
+//! The merged trace: a globally merged CST, one grammar generating the
+//! concatenation of all ranks' terminal sequences, and (optionally)
+//! deduplicated timing grammars. [`crate::export::write_container`] writes
+//! it to disk as a `PGC1` container; [`GlobalTrace::size_report`] is the
+//! "trace file size" of every experiment.
 
-use pilgrim_sequitur::{decode_varint, varint_len, write_varint, Cursor, DecodeError, FlatGrammar};
+use pilgrim_sequitur::{varint_len, Cursor, FlatGrammar};
 
 use crate::cst::Cst;
 use crate::encode::EncoderConfig;
@@ -28,11 +29,11 @@ pub enum RankStatus {
     Salvaged { calls: u64 },
 }
 
-/// Per-rank merge completeness, serialized into the trace format. An
-/// empty rank list means every rank merged fully (the common case costs
-/// one byte on disk); degradation events appear only when a governed run
-/// actually degraded, so ungoverned traces are byte-identical to the
-/// pre-governor format.
+/// Per-rank merge completeness, written into each rank's container
+/// section. An empty rank list means every rank merged fully (the common
+/// case costs one byte of the trace size); degradation events appear only
+/// when a governed run actually degraded, so ungoverned traces are
+/// byte-identical to the pre-governor format.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceCompleteness {
     /// One status per rank, or empty when all ranks merged.
@@ -48,11 +49,11 @@ impl TraceCompleteness {
         TraceCompleteness::default()
     }
 
-    /// The canonical manifest for a full per-rank status list: what
-    /// serialization preserves. An all-`Merged` list collapses to the empty
-    /// list even when degradation events are present, so every producer
-    /// (batch merge, streaming merge, both decoders) compares equal across a
-    /// serialize/decode roundtrip.
+    /// The canonical manifest for a full per-rank status list: what a
+    /// container roundtrip preserves. An all-`Merged` list collapses to the
+    /// empty list even when degradation events are present, so every
+    /// producer (batch merge, streaming merge, the container decoder)
+    /// compares equal across a write/decode roundtrip.
     pub fn canonical(mut ranks: Vec<RankStatus>, events: Vec<(u32, DegradationEvent)>) -> Self {
         if ranks.iter().all(|s| matches!(s, RankStatus::Merged)) {
             ranks.clear();
@@ -122,41 +123,10 @@ impl TraceCompleteness {
         self.events_for(rank).any(|e| e.stage.is_memory_rung() && e.stage >= stage)
     }
 
-    fn serialize(&self, nranks: usize, out: &mut Vec<u8>) {
-        // Flag bits: 1 = per-rank status list present, 2 = degradation
-        // events present. Plain complete manifests still cost one 0 byte,
-        // keeping ungoverned traces byte-identical to the old format.
-        let statuses = !self.is_complete();
-        let flag = u8::from(statuses) | (u8::from(!self.events.is_empty()) << 1);
-        out.push(flag);
-        if statuses {
-            for r in 0..nranks {
-                match self.status(r) {
-                    RankStatus::Merged => write_varint(out, 0),
-                    RankStatus::Lost { round } => {
-                        write_varint(out, 1);
-                        write_varint(out, round as u64);
-                    }
-                    RankStatus::Checkpoint { calls } => {
-                        write_varint(out, 2);
-                        write_varint(out, calls);
-                    }
-                    RankStatus::Salvaged { calls } => {
-                        write_varint(out, 3);
-                        write_varint(out, calls);
-                    }
-                }
-            }
-        }
-        if !self.events.is_empty() {
-            write_varint(out, self.events.len() as u64);
-            for (rank, event) in &self.events {
-                write_varint(out, *rank as u64);
-                event.serialize(out);
-            }
-        }
-    }
-
+    /// The manifest's share of the trace size: a flag byte, then — only
+    /// when some rank did not merge fully — a status varint per rank (plus
+    /// its round or call count), then — only when the governor acted — an
+    /// event count and each event with its rank varint.
     fn byte_size(&self, nranks: usize) -> usize {
         let mut total = 1;
         if !self.is_complete() {
@@ -180,55 +150,13 @@ impl TraceCompleteness {
         }
         total
     }
-
-    fn decode(buf: &[u8], pos: &mut usize, nranks: usize) -> Result<Self, DecodeError> {
-        let flag_off = *pos;
-        let flag = *buf
-            .get(*pos)
-            .ok_or(DecodeError::Truncated { what: "completeness flag", offset: flag_off })?;
-        *pos += 1;
-        if flag > 3 {
-            return Err(DecodeError::Corrupt { what: "completeness flag", offset: flag_off });
-        }
-        let mut ranks = Vec::new();
-        if flag & 1 != 0 {
-            ranks.reserve(nranks);
-            for _ in 0..nranks {
-                let off = *pos;
-                ranks.push(match decode_varint(buf, pos)? {
-                    0 => RankStatus::Merged,
-                    1 => RankStatus::Lost { round: decode_varint(buf, pos)? as u32 },
-                    2 => RankStatus::Checkpoint { calls: decode_varint(buf, pos)? },
-                    3 => RankStatus::Salvaged { calls: decode_varint(buf, pos)? },
-                    _ => return Err(DecodeError::Corrupt { what: "rank status", offset: off }),
-                });
-            }
-        }
-        let mut events = Vec::new();
-        if flag & 2 != 0 {
-            let count_off = *pos;
-            let count = decode_varint(buf, pos)? as usize;
-            // Each event costs at least five varint bytes.
-            if count > buf.len().saturating_sub(*pos) / 5 + 1 {
-                return Err(DecodeError::Corrupt { what: "event count", offset: count_off });
-            }
-            events.reserve(count);
-            for _ in 0..count {
-                let rank_off = *pos;
-                let rank = decode_varint(buf, pos)?;
-                if rank >= nranks as u64 {
-                    return Err(DecodeError::Corrupt { what: "event rank", offset: rank_off });
-                }
-                events.push((rank as u32, DegradationEvent::decode(buf, pos)?));
-            }
-        }
-        Ok(TraceCompleteness { ranks, events })
-    }
 }
 
-/// Full per-component byte decomposition of a serialized trace. Every
-/// serialized byte is attributed to exactly one field, so the components
-/// sum to the serialized length ([`SizeReport::full_total`]).
+/// The paper's trace size, by component: the CST, the CFG, the timing
+/// grammars and the metadata, each counted at its varint-encoded length
+/// ([`GlobalTrace::size_report`]). The `PGC1` container holds the same
+/// content plus its own framing (magic, section headers, CRC32s), which is
+/// not part of the paper's number.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SizeReport {
     /// Globally merged call signature table.
@@ -262,7 +190,7 @@ impl SizeReport {
         self.cst_bytes + self.grammar_bytes + self.meta_bytes()
     }
 
-    /// Total including timing grammars; equals the serialized length.
+    /// Total including the timing grammars.
     pub fn full_total(&self) -> usize {
         self.core_total() + self.duration_bytes + self.interval_bytes
     }
@@ -295,7 +223,7 @@ pub struct FidelityReport {
     pub events: usize,
 }
 
-/// The merged, serializable trace.
+/// The merged trace.
 #[derive(Debug, Clone)]
 pub struct GlobalTrace {
     pub nranks: usize,
@@ -319,7 +247,8 @@ pub struct GlobalTrace {
     pub completeness: TraceCompleteness,
     /// Recorded nondeterministic resolutions (the record/replay
     /// side-channel; `None` for traces recorded without it). Carried by
-    /// the `PGND` container section, not the flat serialization.
+    /// the optional `PGND` container section and not counted in
+    /// [`GlobalTrace::size_report`].
     pub nondet: Option<crate::nondet::NondetLog>,
 }
 
@@ -334,8 +263,8 @@ pub(crate) fn checked_total(rank_lengths: impl IntoIterator<Item = u64>) -> Opti
 }
 
 impl GlobalTrace {
-    /// Total calls across all ranks (saturating; both strict decoders
-    /// refuse a table whose sum overflows or disagrees with the grammar).
+    /// Total calls across all ranks (saturating; the strict decoder
+    /// refuses a table whose sum overflows or disagrees with the grammar).
     pub fn total_calls(&self) -> u64 {
         checked_total(self.rank_lengths.iter().copied()).unwrap_or(u64::MAX)
     }
@@ -344,8 +273,8 @@ impl GlobalTrace {
     /// seeks to the rank's span, holds O(grammar depth) memory and costs
     /// what is consumed, so this is the primitive for input that is not
     /// trusted. Clamped: a length table that claims more than the grammar
-    /// generates (a hand-built or salvaged trace — the strict decoders
-    /// refuse one) yields short or empty tails, and a rank the trace does
+    /// generates (a hand-built or salvaged trace — the strict decoder
+    /// refuses one) yields short or empty tails, and a rank the trace does
     /// not have yields nothing.
     pub fn rank_terms(&self, rank: usize) -> Cursor<'_> {
         let mut lens = self.rank_lengths.iter().take(self.nranks).copied();
@@ -371,136 +300,18 @@ impl GlobalTrace {
         self.rank_terms(rank).collect()
     }
 
-    /// Serializes the trace; the returned buffer's length is the trace
-    /// file size.
-    pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.push(self.encoder_cfg.to_byte());
-        write_varint(&mut out, self.nranks as u64);
-        write_varint(&mut out, self.unique_grammars as u64);
-        for &l in &self.rank_lengths {
-            write_varint(&mut out, l);
-        }
-        self.cst.serialize(&mut out);
-        self.grammar.serialize(&mut out);
-        write_varint(&mut out, self.duration_grammars.len() as u64);
-        for g in &self.duration_grammars {
-            g.serialize(&mut out);
-        }
-        write_varint(&mut out, self.interval_grammars.len() as u64);
-        for g in &self.interval_grammars {
-            g.serialize(&mut out);
-        }
-        // Entries are stored +1 so zero encodes the "no grammar" sentinel
-        // (a lost rank in a degraded merge has no timing grammar).
-        for &m in self.duration_rank_map.iter().chain(&self.interval_rank_map) {
-            write_varint(&mut out, if m == RANK_MAP_NONE { 0 } else { m as u64 + 1 });
-        }
-        self.completeness.serialize(self.nranks, &mut out);
-        out
-    }
-
-    /// Decodes a trace written by [`GlobalTrace::serialize`], reporting
-    /// exactly where a malformed buffer went wrong. The whole buffer must
-    /// be consumed; leftover bytes are [`DecodeError::TrailingBytes`].
-    pub fn decode(buf: &[u8]) -> Result<GlobalTrace, DecodeError> {
-        let mut pos = 0usize;
-        let encoder_cfg = EncoderConfig::from_byte(
-            *buf.first().ok_or(DecodeError::Truncated { what: "encoder config", offset: 0 })?,
-        );
-        pos += 1;
-        let nranks_off = pos;
-        let nranks = decode_varint(buf, &mut pos)? as usize;
-        let unique_grammars = decode_varint(buf, &mut pos)? as usize;
-        // Each rank contributes at least a one-byte length varint.
-        if nranks > buf.len().saturating_sub(pos) + 1 {
-            return Err(DecodeError::Corrupt { what: "rank count", offset: nranks_off });
-        }
-        let lengths_off = pos;
-        let mut rank_lengths = Vec::with_capacity(nranks);
-        for _ in 0..nranks {
-            rank_lengths.push(decode_varint(buf, &mut pos)?);
-        }
-        let cst = Cst::decode(buf, &mut pos)?;
-        let (grammar, used, expanded) =
-            FlatGrammar::decode_measured(&buf[pos..]).map_err(|e| e.offset_by(pos))?;
-        pos += used;
-        // The table splits the expansion, so it must cover it exactly;
-        // everything downstream slices and divides on that.
-        if checked_total(rank_lengths.iter().copied()) != Some(expanded) {
-            return Err(DecodeError::Corrupt { what: "rank lengths", offset: lengths_off });
-        }
-        let nd_off = pos;
-        let nd = decode_varint(buf, &mut pos)? as usize;
-        if nd > buf.len().saturating_sub(pos) + 1 {
-            return Err(DecodeError::Corrupt { what: "duration grammar count", offset: nd_off });
-        }
-        let mut duration_grammars = Vec::with_capacity(nd);
-        for _ in 0..nd {
-            let (g, used) = FlatGrammar::decode(&buf[pos..]).map_err(|e| e.offset_by(pos))?;
-            pos += used;
-            duration_grammars.push(g);
-        }
-        let ni_off = pos;
-        let ni = decode_varint(buf, &mut pos)? as usize;
-        if ni > buf.len().saturating_sub(pos) + 1 {
-            return Err(DecodeError::Corrupt { what: "interval grammar count", offset: ni_off });
-        }
-        let mut interval_grammars = Vec::with_capacity(ni);
-        for _ in 0..ni {
-            let (g, used) = FlatGrammar::decode(&buf[pos..]).map_err(|e| e.offset_by(pos))?;
-            pos += used;
-            interval_grammars.push(g);
-        }
-        let mut duration_rank_map = Vec::with_capacity(nranks);
-        let mut interval_rank_map = Vec::with_capacity(nranks);
-        if nd > 0 || ni > 0 {
-            for (map, pool, what) in [
-                (&mut duration_rank_map, nd, "duration rank map"),
-                (&mut interval_rank_map, ni, "interval rank map"),
-            ] {
-                for _ in 0..nranks {
-                    let off = pos;
-                    // Entries are stored +1; zero is the no-grammar
-                    // sentinel (lost ranks in a degraded merge).
-                    match decode_varint(buf, &mut pos)?.checked_sub(1) {
-                        None => map.push(RANK_MAP_NONE),
-                        Some(idx) if idx >= pool as u64 => {
-                            return Err(DecodeError::Corrupt { what, offset: off });
-                        }
-                        Some(idx) => map.push(idx as u32),
-                    }
-                }
-            }
-        }
-        let completeness = TraceCompleteness::decode(buf, &mut pos, nranks)?;
-        if pos != buf.len() {
-            return Err(DecodeError::TrailingBytes { consumed: pos, len: buf.len() });
-        }
-        Ok(GlobalTrace {
-            nranks,
-            encoder_cfg,
-            cst,
-            grammar,
-            rank_lengths,
-            unique_grammars,
-            duration_grammars,
-            interval_grammars,
-            duration_rank_map,
-            interval_rank_map,
-            completeness,
-            nondet: None,
-        })
-    }
-
-    /// Component size breakdown. Computed analytically from the parts (no
-    /// serialization pass), and guaranteed to sum to the serialized length.
+    /// The paper's trace size by component ([`SizeReport`]), computed from
+    /// the parts: the CST, the grammars and the metadata at their
+    /// varint-encoded lengths. Pinned by literal values in this module's
+    /// tests and by `results/SIZES.tsv`.
     pub fn size_report(&self) -> SizeReport {
         let cst_bytes = self.cst.byte_size();
         let grammar_bytes = self.grammar.byte_size();
         let duration_bytes: usize = self.duration_grammars.iter().map(|g| g.byte_size()).sum();
         let interval_bytes: usize = self.interval_grammars.iter().map(|g| g.byte_size()).sum();
-        // Mirrors `serialize` field by field: config byte, three counts...
+        // The config byte, then the rank, unique-grammar and two timing
+        // grammar counts; the timing maps store entries +1 so that zero is
+        // the no-grammar sentinel.
         let header_bytes = 1
             + varint_len(self.nranks as u64)
             + varint_len(self.unique_grammars as u64)
@@ -671,6 +482,7 @@ impl GlobalTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::export::write_container;
     use pilgrim_sequitur::Grammar;
 
     fn tiny_trace() -> GlobalTrace {
@@ -706,23 +518,32 @@ mod tests {
         assert_eq!(ranks[1], vec![0, 1]);
     }
 
+    /// Writes `t` as a `PGC1` container and strictly decodes it back.
+    fn roundtrip(t: &GlobalTrace) -> GlobalTrace {
+        GlobalTrace::decode_container(&write_container(t)).expect("decodable")
+    }
+
     #[test]
     fn serialize_roundtrip() {
         let t = tiny_trace();
-        let bytes = t.serialize();
-        let back = GlobalTrace::decode(&bytes).expect("decodable");
+        let back = roundtrip(&t);
         assert_eq!(back.nranks, 2);
         assert_eq!(back.rank_lengths, vec![4, 2]);
         assert_eq!(back.unique_grammars, 1);
         assert_eq!(back.decode_all_ranks(), t.decode_all_ranks());
         assert_eq!(back.cst.len(), 2);
+        assert_eq!(write_container(&back), write_container(&t));
     }
+
+    // The `full_total()` literals below are the lengths of the flat
+    // serialization the size formula was proven equal to before that
+    // format was removed; they pin the formula now that no writer checks it.
 
     #[test]
     fn size_report_components_sum() {
         let t = tiny_trace();
         let r = t.size_report();
-        assert_eq!(r.full_total(), t.serialize().len());
+        assert_eq!(r.full_total(), 26);
         assert!(r.cst_bytes > 0 && r.grammar_bytes > 0);
     }
 
@@ -735,7 +556,8 @@ mod tests {
         t.interval_grammars = vec![dg.to_flat()];
         t.duration_rank_map = vec![0, 0];
         t.interval_rank_map = vec![0, 0];
-        let back = GlobalTrace::decode(&t.serialize()).unwrap();
+        assert_eq!(t.size_report().full_total(), 38);
+        let back = roundtrip(&t);
         assert_eq!(back.duration_grammars.len(), 1);
         assert_eq!(back.duration_rank_map, vec![0, 0]);
         assert_eq!(back.duration_grammars[0].expanded_len(), 10);
@@ -746,8 +568,7 @@ mod tests {
         let t = tiny_trace();
         assert!(t.completeness.is_complete());
         assert_eq!(t.size_report().manifest_bytes, 1);
-        let back = GlobalTrace::decode(&t.serialize()).unwrap();
-        assert!(back.completeness.is_complete());
+        assert!(roundtrip(&t).completeness.is_complete());
 
         let mut d = tiny_trace();
         d.rank_lengths = vec![6, 0];
@@ -755,11 +576,11 @@ mod tests {
             ranks: vec![RankStatus::Merged, RankStatus::Lost { round: 1 }],
             ..Default::default()
         };
-        let back = GlobalTrace::decode(&d.serialize()).unwrap();
+        let back = roundtrip(&d);
         assert_eq!(back.completeness.status(1), RankStatus::Lost { round: 1 });
         assert_eq!(back.completeness.lost_ranks(), vec![(1, 1)]);
         assert!(!back.completeness.is_complete());
-        assert_eq!(d.size_report().full_total(), d.serialize().len());
+        assert_eq!(d.size_report().full_total(), 29);
     }
 
     #[test]
@@ -770,7 +591,8 @@ mod tests {
             ranks: vec![RankStatus::Merged, RankStatus::Checkpoint { calls: 2 }],
             ..Default::default()
         };
-        let back = GlobalTrace::decode(&t.serialize()).unwrap();
+        assert_eq!(t.size_report().full_total(), 29);
+        let back = roundtrip(&t);
         assert_eq!(back.completeness.checkpoint_ranks(), vec![(1, 2)]);
         assert!(back.validate().is_empty(), "{:?}", back.validate());
     }
@@ -789,9 +611,9 @@ mod tests {
             ranks: vec![RankStatus::Merged, RankStatus::Lost { round: 2 }],
             ..Default::default()
         };
-        let bytes = t.serialize();
-        assert_eq!(t.size_report().full_total(), bytes.len());
-        let back = GlobalTrace::decode(&bytes).unwrap();
+        let r = t.size_report();
+        assert_eq!((r.full_total(), r.rank_map_bytes, r.manifest_bytes), (41, 4, 4));
+        let back = roundtrip(&t);
         assert_eq!(back.duration_rank_map, vec![0, RANK_MAP_NONE]);
         assert!(back.validate().is_empty(), "{:?}", back.validate());
     }
@@ -823,7 +645,7 @@ mod tests {
 
     #[test]
     fn degradation_events_roundtrip_and_cost_nothing_when_absent() {
-        // No events: the manifest is the legacy single zero byte.
+        // No events: the manifest is a single zero byte.
         let clean = tiny_trace();
         assert_eq!(clean.size_report().manifest_bytes, 1);
 
@@ -833,9 +655,8 @@ mod tests {
             (0, sample_event(20, DegradationStage::AggregateTiming)),
             (1, sample_event(15, DegradationStage::SealSegment)),
         ];
-        let bytes = t.serialize();
-        assert_eq!(t.size_report().full_total(), bytes.len());
-        let back = GlobalTrace::decode(&bytes).unwrap();
+        assert_eq!(t.size_report().full_total(), 45);
+        let back = roundtrip(&t);
         assert_eq!(back.completeness.events, t.completeness.events);
         assert!(back.completeness.is_complete(), "events alone keep ranks merged");
         assert!(back.is_degraded());
@@ -852,9 +673,8 @@ mod tests {
             ranks: vec![RankStatus::Merged, RankStatus::Salvaged { calls: 2 }],
             ..Default::default()
         };
-        let bytes = t.serialize();
-        assert_eq!(t.size_report().full_total(), bytes.len());
-        let back = GlobalTrace::decode(&bytes).unwrap();
+        assert_eq!(t.size_report().full_total(), 29);
+        let back = roundtrip(&t);
         assert_eq!(back.completeness.status(1), RankStatus::Salvaged { calls: 2 });
         assert_eq!(back.completeness.salvaged_ranks(), vec![(1, 2)]);
         assert!(back.validate().is_empty(), "{:?}", back.validate());
@@ -873,7 +693,7 @@ mod tests {
         t.duration_rank_map = vec![0, RANK_MAP_NONE];
         t.interval_rank_map = vec![0, RANK_MAP_NONE];
         t.completeness.events = vec![(1, sample_event(3, DegradationStage::AggregateTiming))];
-        let back = GlobalTrace::decode(&t.serialize()).unwrap();
+        let back = roundtrip(&t);
         assert!(back.validate().is_empty(), "{:?}", back.validate());
         assert_eq!(back.fidelity().timing_degraded_ranks, vec![1]);
         // Without the event the same trace is inconsistent.

@@ -192,7 +192,8 @@ pub struct CapturedCall {
 #[derive(Debug, Clone)]
 struct ReqEntry {
     sym: u64,
-    pool_sig: Vec<u8>,
+    /// Index of the [`SigPools`] pool `sym` came from.
+    pool: u32,
     comm_rank: i64,
     /// Persistent requests keep their id across completions; only
     /// `MPI_Request_free` releases it.
@@ -504,7 +505,7 @@ impl PilgrimTracer {
             if let Entry::Occupied(entry) = self.reqs.entry(done.request) {
                 if frees || !entry.get().persistent {
                     let entry = entry.remove();
-                    self.req_pools.release(&entry.pool_sig, entry.sym);
+                    self.req_pools.release(entry.pool, entry.sym);
                 }
             }
         }
@@ -598,17 +599,13 @@ impl PilgrimTracer {
                         // The request argument is excluded from the pool
                         // signature (§3.4.3): use the bytes written so far.
                         // (Ablation: one shared pool uses an empty key.)
-                        let pool_sig = if self.cfg.shared_request_pool {
-                            Vec::new()
-                        } else {
-                            w.bytes().to_vec()
-                        };
-                        let sym = self.req_pools.acquire(&pool_sig);
+                        let key = if self.cfg.shared_request_pool { &[][..] } else { w.bytes() };
+                        let (pool, sym) = self.req_pools.acquire(key);
                         self.reqs.insert(
                             *raw,
                             ReqEntry {
                                 sym,
-                                pool_sig,
+                                pool,
                                 comm_rank: caller_rank,
                                 persistent: creates.persistent,
                             },

@@ -16,13 +16,14 @@ use mpi_sim::{Env, NullTracer, Tracer, World, WorldConfig};
 use pilgrim::PilgrimTracer;
 
 /// Allocations the tracer adds to one ring iteration (three calls) in
-/// steady state: a `SigWriter` buffer per call, and for each of the two
-/// request-creating calls the pool signature kept with the request and the
-/// pool map's key probe. 11 before the tracer read completions off the
-/// borrowed record (`Waitall` cloned its request array twice and collected
-/// the status bases and the symbolic ids). A change that moves this number
-/// says why in CHANGES.md and pins the new one, as with `results/SIZES.tsv`.
-const ADDED_PER_ITERATION: u64 = 7;
+/// steady state: a `SigWriter` buffer per call. 7 while each of the two
+/// request-creating calls also copied its pool signature into the request's
+/// entry and into the pool map's key probe, and 11 before that, when the
+/// tracer did not yet read completions off the borrowed record (`Waitall`
+/// cloned its request array twice and collected the status bases and the
+/// symbolic ids). A change that moves this number says why in CHANGES.md
+/// and pins the new one, as with `results/SIZES.tsv`.
+const ADDED_PER_ITERATION: u64 = 3;
 
 const RANKS: u64 = 2;
 

@@ -14,33 +14,11 @@ use pilgrim::{
 use pilgrim_sequitur::{FlatGrammar, FlatRule, Grammar, Symbol};
 use proptest::prelude::*;
 
-/// A realistic serialized trace (4 ranks, lossy timing so the timing
-/// grammar and rank-map decode paths are exercised), built once.
-fn trace_bytes() -> &'static [u8] {
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
-        let cfg = PilgrimConfig::new().timing(TimingMode::Lossy { base: 1.2 });
-        let mut tracers = World::run(
-            &WorldConfig::new(4),
-            |rank| PilgrimTracer::new(rank, cfg),
-            |env| {
-                let world = env.comm_world();
-                let dt = env.basic(BasicType::Double);
-                let buf = env.malloc(128);
-                for _ in 0..15 {
-                    env.bcast(buf, 16, dt, 0, world);
-                    env.barrier(world);
-                }
-            },
-        );
-        tracers[0].take_output().trace.unwrap().serialize()
-    })
-}
-
-/// The same trace in all three forms the corruption tests need: its
-/// checksummed container bytes, its legacy flat bytes (the byte-equality
-/// reference), and the per-rank reference captures for verify_lossless.
-type ContainerFixture = (Vec<u8>, Vec<u8>, Vec<Vec<CapturedCall>>);
+/// A realistic trace (4 ranks, lossy timing so the timing grammar and
+/// rank-map decode paths are exercised) in the two forms the corruption
+/// tests need: its container bytes and the per-rank reference captures for
+/// verify_lossless.
+type ContainerFixture = (Vec<u8>, Vec<Vec<CapturedCall>>);
 
 fn container_fixture() -> &'static ContainerFixture {
     static FIX: OnceLock<ContainerFixture> = OnceLock::new();
@@ -68,12 +46,14 @@ fn container_fixture() -> &'static ContainerFixture {
         );
         let trace = tracers[0].take_output().trace.unwrap();
         let refs = tracers.iter().map(|t| t.captured().to_vec()).collect();
-        (write_container(&trace), trace.serialize(), refs)
+        (write_container(&trace), refs)
     })
 }
 
-/// Section kind byte of per-rank container sections (see `export.rs`).
+/// Section kind bytes of per-rank and nondet container sections (see
+/// `export.rs`).
 const SEC_RANK: u8 = 6;
+const SEC_NONDET: u8 = 7;
 
 /// Walks the container framing, returning `(kind, payload byte range)`
 /// per section.
@@ -115,27 +95,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn truncated_traces_always_err_never_panic(cut_seed in any::<usize>()) {
-        let bytes = trace_bytes();
-        let cut = cut_seed % bytes.len();
-        // The decoder reads forward deterministically and a full decode
-        // consumes every byte, so every strict prefix must fail.
-        prop_assert!(GlobalTrace::decode(&bytes[..cut]).is_err());
-    }
-
-    #[test]
-    fn bitflipped_traces_never_panic(idx_seed in any::<usize>(), bit in 0u8..8) {
-        let mut bytes = trace_bytes().to_vec();
-        let idx = idx_seed % bytes.len();
-        bytes[idx] ^= 1 << bit;
-        // Either a clean error or a (different) structurally valid trace;
-        // the proptest harness turns any panic into a failure.
-        let _ = GlobalTrace::decode(&bytes);
-    }
-
-    #[test]
     fn garbage_never_panics_any_decoder(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = GlobalTrace::decode(&bytes);
+        let _ = GlobalTrace::decode_container(&bytes);
+        let _ = GlobalTrace::decode_salvage(&bytes);
         let _ = FlatGrammar::decode(&bytes);
         let mut pos = 0;
         let _ = Cst::decode(&bytes, &mut pos);
@@ -143,19 +105,20 @@ proptest! {
 
     #[test]
     fn trailing_bytes_are_reported_exactly(extra in proptest::collection::vec(any::<u8>(), 1..16)) {
-        let mut bytes = trace_bytes().to_vec();
+        let (container, _) = container_fixture();
+        let mut bytes = container.clone();
         let len = bytes.len();
         bytes.extend_from_slice(&extra);
-        // Anything after a complete trace is an error, and the error says
-        // exactly how much was parsed — unless the first extra byte extends
-        // the final varint, in which case the parse diverges earlier and
-        // any error is acceptable.
-        match GlobalTrace::decode(&bytes) {
+        // Anything after the last RANK section is an error, and the error
+        // says exactly how much was parsed — unless the first extra byte is
+        // the kind of the optional trailing nondet section, whose framing or
+        // checksum then fails instead.
+        match GlobalTrace::decode_container(&bytes) {
             Err(DecodeError::TrailingBytes { consumed, len: l }) => {
                 prop_assert_eq!(consumed, len);
                 prop_assert_eq!(l, len + extra.len());
             }
-            Err(_) => {}
+            Err(e) => prop_assert!(extra[0] == SEC_NONDET, "unexpected {e:?}"),
             Ok(_) => prop_assert!(false, "trace with trailing bytes decoded"),
         }
     }
@@ -203,7 +166,7 @@ proptest! {
 
     #[test]
     fn truncated_containers_always_err_never_panic(cut_seed in any::<usize>()) {
-        let (bytes, _, _) = container_fixture();
+        let (bytes, _) = container_fixture();
         let cut = cut_seed % bytes.len();
         // Both readers parse forward and demand complete framing, so every
         // strict prefix must fail — salvage included (there is nothing to
@@ -214,11 +177,10 @@ proptest! {
 
     #[test]
     fn bitflipped_containers_always_err_strictly(idx_seed in any::<usize>(), bit in 0u8..8) {
-        // Unlike the legacy flat format (where a lucky flip can decode into
-        // a different valid trace), the container's per-section CRC32
-        // catches every single-bit error in a payload or checksum, and the
-        // framing checks catch the rest.
-        let (bytes, _, _) = container_fixture();
+        // The container's per-section CRC32 catches every single-bit error
+        // in a payload or checksum, and the framing checks catch the rest:
+        // no flip decodes into a different valid trace.
+        let (bytes, _) = container_fixture();
         let mut mutated = bytes.clone();
         let idx = idx_seed % mutated.len();
         mutated[idx] ^= 1 << bit;
@@ -227,8 +189,8 @@ proptest! {
 
     #[test]
     fn bitflipped_containers_salvage_never_lies(idx_seed in any::<usize>(), bit in 0u8..8) {
-        let (bytes, legacy, refs) = container_fixture();
-        let original = GlobalTrace::decode(legacy).unwrap();
+        let (bytes, refs) = container_fixture();
+        let original = GlobalTrace::decode_container(bytes).unwrap();
         let mut mutated = bytes.clone();
         let idx = idx_seed % mutated.len();
         mutated[idx] ^= 1 << bit;
@@ -254,7 +216,7 @@ proptest! {
         off_seed in any::<usize>(),
         delta in 1u8..=255,
     ) {
-        let (bytes, legacy, refs) = container_fixture();
+        let (bytes, refs) = container_fixture();
         let rank_payloads: Vec<_> =
             sections(bytes).into_iter().filter(|(k, _)| *k == SEC_RANK).map(|(_, r)| r).collect();
         prop_assert_eq!(rank_payloads.len(), 4);
@@ -274,7 +236,7 @@ proptest! {
         prop_assert!(matches!(t.completeness.status(rank), RankStatus::Salvaged { .. }));
         prop_assert!(t.is_degraded());
         prop_assert!(t.fidelity().salvaged_ranks.contains(&rank));
-        let original = GlobalTrace::decode(legacy).unwrap();
+        let original = GlobalTrace::decode_container(bytes).unwrap();
         prop_assert_eq!(t.decode_all_ranks(), original.decode_all_ranks());
         prop_assert!(verify_lossless(&t, refs).is_ok());
         prop_assert!(t.validate().is_empty(), "salvaged trace validates: {:?}", t.validate());
@@ -303,23 +265,35 @@ proptest! {
 
 #[test]
 fn container_roundtrips_byte_identically() {
-    let (container, legacy, refs) = container_fixture();
+    let (container, refs) = container_fixture();
     let strict = GlobalTrace::decode_container(container).expect("clean container decodes");
-    // Re-serializing through the legacy flat format proves every field
-    // survived the container unchanged.
-    assert_eq!(&strict.serialize(), legacy);
+    // Writing the decoded trace again proves every field survived.
+    assert_eq!(&write_container(&strict), container);
     assert!(verify_lossless(&strict, refs).is_ok());
     let (salvaged, report) = GlobalTrace::decode_salvage(container).expect("clean salvage");
     assert!(report.is_clean());
-    assert_eq!(&salvaged.serialize(), legacy);
-    // decode_auto sniffs the magic and handles both formats.
-    assert_eq!(&GlobalTrace::decode_auto(container).unwrap().serialize(), legacy);
-    assert_eq!(&GlobalTrace::decode_auto(legacy).unwrap().serialize(), legacy);
+    assert_eq!(&write_container(&salvaged), container);
+    assert_eq!(&write_container(&GlobalTrace::decode_auto(container).unwrap()), container);
+}
+
+/// The flat serialization earlier versions wrote (no magic, no checksums)
+/// for `crafted_trace(flat_of(&[0, 1]), vec![1, 1])`.
+const FLAT_TRACE: [u8; 33] = [
+    5, 2, 1, 1, 1, 3, 3, 1, 0, 2, 1, 10, 3, 2, 0, 4, 1, 10, 3, 3, 0, 6, 1, 10, 1, 2, 0, 1, 2, 1, 0,
+    0, 0,
+];
+
+#[test]
+fn flat_traces_are_refused_by_every_reader() {
+    let magic = DecodeError::Corrupt { what: "container magic", offset: 0 };
+    assert_eq!(GlobalTrace::decode_auto(&FLAT_TRACE).unwrap_err(), magic);
+    assert_eq!(GlobalTrace::decode_container(&FLAT_TRACE).unwrap_err(), magic);
+    assert_eq!(GlobalTrace::decode_salvage(&FLAT_TRACE).unwrap_err(), magic);
 }
 
 #[test]
 fn container_with_trailing_bytes_is_rejected() {
-    let (container, _, _) = container_fixture();
+    let (container, _) = container_fixture();
     let mut bytes = container.clone();
     bytes.push(0);
     assert!(matches!(
@@ -330,7 +304,7 @@ fn container_with_trailing_bytes_is_rejected() {
 
 #[test]
 fn wrong_container_version_is_corrupt() {
-    let (container, _, _) = container_fixture();
+    let (container, _) = container_fixture();
     let mut bytes = container.clone();
     bytes[4] = 99;
     assert_eq!(
@@ -419,23 +393,21 @@ fn read_all(trace: &GlobalTrace) {
 
 /// CRC-valid bytes from `write_container` itself — not disk damage, a
 /// hostile or buggy writer — whose rank-length table disagrees with a
-/// grammar that generates two calls: both strict decoders must refuse it,
-/// and salvage must clamp it to what the grammar generates.
+/// grammar that generates two calls: the strict decoder must refuse it, and
+/// salvage must clamp it to what the grammar generates.
 fn assert_rank_lengths_rejected(lengths: Vec<u64>) {
-    let trace = crafted_trace(flat_of(&[0, 1]), lengths.clone());
-    for (format, bytes) in [("container", write_container(&trace)), ("flat", trace.serialize())] {
-        match GlobalTrace::decode_auto(&bytes) {
-            Err(e) => assert!(
-                matches!(e, DecodeError::Corrupt { what: "rank lengths", .. }),
-                "{format} {lengths:?}: {e}"
-            ),
-            Ok(accepted) => {
-                read_all(&accepted);
-                panic!("{format} decoder accepted rank lengths {lengths:?}");
-            }
+    let bytes = write_container(&crafted_trace(flat_of(&[0, 1]), lengths.clone()));
+    match GlobalTrace::decode_container(&bytes) {
+        Err(e) => assert!(
+            matches!(e, DecodeError::Corrupt { what: "rank lengths", .. }),
+            "{lengths:?}: {e}"
+        ),
+        Ok(accepted) => {
+            read_all(&accepted);
+            panic!("decoder accepted rank lengths {lengths:?}");
         }
     }
-    let (salvaged, _) = GlobalTrace::decode_salvage(&write_container(&trace)).unwrap();
+    let (salvaged, _) = GlobalTrace::decode_salvage(&bytes).unwrap();
     read_all(&salvaged);
     assert!(salvaged.total_calls() <= 2, "{lengths:?} salvaged {:?}", salvaged.rank_lengths);
 }
@@ -454,7 +426,7 @@ fn rank_lengths_whose_sum_overflows_are_rejected() {
 
 #[test]
 fn a_rank_the_trace_does_not_have_is_an_error_not_a_panic() {
-    let (container, _, _) = container_fixture();
+    let (container, _) = container_fixture();
     let trace = GlobalTrace::decode_container(container).unwrap();
     assert_eq!(
         pilgrim::decode_rank_calls(&trace, 99).unwrap_err(),

@@ -6,7 +6,9 @@
 use mpi_sim::datatype::BasicType;
 use mpi_sim::types::ReduceOp;
 use mpi_sim::{Env, FaultPlan, RankFailure, World, WorldConfig};
-use pilgrim::{partial_replay_report, GlobalTrace, PilgrimConfig, PilgrimTracer, RankStatus};
+use pilgrim::{
+    partial_replay_report, write_container, GlobalTrace, PilgrimConfig, PilgrimTracer, RankStatus,
+};
 
 /// Deterministic wildcard-free workload: every rank's call sequence is a
 /// pure function of (rank, size, iters).
@@ -93,9 +95,9 @@ fn killed_rank_contributes_its_last_checkpoint() {
         assert_eq!(a.func, b.func, "SPMD prefix diverged at call {i}");
     }
 
-    // The manifest survives a serialize -> decode roundtrip.
-    let bytes = trace.serialize();
-    let back = GlobalTrace::decode(&bytes).expect("degraded trace roundtrips");
+    // The manifest survives a container write -> decode roundtrip.
+    let bytes = write_container(&trace);
+    let back = GlobalTrace::decode_container(&bytes).expect("degraded trace roundtrips");
     assert_eq!(back.completeness, trace.completeness);
     assert_eq!(back.rank_lengths, trace.rank_lengths);
 
@@ -128,7 +130,7 @@ fn killed_rank_without_checkpoints_is_lost_not_fatal() {
     assert_eq!(report.lost_ranks.len(), 1);
     assert_eq!(report.lost_ranks[0].0, 3);
 
-    let back = GlobalTrace::decode(&trace.serialize()).expect("roundtrip");
+    let back = GlobalTrace::decode_container(&write_container(&trace)).expect("roundtrip");
     assert_eq!(back.completeness, trace.completeness);
 }
 
@@ -185,7 +187,7 @@ fn degraded_merge_is_deterministic() {
             |rank| PilgrimTracer::new(rank, cfg),
             |env| ring_and_allreduce(env, 20),
         );
-        out.tracers[0].as_mut().unwrap().take_output().trace.expect("trace").serialize()
+        write_container(&out.tracers[0].as_mut().unwrap().take_output().trace.expect("trace"))
     };
     assert_eq!(run(), run());
 }

@@ -7,8 +7,8 @@
 use mpi_sim::{Env, World, WorldConfig};
 use mpi_workloads::adversarial::{adversarial, adversarial_seeded};
 use pilgrim::{
-    partial_replay_report, verify_lossless, DegradationStage, GlobalTrace, PilgrimConfig,
-    PilgrimTracer, QueryEngine, TimingMode, TraceIndex,
+    partial_replay_report, verify_lossless, write_container, DegradationStage, GlobalTrace,
+    PilgrimConfig, PilgrimTracer, QueryEngine, TimingMode, TraceIndex,
 };
 use proptest::prelude::*;
 
@@ -55,7 +55,7 @@ fn check_bounded(iters: usize, seed: u64, budget: usize) -> Result<(), TestCaseE
     let trace = tracers[0].take_output().trace.expect("rank 0 holds the trace");
     let problems = trace.validate();
     prop_assert!(problems.is_empty(), "degraded trace validates: {problems:?}");
-    let back = GlobalTrace::decode(&trace.serialize()).expect("roundtrip");
+    let back = GlobalTrace::decode_container(&write_container(&trace)).expect("roundtrip");
     prop_assert_eq!(back.decode_all_ranks(), trace.decode_all_ranks());
     Ok(())
 }
@@ -91,7 +91,11 @@ fn unreached_budget_is_byte_identical_to_unbudgeted() {
         };
         let plain = run(PilgrimConfig::new());
         let budgeted = run(PilgrimConfig::new().memory_budget(1 << 30));
-        assert_eq!(plain.serialize(), budgeted.serialize(), "{name}: governor must be inert");
+        assert_eq!(
+            write_container(&plain),
+            write_container(&budgeted),
+            "{name}: governor must be inert"
+        );
         assert!(budgeted.completeness.events.is_empty());
         assert!(!budgeted.is_degraded());
     }
@@ -128,8 +132,8 @@ fn full_ladder_trace_decodes_verifies_and_replays() {
     assert!(trace.validate().is_empty(), "{:?}", trace.validate());
     let report = verify_lossless(&trace, &refs).expect("degraded trace is still call-lossless");
     assert_eq!(report.calls_checked, trace.rank_lengths.iter().sum::<u64>());
-    let back = GlobalTrace::decode(&trace.serialize()).expect("roundtrip");
-    assert_eq!(back.completeness, trace.completeness, "events survive serialization");
+    let back = GlobalTrace::decode_container(&write_container(&trace)).expect("roundtrip");
+    assert_eq!(back.completeness, trace.completeness, "events survive the container");
     // Replay guard: a governor-degraded (but fully merged) trace is
     // still fully replayable — the manifest says so before anyone tries.
     let replay_report = partial_replay_report(&trace);
@@ -170,12 +174,12 @@ fn degraded_traces_are_deterministic_under_a_fixed_seed() {
     let bytes: Vec<Vec<u8>> = (0..2)
         .map(|_| {
             let mut tracers = run_adversarial(2, 150, 1234, cfg);
-            tracers[0].take_output().trace.expect("trace").serialize()
+            write_container(&tracers[0].take_output().trace.expect("trace"))
         })
         .collect();
     // Byte-identical including the degradation events in the manifest.
     assert_eq!(bytes[0], bytes[1]);
-    let trace = GlobalTrace::decode(&bytes[0]).expect("decodes");
+    let trace = GlobalTrace::decode_container(&bytes[0]).expect("decodes");
     assert!(!trace.completeness.events.is_empty(), "the budget was actually hit");
 }
 

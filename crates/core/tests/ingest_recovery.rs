@@ -25,9 +25,9 @@ use common::{stream_world, temp_dir};
 use pilgrim::recover::recover_dir;
 use pilgrim::wal::{decode_wal, WalRecord, WalWriter};
 use pilgrim::{
-    encode_checkpoint, Cst, EncoderConfig, GlobalTrace, IngestConfig, IngestFaultPlan,
-    IngestSession, PilgrimConfig, PilgrimTracer, RankCompletion, RecoveryState, SegmentSink,
-    TraceSegment,
+    encode_checkpoint, write_container, Cst, EncoderConfig, GlobalTrace, IngestConfig,
+    IngestFaultPlan, IngestSession, PilgrimConfig, PilgrimTracer, RankCompletion, RecoveryState,
+    SegmentSink, TraceSegment,
 };
 use pilgrim_sequitur::Grammar;
 use proptest::prelude::*;
@@ -171,8 +171,8 @@ fn interrupted_job_recovers_identical_to_its_finished_twin() {
     );
     let reference = tracers[0].take_output().trace.unwrap();
     assert_eq!(
-        crashed.serialize(),
-        reference.serialize(),
+        write_container(crashed),
+        write_container(&reference),
         "WAL replay diverged from the batch merge"
     );
     let _ = fs::remove_dir_all(&dir);
@@ -198,7 +198,7 @@ fn same_fault_seed_recovers_byte_identical_traces() {
         let bytes: Vec<(u64, &'static str, Option<Vec<u8>>)> = report
             .jobs
             .iter()
-            .map(|j| (j.job, j.state.as_str(), j.trace.as_ref().map(|t| t.serialize())))
+            .map(|j| (j.job, j.state.as_str(), j.trace.as_ref().map(write_container)))
             .collect();
         let _ = fs::remove_dir_all(&dir);
         bytes

@@ -5,9 +5,9 @@
 
 use mpi_sim::datatype::BasicType;
 use mpi_sim::{ReduceOp, World, WorldConfig};
-use pilgrim::{MetricsReport, OverheadStats, PilgrimConfig, PilgrimTracer, Stage};
+use pilgrim::{MetricsReport, OverheadStats, PilgrimConfig, PilgrimTracer, SizeReport, Stage};
 
-fn run_with_metrics(nranks: usize) -> (MetricsReport, OverheadStats, Vec<u8>) {
+fn run_with_metrics(nranks: usize) -> (MetricsReport, OverheadStats, SizeReport) {
     let cfg = PilgrimConfig::new().metrics(true);
     let mut tracers = World::run(
         &WorldConfig::new(nranks),
@@ -25,16 +25,16 @@ fn run_with_metrics(nranks: usize) -> (MetricsReport, OverheadStats, Vec<u8>) {
     );
     let mut stats = OverheadStats::default();
     let mut report = MetricsReport::default();
-    let mut bytes = Vec::new();
+    let mut size = SizeReport::default();
     for (rank, t) in tracers.iter_mut().enumerate() {
         let out = t.take_output();
         stats.merge(&out.stats);
         report.merge(&out.metrics);
         if rank == 0 {
-            bytes = out.trace.expect("rank 0 trace").serialize();
+            size = out.trace.expect("rank 0 trace").size_report();
         }
     }
-    (report, stats, bytes)
+    (report, stats, size)
 }
 
 #[test]
@@ -53,15 +53,15 @@ fn stage_timers_partition_overhead_stats() {
 
 #[test]
 fn report_counters_and_size_reflect_the_run() {
-    let (report, _, bytes) = run_with_metrics(4);
+    let (report, _, trace_size) = run_with_metrics(4);
     // 4 ranks x 25 iterations x 3 calls, plus implicit finalize barriers.
     assert!(report.counters["calls"] >= 300, "calls = {}", report.counters["calls"]);
     assert!(report.counters["cst.signatures"] > 0);
     assert!(report.counters["cfg.rules"] > 0);
-    // Merging rank reports keeps rank 0's size block, and the byte
-    // decomposition accounts for every serialized byte.
+    // Merging rank reports keeps rank 0's size block: the trace's own.
     let size = report.size.expect("rank 0 attaches the size block");
-    assert_eq!(size.full_total(), bytes.len());
+    assert_eq!(size, trace_size);
+    assert!(size.full_total() > 0);
     // The JSON export carries all three sections.
     let json = report.to_json();
     assert!(json.contains("\"size\":{"));

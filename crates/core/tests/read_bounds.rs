@@ -130,7 +130,7 @@ fn two_to_the_forty_calls_stream_in_memory_bounded_by_the_container() {
         rules: vec![FlatRule { symbols: vec![(Symbol::Terminal(0), CALLS)] }],
     });
     let peak = peak_on_small_stack(|| {
-        let trace = GlobalTrace::decode_auto(&bytes).expect("a run is a valid grammar");
+        let trace = GlobalTrace::decode_container(&bytes).expect("a run is a valid grammar");
         assert!(trace.validate().is_empty(), "{:?}", trace.validate());
         assert_eq!(trace.total_calls(), CALLS);
         assert_eq!(trace.rank_terms(0).take(1000).collect::<Vec<u32>>(), vec![0; 1000]);
@@ -172,7 +172,7 @@ fn a_two_hundred_thousand_rule_chain_is_read_without_recursing() {
     let bytes = container(FlatGrammar { rules: rules.collect() });
     let mut engine_peak = 0;
     let peak = peak_on_small_stack(|| {
-        let trace = GlobalTrace::decode_auto(&bytes).expect("a chain is acyclic");
+        let trace = GlobalTrace::decode_container(&bytes).expect("a chain is acyclic");
         assert!(trace.validate().is_empty(), "{:?}", trace.validate());
         assert_eq!(trace.decode_rank(0), vec![0]);
         assert_eq!(trace.decode_all_ranks(), vec![vec![0]]);

@@ -4,7 +4,9 @@
 use mpi_sim::datatype::BasicType;
 use mpi_sim::types::ReduceOp;
 use mpi_sim::{Env, World, WorldConfig, ANY_SOURCE, ANY_TAG, PROC_NULL};
-use pilgrim::{verify_lossless, GlobalTrace, PilgrimConfig, PilgrimTracer, TimingMode};
+use pilgrim::{
+    verify_lossless, write_container, GlobalTrace, PilgrimConfig, PilgrimTracer, TimingMode,
+};
 
 fn traced_run<B: Fn(&mut Env) + Send + Sync + 'static>(
     n: usize,
@@ -277,8 +279,7 @@ fn trace_serialization_roundtrip_e2e() {
             env.barrier(world);
         }
     });
-    let bytes = trace.serialize();
-    let back = GlobalTrace::decode(&bytes).expect("decodable");
+    let back = GlobalTrace::decode_container(&write_container(&trace)).expect("decodable");
     assert_eq!(back.decode_all_ranks(), trace.decode_all_ranks());
     assert_eq!(back.cst.len(), trace.cst.len());
 }

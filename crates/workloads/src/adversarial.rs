@@ -9,8 +9,8 @@
 //! instead of staying flat. Against an unbudgeted tracer this produces
 //! worst-case memory growth; with `PilgrimConfig::memory_budget` set it
 //! drives the governor through its whole degradation ladder, which is
-//! exactly what the bounded-memory tests and the `governor_sweep`
-//! experiment need.
+//! exactly what the bounded-memory tests and the `chaos` binary's
+//! `governor` layer need.
 //!
 //! The parameter stream is keyed only by `(seed, iteration)` — never by
 //! rank — so every rank draws identical tags and counts and matched

@@ -6,7 +6,7 @@
 use mpi_sim::datatype::BasicType;
 use mpi_sim::types::ReduceOp;
 use mpi_sim::{World, WorldConfig};
-use pilgrim::{decode_rank_calls, verify_lossless, PilgrimConfig, PilgrimTracer};
+use pilgrim::{decode_rank_calls, verify_lossless, write_container, PilgrimConfig, PilgrimTracer};
 
 fn main() {
     // 1. Run a 4-rank MPI program with the Pilgrim tracer attached.
@@ -56,10 +56,10 @@ fn main() {
     println!("\nverified {} calls / {} arguments decode exactly", v.calls_checked, v.args_checked);
 
     // 5. The trace round-trips through its file format.
-    let bytes = trace.serialize();
-    let back = pilgrim::GlobalTrace::decode(&bytes).unwrap();
+    let bytes = write_container(&trace);
+    let back = pilgrim::GlobalTrace::decode_container(&bytes).unwrap();
     assert_eq!(back.decode_all_ranks(), trace.decode_all_ranks());
-    println!("serialized file round-trips at {} bytes", bytes.len());
+    println!("PGC1 container round-trips at {} bytes", bytes.len());
 
     // 6. Query the compressed trace without expanding it: indexed random
     //    access and a grammar-aware communication matrix.

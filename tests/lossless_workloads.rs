@@ -4,7 +4,7 @@
 
 use mpi_sim::{World, WorldConfig};
 use mpi_workloads::by_name;
-use pilgrim::{verify_lossless, PilgrimConfig, PilgrimTracer};
+use pilgrim::{verify_lossless, write_container, PilgrimConfig, PilgrimTracer};
 
 fn verify_workload(name: &str, nranks: usize, iters: usize) {
     let body = by_name(name, iters);
@@ -109,7 +109,6 @@ fn serialization_roundtrip_for_complex_workload() {
     let mut tracers =
         World::run(&WorldConfig::new(4), PilgrimTracer::with_defaults, move |env| body(env));
     let trace = tracers[0].take_output().trace.unwrap();
-    let bytes = trace.serialize();
-    let back = pilgrim::GlobalTrace::decode(&bytes).unwrap();
+    let back = pilgrim::GlobalTrace::decode_container(&write_container(&trace)).unwrap();
     assert_eq!(back.decode_all_ranks(), trace.decode_all_ranks());
 }
