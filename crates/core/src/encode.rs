@@ -265,8 +265,16 @@ impl SigWriter {
     /// Starts a signature for function id `func`.
     pub fn new(func: u16) -> Self {
         let mut w = SigWriter { buf: Vec::with_capacity(32) };
-        write_varint(&mut w.buf, func as u64);
+        w.restart(func);
         w
+    }
+
+    /// Discards what was written and starts a signature for `func`,
+    /// keeping the buffer's capacity: a writer reused across calls stops
+    /// allocating once it has held the longest signature.
+    pub fn restart(&mut self, func: u16) {
+        self.buf.clear();
+        write_varint(&mut self.buf, func as u64);
     }
 
     pub fn into_bytes(self) -> Vec<u8> {

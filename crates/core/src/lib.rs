@@ -129,7 +129,6 @@
 //! [`IngestFaultPlan`](ingest_fault::IngestFaultPlan).
 
 pub mod auth;
-pub mod avl;
 pub mod checkpoint;
 pub mod cst;
 pub mod decode;

@@ -220,6 +220,8 @@ pub struct PilgrimTracer {
     reqs: HashMap<u64, ReqEntry>,
     req_pools: SigPools,
     mem: MemTracker,
+    /// The current call's signature; one buffer reused by every call.
+    sig: SigWriter,
     timing: Option<TimingCompressor>,
     /// Resource governor (active only with [`PilgrimConfig::memory_budget`]).
     governor: Governor,
@@ -282,6 +284,7 @@ impl PilgrimTracer {
             reqs: HashMap::new(),
             req_pools: SigPools::new(),
             mem: MemTracker::new(),
+            sig: SigWriter::default(),
             timing,
             governor: Governor::new(cfg.memory_budget),
             calls: 0,
@@ -551,7 +554,8 @@ impl PilgrimTracer {
     // Signature encoding
     // ------------------------------------------------------------------
 
-    fn encode(&mut self, rec: &CallRec, shape: &Shape, caller_rank: i64) -> Vec<u8> {
+    /// Encodes the call's signature into `self.sig`.
+    fn encode(&mut self, rec: &CallRec, shape: &Shape, caller_rank: i64) {
         let mut cfg = self.cfg.encoder;
         // Relative-rank encoding applies to point-to-point src/dst ranks
         // (§3.4.2). Collective roots and leader ranks are the same value on
@@ -563,7 +567,10 @@ impl PilgrimTracer {
         // Each returned status belongs to a specific completed request,
         // whose creation communicator determines its relative-rank base.
         let completions = shape.completions(&rec.args);
-        let mut w = SigWriter::new(rec.func.id());
+        // Taken out while the id lookups below borrow the tracer, and put
+        // back with its capacity for the next call.
+        let mut w = std::mem::take(&mut self.sig);
+        w.restart(rec.func.id());
         for (at, arg) in rec.args.iter().enumerate() {
             match arg {
                 Arg::Int(v) => w.int(*v),
@@ -636,7 +643,7 @@ impl PilgrimTracer {
                 Arg::Str(s) => w.str(s),
             }
         }
-        w.into_bytes()
+        self.sig = w;
     }
 
     // ------------------------------------------------------------------
@@ -835,7 +842,7 @@ impl Tracer for PilgrimTracer {
         // Encode the signature (assigns request/datatype/group ids).
         let t_encode = self.metrics.is_enabled().then(Instant::now);
         let caller_rank = self.caller_rank(ctx, rec);
-        let sig = self.encode(rec, shape, caller_rank);
+        self.encode(rec, shape, caller_rank);
         let encode_dur = t_encode.map(|t| t.elapsed());
 
         // Record/replay side-channel — before the release below so
@@ -873,7 +880,7 @@ impl Tracer for PilgrimTracer {
 
         // CST + CFG growth.
         let duration = t_end - t_start;
-        let term = self.cst.observe(&sig, duration);
+        let term = self.cst.observe(self.sig.bytes(), duration);
         let t_grammar = self.metrics.is_enabled().then(Instant::now);
         self.grammar.push(term);
         let grammar_dur = t_grammar.map(|t| t.elapsed());

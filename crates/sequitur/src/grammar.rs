@@ -452,15 +452,16 @@ impl Grammar {
                     // symbols are always merged, so a digram has two distinct
                     // symbols and cannot overlap itself.
                     debug_assert!(self.next(m) != n && self.next(n) != m);
-                    self.handle_match(n, m);
+                    self.handle_match(n, m, key);
                 }
             }
         }
     }
 
     /// Enforces P1 for a duplicated digram: `n` is the newly observed
-    /// occurrence, `m` the indexed one.
-    fn handle_match(&mut self, n: NodeId, m: NodeId) {
+    /// occurrence, `m` the indexed one, `key` the digram both spell.
+    fn handle_match(&mut self, n: NodeId, m: NodeId, key: DigramKey) {
+        debug_assert_eq!(self.digram_key(m), Some(key));
         let m_prev = self.prev(m);
         let m_next = self.next(m);
         let r = if self.is_guard(m_prev) && self.is_guard(self.next(m_next)) {
@@ -468,7 +469,7 @@ impl Grammar {
             self.nodes[m_prev as usize].guard_of
         } else {
             // Form a new rule from the digram and substitute both uses.
-            let (s1, e1, s2, e2) = self.digram_key(m).expect("digram vanished");
+            let (s1, e1, s2, e2) = key;
             let r = self.new_rule();
             let guard = self.rules[r as usize].guard;
             let a = self.alloc_node(s1, e1);
@@ -483,7 +484,7 @@ impl Grammar {
             self.insert_after(a, b);
             // The rule's own RHS becomes the canonical occurrence of the
             // digram; later occurrences then match the full-rule branch.
-            self.digrams.insert((s1, e1, s2, e2), a);
+            self.digrams.insert(key, a);
             self.substitute(m, r);
             r
         };

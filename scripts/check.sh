@@ -290,15 +290,21 @@ check_panics crates/mpi-sim/src/fabric.rs 5
 # it is on this frozen allowlist — a new file can never be forgotten. The
 # grammar readers (`flat.rs`, `walk.rs`) meet bytes from the network and
 # are at 0; `sequitur/src/tests.rs` is the crate's unit-test module.
+# An entry naming a file that no longer exists fails, so a deleted
+# module's allowance cannot linger.
+panic_allowlist="crates/core/src/lib.rs:1 crates/core/src/replay.rs:8"
 panic_budget() {
-  case $1 in
-    crates/core/src/avl.rs) echo 6 ;;
-    crates/core/src/lib.rs) echo 1 ;;
-    crates/core/src/replay.rs) echo 8 ;;
-    crates/sequitur/src/grammar.rs) echo 1 ;;
-    *) echo 0 ;;
-  esac
+  local entry
+  for entry in $panic_allowlist; do
+    [ "${entry%:*}" = "$1" ] && { echo "${entry##*:}"; return; }
+  done
+  echo 0
 }
+for entry in $panic_allowlist; do
+  [ -f "${entry%:*}" ] ||
+    { echo "FAIL: the unwrap/expect allowlist names ${entry%:*}, which does not exist." >&2
+      exit 1; }
+done
 for file in $(find crates/core/src crates/sequitur/src -name '*.rs' \
   ! -path crates/sequitur/src/tests.rs | sort); do
   check_panics "$file" "$(panic_budget "$file")"
