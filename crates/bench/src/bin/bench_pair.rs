@@ -2,7 +2,7 @@
 //! `benchmarks/pipeline`, run in alternating pairs.
 //!
 //! ```text
-//! bench_pair <parent-pipeline-exe> <change-pipeline-exe> [pairs=10]
+//! bench_pair [--trace] <parent-pipeline-exe> <change-pipeline-exe> [pairs=10]
 //! ```
 //!
 //! Run from the repository root (it reads `./BENCHMARK.json` for the
@@ -19,6 +19,13 @@
 //!   sides' runs overlap, so this box cannot tell;
 //! * `ok` — otherwise.
 //!
+//! With `--trace` it then runs [`TRACE_PAIRS`] more alternating pairs
+//! per workload with `--trace 1` and prints, with no verdict, both medians
+//! of the layer rows that tell a real regression from a code-layout
+//! shift ([`LAYER_ROWS`]): `trace_ns_per_call` is the wall of a traced
+//! world, simulator included, so layout alone moves it, and
+//! `sim.untraced_ns_per_call` moving beside it is the tell.
+//!
 //! Exit 1 on any `worse` or if the change's share of failed operations is
 //! higher. Timings on this box swing by more than the benchmark's bounds
 //! from one session to the next (DESIGN.md §14), so a timing is only ever
@@ -27,6 +34,20 @@
 //! produces the two executables. Ten pairs take about 35 minutes.
 
 use std::process::{exit, Command};
+
+/// Alternating `--trace 1` pairs per workload that `--trace` adds.
+const TRACE_PAIRS: usize = 3;
+
+/// Per-layer rows `--trace` compares: the durable job's wall, its wait
+/// for the finish ack and its acks, and the untraced and traced per-call
+/// costs.
+const LAYER_ROWS: [&str; 5] = [
+    "net.job_wall_ms",
+    "net.finish_wait_ms",
+    "net.acks",
+    "sim.untraced_ns_per_call",
+    "tracer.intra_ns_per_call",
+];
 
 /// One end-to-end metric of `BENCHMARK.json`.
 struct Metric {
@@ -132,9 +153,15 @@ fn compare(metric: &Metric, parent: &[f64], change: &[f64]) -> Comparison {
     }
 }
 
-/// Runs one side once; returns the result object on its last stdout line.
-fn run(exe: &str, workload: &str) -> String {
-    let out = Command::new(exe).args(["--workload", workload, "--seed", "1"]).output();
+/// Runs one side once, with `--trace 1` when `traced`; returns the result
+/// object on its last stdout line.
+fn run(exe: &str, workload: &str, traced: bool) -> String {
+    let mut cmd = Command::new(exe);
+    cmd.args(["--workload", workload, "--seed", "1"]);
+    if traced {
+        cmd.args(["--trace", "1"]);
+    }
+    let out = cmd.output();
     let out = out.unwrap_or_else(|e| {
         eprintln!("bench_pair: cannot run {exe}: {e}");
         exit(1)
@@ -149,15 +176,35 @@ fn run(exe: &str, workload: &str) -> String {
     }
 }
 
+/// Runs `pairs` alternating pairs of one workload; `lines[side][pair]`
+/// are the result objects.
+fn run_pairs(sides: [&String; 2], workload: &str, pairs: usize, traced: bool) -> [Vec<String>; 2] {
+    let mut lines = [Vec::new(), Vec::new()];
+    for pair in 0..pairs {
+        for side in [pair % 2, 1 - pair % 2] {
+            let mode = if traced { " --trace 1" } else { "" };
+            eprintln!("bench_pair: {workload}{mode} pair {}/{pairs}, {}", pair + 1, sides[side]);
+            lines[side].push(run(sides[side], workload, traced));
+        }
+    }
+    lines
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let traced = args.first().is_some_and(|a| a == "--trace");
+    if traced {
+        args.remove(0);
+    }
     let pairs = match args.as_slice() {
         [_, _] => Some(10),
         [_, _, n] => n.parse().ok().filter(|&n| n > 0),
         _ => None,
     };
     let Some(pairs) = pairs else {
-        eprintln!("usage: bench_pair <parent-pipeline-exe> <change-pipeline-exe> [pairs=10]");
+        eprintln!(
+            "usage: bench_pair [--trace] <parent-pipeline-exe> <change-pipeline-exe> [pairs=10]"
+        );
         exit(2)
     };
     let sides = [&args[0], &args[1]];
@@ -190,17 +237,13 @@ fn main() {
     // Per side: operations failed and attempted over every run.
     let mut ops = [(0u64, 0u64); 2];
     let mut worse = 0usize;
-    for workload in workloads {
-        // lines[side][pair]
-        let mut lines = [Vec::new(), Vec::new()];
-        for pair in 0..pairs {
-            for side in [pair % 2, 1 - pair % 2] {
-                eprintln!("bench_pair: {workload} pair {}/{pairs}, {}", pair + 1, sides[side]);
-                let line = run(sides[side], workload);
-                let count = |key| field(&line, key).and_then(|v| v.parse().ok()).unwrap_or(0u64);
+    for &workload in &workloads {
+        let lines = run_pairs(sides, workload, pairs, false);
+        for (side, runs) in lines.iter().enumerate() {
+            for line in runs {
+                let count = |key| field(line, key).and_then(|v| v.parse().ok()).unwrap_or(0u64);
                 ops[side].0 += count("failed");
                 ops[side].1 += count("attempted");
-                lines[side].push(line);
             }
         }
         for metric in &metrics {
@@ -231,6 +274,9 @@ fn main() {
     }
     let [(parent_failed, parent_ops), (change_failed, change_ops)] = ops;
     println!("\nfailed/attempted: parent {parent_failed}/{parent_ops}, change {change_failed}/{change_ops}");
+    if traced {
+        layer_table(sides, &workloads);
+    }
     // Shares compared as cross products: no division, no 0/0.
     let more_failures = change_failed * parent_ops > parent_failed * change_ops;
     if more_failures {
@@ -240,6 +286,34 @@ fn main() {
         eprintln!("bench_pair: {worse} metric(s) worse than the parent beyond their bound");
     }
     exit(i32::from(worse > 0 || more_failures))
+}
+
+/// `--trace`: both medians of every [`LAYER_ROWS`] row over
+/// [`TRACE_PAIRS`] alternating `--trace 1` pairs per workload.
+/// Informational: no bound, no verdict, no effect on the exit code.
+fn layer_table(sides: [&String; 2], workloads: &[&str]) {
+    println!(
+        "\n`--trace 1`, {TRACE_PAIRS} pairs per workload, medians (informational, no verdict):\n"
+    );
+    println!("| workload | row | parent median | change median | change % |");
+    println!("|---|---|---:|---:|---:|");
+    for &workload in workloads {
+        let lines = run_pairs(sides, workload, TRACE_PAIRS, true);
+        for row in LAYER_ROWS {
+            let median = |side: usize| -> Option<f64> {
+                let runs: Vec<f64> =
+                    lines[side].iter().filter_map(|l| metric_value(l, row)).collect();
+                (!runs.is_empty()).then(|| median_and_spread(&runs).0)
+            };
+            let cell = |m: Option<f64>| m.map_or("n/a".to_string(), four_digits);
+            let (parent, change) = (median(0), median(1));
+            let moved = match (parent, change) {
+                (Some(p), Some(c)) if p != 0.0 => format!("{:+.1}", (c - p) / p * 100.0),
+                _ => "n/a".to_string(),
+            };
+            println!("| {workload} | {row} | {} | {} | {moved} |", cell(parent), cell(change));
+        }
+    }
 }
 
 #[cfg(test)]

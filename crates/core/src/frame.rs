@@ -18,7 +18,7 @@
 //!   collector hold more than `cap + one read chunk` for it.
 //! - **MAC chain** — with a [`MacState`] installed every frame must be
 //!   followed by a valid chained tag ([`FrameReader::set_mac`] verifies,
-//!   `seal_frame` appends); a bad tag is a corrupt stream.
+//!   the wire's `put_framed` appends); a bad tag is a corrupt stream.
 //! - **Record payloads** — job open, segment, rank completion and job
 //!   finished have one serializer and one parser each, shared by
 //!   [`WalRecord`](crate::wal::WalRecord) and
@@ -30,8 +30,6 @@
 //! workers, the client's ack drain and disk outbox, every handshake
 //! read and [`decode_wal`](crate::wal::decode_wal) pull frames through
 //! it.
-
-use std::borrow::Cow;
 
 use pilgrim_sequitur::{read_varint, write_varint};
 
@@ -69,12 +67,19 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
 /// Builds one CRC frame around `payload`.
 pub fn encode_frame(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 10);
-    out.push(kind);
-    write_varint(&mut out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    put_frame(&mut out, kind, payload);
     out
+}
+
+/// Appends one CRC frame around `payload` to `out` — the bytes of
+/// [`encode_frame`], without a buffer of its own.
+pub(crate) fn put_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
+    let start = out.len();
+    out.push(kind);
+    write_varint(out, payload.len() as u64);
+    out.extend_from_slice(payload);
+    let crc = crc32(&out[start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// Pulls one CRC frame starting at `*pos`, advancing past it on success.
@@ -117,21 +122,6 @@ fn split_capped<'a>(
     }
     *pos = at + 4;
     Some(Ok((kind, payload)))
-}
-
-/// The bytes one transmission puts on the socket: the frame plus its
-/// chained tag in an authenticated session, the frame alone otherwise.
-pub(crate) fn seal_frame<'a>(frame: &'a [u8], mac: Option<&mut MacState>) -> Cow<'a, [u8]> {
-    match mac {
-        Some(m) => {
-            let tag = m.seal(frame);
-            let mut out = Vec::with_capacity(frame.len() + MAC_LEN);
-            out.extend_from_slice(frame);
-            out.extend_from_slice(&tag);
-            Cow::Owned(out)
-        }
-        None => Cow::Borrowed(frame),
-    }
 }
 
 /// Incremental frame reassembly: bytes go in as they arrive, whole

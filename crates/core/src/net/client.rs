@@ -15,12 +15,13 @@ use std::time::{Duration, Instant};
 use mpi_sim::fault::hash4;
 
 use super::codec::{
-    lock, read_handshake_frame, timed_out, write_framed, NetFrame, HELLO_MAX_FRAME, KIND_FINISHED,
-    NET_VERSION, REJECT_AUTH_REQUIRED, REJECT_BAD_MAC, REJECT_LIMITS, REJECT_VERSION,
+    lock, put_framed, read_handshake_frame, timed_out, write_framed, NetFrame, HELLO_MAX_FRAME,
+    KIND_FINISHED, NET_VERSION, REJECT_AUTH_REQUIRED, REJECT_BAD_MAC, REJECT_LIMITS,
+    REJECT_VERSION,
 };
 use crate::auth::{challenge_response, session_key, AuthKey, MacState, DIR_CLIENT, DIR_SERVER};
 use crate::export::{persist_container, write_container};
-use crate::frame::{seal_frame, FrameReader};
+use crate::frame::FrameReader;
 use crate::governor::{Component, DegradationEvent, DegradationStage};
 use crate::ingest::{RetryPolicy, SegmentSink};
 use crate::layout;
@@ -772,6 +773,8 @@ struct Link {
     /// Ack batches applied on this connection, and when the last landed.
     acks: u64,
     last_ack: Instant,
+    /// The ack drain's read buffer, reused for the life of the link.
+    tmp: Vec<u8>,
 }
 
 /// Records a fatal typed handshake rejection: the worker degrades on it
@@ -848,7 +851,7 @@ fn try_connect(inner: &ClientInner, attempt: u64) -> std::io::Result<Link> {
     }
     // Past the hello the collector only ever sends small acks.
     rbuf.set_cap(usize::MAX);
-    Ok(Link { stream, rbuf, send_mac, acks: 0, last_ack: Instant::now() })
+    Ok(Link { stream, rbuf, send_mac, acks: 0, last_ack: Instant::now(), tmp: vec![0; 64 * 1024] })
 }
 
 fn reject_reason(code: u8) -> &'static str {
@@ -865,20 +868,20 @@ fn run_connection(inner: &ClientInner, link: &mut Link) -> ConnEnd {
     // Replay job opens (the server dedups), then unacked frames in
     // order. Retransmits bypass `send_frame`, so frame faults (first
     // transmission only) do not re-fire and loop forever.
-    let replay: Vec<Vec<u8>> = {
+    let replay: Vec<NetFrame> = {
         let st = lock(&inner.state);
-        let mut out: Vec<Vec<u8>> = Vec::new();
+        let mut out: Vec<NetFrame> = Vec::new();
         for &(job, nranks, identity_check) in &st.opens {
-            out.push(NetFrame::JobOpen { job, nranks, identity_check }.encode());
+            out.push(NetFrame::JobOpen { job, nranks, identity_check });
         }
         for frame in &st.unacked {
             inner.counters.retransmits.fetch_add(1, Ordering::Relaxed);
-            out.push(frame.encode());
+            out.push(frame.clone());
         }
         out
     };
-    for bytes in replay {
-        if write_framed(&mut link.stream, &bytes, &mut link.send_mac).is_err() {
+    for frame in &replay {
+        if write_framed(&mut link.stream, frame, &mut link.send_mac).is_err() {
             return ConnEnd::Broken;
         }
         inner.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
@@ -901,9 +904,11 @@ fn run_connection(inner: &ClientInner, link: &mut Link) -> ConnEnd {
         };
         match next {
             Some(frame) => {
-                // Opportunistic ack drain to keep the window moving.
+                // Keep sending while the window has room; apply only the
+                // acks already here, so the collector can commit many
+                // frames per sync instead of one per round trip.
                 if send_frame(inner, link, &frame).is_err()
-                    || drain_acks(inner, link, Duration::from_millis(1)).is_err()
+                    || drain_acks(inner, link, None).is_err()
                 {
                     return ConnEnd::Broken;
                 }
@@ -928,14 +933,18 @@ fn run_connection(inner: &ClientInner, link: &mut Link) -> ConnEnd {
                         st = guard;
                         if timeout.timed_out() && !st.has_pending() && !st.degraded {
                             drop(st);
-                            let hb = NetFrame::Heartbeat.encode();
-                            if write_framed(&mut link.stream, &hb, &mut link.send_mac).is_err() {
+                            let hb = write_framed(
+                                &mut link.stream,
+                                &NetFrame::Heartbeat,
+                                &mut link.send_mac,
+                            );
+                            if hb.is_err() {
                                 return ConnEnd::Broken;
                             }
                             inner.counters.heartbeats.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                } else if drain_acks(inner, link, Duration::from_millis(50)).is_err()
+                } else if drain_acks(inner, link, Some(Duration::from_millis(50))).is_err()
                     || link.last_ack.elapsed() > inner.cfg.io_timeout
                 {
                     // Everything sent, and either the socket broke or
@@ -957,7 +966,6 @@ fn run_connection(inner: &ClientInner, link: &mut Link) -> ConnEnd {
 /// exactly as it fails the CRC).
 fn send_frame(inner: &ClientInner, link: &mut Link, frame: &NetFrame) -> Result<(), ()> {
     let Link { stream, send_mac: mac, .. } = link;
-    let bytes = frame.encode();
     let faults = &inner.cfg.faults;
     if faults.is_active() {
         if let Some((job, rank, seq)) = frame.fault_key() {
@@ -970,13 +978,15 @@ fn send_frame(inner: &ClientInner, link: &mut Link, frame: &NetFrame) -> Result<
                 return Err(());
             }
             if faults.cuts(job, rank, seq) {
-                let wire = seal_frame(&bytes, mac.as_mut());
+                let mut wire = Vec::new();
+                put_framed(&mut wire, frame, mac, &mut Vec::new());
                 let _ = stream.write_all(&wire[..wire.len() / 2]);
                 let _ = stream.flush();
                 return Err(());
             }
             if let Some(off) = faults.corrupts(job, rank, seq) {
-                let mut bad = seal_frame(&bytes, mac.as_mut()).into_owned();
+                let mut bad = Vec::new();
+                put_framed(&mut bad, frame, mac, &mut Vec::new());
                 let idx = (off % bad.len() as u64) as usize;
                 bad[idx] ^= 0x20;
                 // The server's CRC (or MAC) fails closed and drops the
@@ -986,25 +996,38 @@ fn send_frame(inner: &ClientInner, link: &mut Link, frame: &NetFrame) -> Result<
                 return Ok(());
             }
             if faults.duplicates(job, rank, seq) {
-                write_framed(stream, &bytes, mac).map_err(|_| ())?;
+                write_framed(stream, frame, mac).map_err(|_| ())?;
             }
         }
     }
-    write_framed(stream, &bytes, mac).map_err(|_| ())?;
+    write_framed(stream, frame, mac).map_err(|_| ())?;
     inner.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
     Ok(())
 }
 
-/// Reads and applies whatever acks arrive within `wait`, noting on the
-/// link when any did. `Err(())` = the connection broke.
-fn drain_acks(inner: &ClientInner, link: &mut Link, wait: Duration) -> Result<(), ()> {
-    link.stream.set_read_timeout(Some(wait.max(Duration::from_millis(1)))).map_err(|_| ())?;
-    let mut tmp = [0u8; 64 * 1024];
+/// Reads and applies the acks that arrive within `wait` — with `None`,
+/// only those already received, without blocking — noting on the link
+/// when any did. `Err(())` = the connection broke.
+fn drain_acks(inner: &ClientInner, link: &mut Link, wait: Option<Duration>) -> Result<(), ()> {
+    let read = match wait {
+        Some(wait) => {
+            link.stream.set_read_timeout(Some(wait)).map_err(|_| ())?;
+            link.stream.read(&mut link.tmp)
+        }
+        None => {
+            // Non-blocking for this one read only: frames are written
+            // with blocking `write_all`.
+            link.stream.set_nonblocking(true).map_err(|_| ())?;
+            let read = link.stream.read(&mut link.tmp);
+            link.stream.set_nonblocking(false).map_err(|_| ())?;
+            read
+        }
+    };
     let mut progress = false;
-    match link.stream.read(&mut tmp) {
+    match read {
         Ok(0) => return Err(()),
         Ok(n) => {
-            link.rbuf.extend(&tmp[..n]);
+            link.rbuf.extend(&link.tmp[..n]);
             loop {
                 match link.rbuf.next_frame(NetFrame::decode) {
                     None => break,

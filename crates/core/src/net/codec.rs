@@ -9,7 +9,7 @@ use pilgrim_sequitur::write_varint;
 
 use crate::auth::{MacState, NONCE_LEN};
 use crate::error::DecodeError;
-use crate::frame::{self, encode_frame, seal_frame, FrameReader, RecordKind};
+use crate::frame::{self, encode_frame, FrameReader, RecordKind};
 use crate::merge::{RankCompletion, TraceSegment};
 use crate::wal::WalRecord;
 
@@ -282,14 +282,34 @@ pub(super) fn timed_out(e: &std::io::Error) -> bool {
     matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
 }
 
-/// Writes one frame, sealed with the chained MAC when the session is
-/// authenticated.
+/// Appends `frame` to `out` as one transmission puts it on the socket:
+/// the CRC frame, then its chained tag when the session is
+/// authenticated. The one sealing path; `payload` is reused scratch.
+pub(super) fn put_framed(
+    out: &mut Vec<u8>,
+    frame: &NetFrame,
+    mac: &mut Option<MacState>,
+    payload: &mut Vec<u8>,
+) {
+    payload.clear();
+    frame.serialize_payload(payload);
+    let start = out.len();
+    frame::put_frame(out, frame.kind(), payload);
+    if let Some(m) = mac.as_mut() {
+        let tag = m.seal(&out[start..]);
+        out.extend_from_slice(&tag);
+    }
+}
+
+/// Writes one frame as [`put_framed`] lays it out.
 pub(super) fn write_framed(
     stream: &mut TcpStream,
-    bytes: &[u8],
+    frame: &NetFrame,
     mac: &mut Option<MacState>,
 ) -> std::io::Result<()> {
-    stream.write_all(&seal_frame(bytes, mac.as_mut()))
+    let mut out = Vec::new();
+    put_framed(&mut out, frame, mac, &mut Vec::new());
+    stream.write_all(&out)
 }
 
 /// Reads one handshake frame within `timeout`, first consuming the

@@ -21,8 +21,11 @@
 //! - A broken connection is retried with exponential backoff plus
 //!   deterministic jitter. Every (re)connect replays the client's job
 //!   opens (the server dedups) and retransmits unacked frames; the
-//!   server acks each frame *after* appending it to a per-connection WAL
-//!   and dedups retransmits by `(job, rank, seq)` watermark.
+//!   server logs each frame to a per-connection WAL, acks it only after
+//!   the `sync_data` that covers its record has returned (one per batch
+//!   of frames, a group commit), and dedups retransmits by
+//!   `(job, rank, seq)` watermark. The client keeps sending while acks
+//!   are in flight, up to a window of unacked frames.
 //! - When the retry budget runs out — refused connects, a partition, a
 //!   collector that stays dead — the client degrades to a local spill:
 //!   everything still unacked is appended to a client-side WAL, later
@@ -32,8 +35,9 @@
 //!   ([`LocalSpill`](crate::governor::DegradationStage::LocalSpill),
 //!   surfaced by `fidelity()`), never papered over.
 //!
-//! The server survives being killed outright: its per-connection WALs
-//! under `<spill_dir>/wal/` are written before each ack, so
+//! The server survives being killed outright: an ack is sent only after
+//! the `sync_data` that covers its record in a per-connection WAL under
+//! `<spill_dir>/wal/` has returned, so
 //! `trace_tool recover` can rebuild every acked byte, and a restarted
 //! [`serve`] on the same directory appends new conn logs next to the old
 //! ones instead of truncating them. Seeded fault injection for all of

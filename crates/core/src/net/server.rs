@@ -1,5 +1,7 @@
 //! The collector endpoint: accept loop, per-connection workers,
-//! admission control, and ack-after-durable dispatch.
+//! admission control, and ack-after-durable dispatch: the frames of one
+//! read are staged into the connection's WAL as one batch, and an ack is
+//! sent only after the `sync_data` that covers its record has returned.
 
 use std::collections::{HashMap, HashSet};
 use std::fs;
@@ -12,7 +14,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use super::codec::{
-    lock, read_handshake_frame, timed_out, write_framed, NetFrame, HELLO_MAX_FRAME, KIND_COMPLETE,
+    lock, put_framed, read_handshake_frame, timed_out, NetFrame, HELLO_MAX_FRAME, KIND_COMPLETE,
     KIND_FINISHED, KIND_JOB_OPEN, KIND_SEGMENT, MAX_NRANKS, NET_VERSION, REJECT_AUTH_REQUIRED,
     REJECT_BAD_MAC, REJECT_LIMITS, REJECT_VERSION,
 };
@@ -194,6 +196,10 @@ counter_set! {
         /// Total bytes appended across the per-connection WALs (drives the
         /// `max_wal_bytes` shed threshold).
         wal_bytes: u64,
+        /// `sync_data` calls on the per-connection WALs: one per group
+        /// commit (the records of one read), so below the records logged
+        /// whenever frames arrive faster than one sync.
+        wal_syncs: u64,
     }
 }
 
@@ -324,24 +330,6 @@ impl ServeShared {
             }
         }
     }
-
-    /// Appends to the connection WAL before the ack. `false` means the
-    /// record is NOT durable: the caller must close the connection
-    /// without acking, so the client retransmits to a healthier one.
-    fn wal_log(&self, wal: &mut Option<WalWriter>, rec: &WalRecord) -> bool {
-        match WalWriter::append_or_rewind(wal, |w| w.append(rec)) {
-            // No durability configured: accept without logging.
-            None => self.wal_dir.is_none(),
-            Some(Ok(n)) => {
-                self.counters.wal_bytes.fetch_add(n, Ordering::Relaxed);
-                true
-            }
-            Some(Err(_)) => {
-                self.counters.wal_errors.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
-    }
 }
 
 /// A running collector endpoint, returned by [`serve`].
@@ -382,11 +370,12 @@ impl ServeHandle {
     }
 
     /// Graceful shutdown: stop accepting, give live connections up to
-    /// `grace` to flush the frames they have already received (each
-    /// frame is fsynced into its conn WAL before its ack, so everything
-    /// acked is durable), then stop. Connections still mid-stream after
-    /// the grace period are cut like a plain [`ServeHandle::stop`] —
-    /// their clients reconnect elsewhere or degrade to local spill.
+    /// `grace` to flush the frames they have already received (an ack is
+    /// sent only after the `sync_data` that covers its record in the conn
+    /// WAL has returned, so everything acked is durable), then stop.
+    /// Connections still mid-stream after the grace period are cut like a
+    /// plain [`ServeHandle::stop`] — their clients reconnect elsewhere or
+    /// degrade to local spill.
     pub fn drain(mut self, grace: Duration) -> NetServerStats {
         self.shared.draining.store(true, Ordering::SeqCst);
         let deadline = Instant::now() + grace;
@@ -419,8 +408,9 @@ impl Drop for ServeHandle {
 /// immediately; connections are handled on background threads.
 ///
 /// The session should be created with `wal(false)`: [`serve`] writes its
-/// own per-connection WALs under `<spill_dir>/wal/` (ack-after-durable),
-/// and a session-level WAL would log every record a second time.
+/// own per-connection WALs under `<spill_dir>/wal/` (an ack is sent only
+/// after the `sync_data` that covers its record has returned), and a
+/// session-level WAL would log every record a second time.
 /// Existing `conn-*.wal` files from a previous incarnation are left
 /// untouched — recovery reads the union.
 pub fn serve(
@@ -519,22 +509,28 @@ fn conn_worker(shared: Arc<ServeShared>, mut stream: TcpStream) {
     // The hello phase runs under a tight decode cap; the negotiated cap
     // applies only after the peer has proven itself.
     let mut rbuf = FrameReader::new(HELLO_MAX_FRAME);
-    let Some(mut send_mac) = server_hello(&shared, &mut stream, &mut rbuf) else {
+    let Some(send_mac) = server_hello(&shared, &mut stream, &mut rbuf) else {
         shared.counters.bad_hello.fetch_add(1, Ordering::Relaxed);
         return;
     };
     rbuf.set_cap(shared.cfg.max_frame_len);
-    // The conn WAL is created only *after* a successful (and, with a
-    // key, authenticated) hello: a rejected peer leaves no partial WAL
-    // state behind.
-    let mut wal = shared.new_conn_wal();
     if stream.set_read_timeout(Some(shared.cfg.io_timeout)).is_err() {
         return;
     }
-    // Jobs whose open this connection has logged: every conn WAL that
-    // carries a job's records also names its open, so recovery can
-    // replay any single file (or any union) without a dangling job.
-    let mut opened: HashSet<u64> = HashSet::new();
+    // The conn WAL is created only *after* a successful (and, with a
+    // key, authenticated) hello: a rejected peer leaves no partial WAL
+    // state behind.
+    let mut conn = Conn {
+        shared: &shared,
+        stream,
+        send_mac,
+        wal: shared.new_conn_wal(),
+        opened: HashSet::new(),
+        batch: Batch::default(),
+        acks: Vec::new(),
+        out: Vec::new(),
+        payload: Vec::new(),
+    };
     let mut tmp = vec![0u8; 64 * 1024];
     // Rolling one-second rate window and the slow-loris clock.
     let mut window_start = Instant::now();
@@ -550,11 +546,11 @@ fn conn_worker(shared: Arc<ServeShared>, mut stream: TcpStream) {
             // Graceful shutdown: flush what the peer already sent, then
             // exit at the first quiet read instead of the idle deadline.
             drain_mode = true;
-            if stream.set_read_timeout(Some(Duration::from_millis(30))).is_err() {
+            if conn.stream.set_read_timeout(Some(Duration::from_millis(30))).is_err() {
                 return;
             }
         }
-        match stream.read(&mut tmp) {
+        match conn.stream.read(&mut tmp) {
             Ok(0) => return,
             Ok(n) => {
                 rbuf.extend(&tmp[..n]);
@@ -562,6 +558,9 @@ fn conn_worker(shared: Arc<ServeShared>, mut stream: TcpStream) {
                     .counters
                     .peak_conn_buffer
                     .fetch_max(rbuf.pending() as u64, Ordering::Relaxed);
+                // Every whole frame this read produced is one batch: each
+                // is staged, then one commit and one write of the acks.
+                // Every way out commits and acks what came before.
                 loop {
                     match rbuf.next_frame(NetFrame::decode) {
                         None => break,
@@ -570,28 +569,29 @@ fn conn_worker(shared: Arc<ServeShared>, mut stream: TcpStream) {
                             // fail closed. The client reconnects and
                             // retransmits from the last ack.
                             shared.counters.torn_conns.fetch_add(1, Ordering::Relaxed);
+                            let _ = conn.flush(None);
                             return;
                         }
                         Some(Ok(frame)) => {
                             shared.counters.frames.fetch_add(1, Ordering::Relaxed);
                             window_frames += 1;
                             last_whole_frame = Instant::now();
-                            match dispatch(&shared, &mut wal, &mut opened, frame) {
-                                Ok(Dispatch::Reply(ack)) => {
-                                    if write_framed(&mut stream, &ack, &mut send_mac).is_err() {
-                                        return;
-                                    }
-                                    shared.counters.acks.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Ok(Dispatch::Quiet) => {}
-                                Ok(Dispatch::ReplyClose(bytes)) => {
-                                    let _ = write_framed(&mut stream, &bytes, &mut send_mac);
+                            match conn.dispatch(frame) {
+                                Ok(None) => {}
+                                Ok(Some(reply)) => {
+                                    let _ = conn.flush(Some(&reply));
                                     return;
                                 }
-                                Err(()) => return,
+                                Err(()) => {
+                                    let _ = conn.flush(None);
+                                    return;
+                                }
                             }
                         }
                     }
+                }
+                if conn.flush(None).is_err() {
+                    return;
                 }
                 // Slow-loris kill: bytes keep trickling in (so the idle
                 // read deadline never fires) but no whole frame has
@@ -689,161 +689,303 @@ fn server_hello(
     Some(Some(MacState::new(sk, DIR_SERVER)))
 }
 
-fn ack_bytes(job: u64, a: u64, b: u64, of: u8) -> Vec<u8> {
-    NetFrame::Ack { job, a, b, of }.encode()
+/// One connection's group commit: the records staged into its WAL since
+/// the last commit and what folding them will do. Nothing here reaches
+/// the session or the watermarks until [`Conn::commit`] has made the
+/// batch durable.
+#[derive(Default)]
+struct Batch {
+    /// A record was staged while durability is configured but this
+    /// connection has no WAL writer (dropped after a failed rewind): the
+    /// batch cannot be made durable.
+    unlogged: bool,
+    /// Segments and completions to fold once committed, in frame order.
+    folds: Vec<(Arc<Mutex<NetJobEntry>>, WalRecord)>,
+    /// Batch-local overlay of the watermarks the dedup and gap checks
+    /// read: `(job, rank) -> next seq`, completed `(job, rank)`s, and the
+    /// jobs whose open is staged.
+    next_seq: HashMap<(u64, u64), u64>,
+    completed: HashSet<(u64, u64)>,
+    opens: Vec<u64>,
 }
 
-/// What [`dispatch`] wants done with the connection.
-enum Dispatch {
-    /// Write this ack and keep going.
-    Reply(Vec<u8>),
-    /// Nothing to write (heartbeat).
-    Quiet,
-    /// Write these bytes, then close (overload shed).
-    ReplyClose(Vec<u8>),
+impl Batch {
+    fn clear(&mut self) {
+        self.unlogged = false;
+        self.folds.clear();
+        self.next_seq.clear();
+        self.completed.clear();
+        self.opens.clear();
+    }
 }
 
-/// Handles one accepted frame. `Err(())` = close the connection
-/// (protocol violation or a WAL append that could not be made durable —
-/// no ack, so the client retransmits).
-fn dispatch(
-    shared: &ServeShared,
-    wal: &mut Option<WalWriter>,
-    opened: &mut HashSet<u64>,
-    frame: NetFrame,
-) -> Result<Dispatch, ()> {
-    match frame {
-        NetFrame::Heartbeat => {
-            shared.counters.heartbeats.fetch_add(1, Ordering::Relaxed);
-            Ok(Dispatch::Quiet)
+/// A handshaken connection: its socket and send-side MAC chain, its WAL,
+/// and the batch being built from the frames of one read.
+struct Conn<'s> {
+    shared: &'s ServeShared,
+    stream: TcpStream,
+    send_mac: Option<MacState>,
+    wal: Option<WalWriter>,
+    /// Jobs whose open this connection has logged: every conn WAL that
+    /// carries a job's records also names its open, so recovery can
+    /// replay any single file (or any union) without a dangling job.
+    opened: HashSet<u64>,
+    batch: Batch,
+    /// `Ack { job, a, b, of }` coordinates earned since the last flush,
+    /// in frame order; written only after the commit covering them.
+    acks: Vec<(u64, u64, u64, u8)>,
+    /// Reused buffers: one flush's sealed frames, one frame's payload.
+    out: Vec<u8>,
+    payload: Vec<u8>,
+}
+
+impl Conn<'_> {
+    fn stage(&mut self, rec: &WalRecord) {
+        match self.wal.as_mut() {
+            Some(wal) => wal.stage(rec),
+            None => self.batch.unlogged |= self.shared.wal_dir.is_some(),
         }
-        NetFrame::JobOpen { job, nranks, identity_check } => {
-            // The declared rank count sizes the merger's allocations,
-            // so it must be judged *before* the job is opened: a
-            // hostile open declaring 2^50 ranks costs the peer one
-            // typed reject, not the collector petabytes.
-            if nranks > MAX_NRANKS {
-                shared.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                return Ok(Dispatch::ReplyClose(NetFrame::Reject { code: REJECT_LIMITS }.encode()));
+    }
+
+    fn ack(&mut self, job: u64, a: u64, b: u64, of: u8) {
+        self.acks.push((job, a, b, of));
+    }
+
+    /// Makes the batch durable — one write, one `sync_data` — and only
+    /// then folds it into the session and moves the watermarks; its acks
+    /// stay queued for [`Conn::flush`]. `Err(())` = the records are NOT
+    /// durable: nothing is folded, acked or advanced, and the caller
+    /// closes so the client retransmits to a healthier connection.
+    fn commit(&mut self) -> Result<(), ()> {
+        let durable = match WalWriter::append_or_rewind(&mut self.wal, WalWriter::commit) {
+            // No writer: durable only if nothing needed logging (or no
+            // durability is configured, so `unlogged` never gets set).
+            None => !self.batch.unlogged,
+            // Nothing staged: no write, no sync.
+            Some(Ok(0)) => true,
+            Some(Ok(bytes)) => {
+                let c = &self.shared.counters;
+                c.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
+                c.wal_syncs.fetch_add(1, Ordering::Relaxed);
+                true
             }
-            // Overload shedding applies to *new* jobs only: a retransmit
-            // of an accepted job's open must keep succeeding, or a
-            // reconnect during overload would orphan the job.
-            let known = lock(&shared.jobs).contains_key(&job);
-            if !known && shared.saturated() {
-                shared.counters.sheds.fetch_add(1, Ordering::Relaxed);
-                return Ok(Dispatch::ReplyClose(NetFrame::Busy { job }.encode()));
+            Some(Err(_)) => {
+                self.shared.counters.wal_errors.fetch_add(1, Ordering::Relaxed);
+                false
             }
-            let _entry = shared.job_entry(job, nranks, identity_check);
-            if opened.insert(job)
-                && !shared.wal_log(wal, &WalRecord::JobOpen { job, nranks, identity_check })
-            {
-                opened.remove(&job);
-                return Err(());
-            }
-            Ok(Dispatch::Reply(ack_bytes(job, 0, 0, KIND_JOB_OPEN)))
+        };
+        if !durable {
+            self.batch.clear();
+            self.acks.clear();
+            return Err(());
         }
-        NetFrame::Segment { job, seg } => {
-            let entry = shared.open_job(job)?;
-            let mut e = lock(&entry);
-            let (rank, seq) = (seg.rank as u64, seg.seq as u64);
-            match e.next_seq.get(&rank).copied() {
-                Some(expected) if seq < expected => {
-                    // Retransmit of an already-durable frame: ack, drop.
-                    shared.counters.dup_frames.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(expected) if seq > expected => {
-                    // A gap on an in-order stream is a protocol error.
+        for (entry, rec) in self.batch.folds.drain(..) {
+            fold(self.shared, &entry, rec);
+        }
+        self.opened.extend(self.batch.opens.drain(..));
+        self.batch.clear();
+        Ok(())
+    }
+
+    /// Commits the batch, then writes its acks — sealed in order, each
+    /// byte-identical to a lone ack — and `reply` after them, in one
+    /// write. `Err(())` = the commit or the write failed; close.
+    fn flush(&mut self, reply: Option<&NetFrame>) -> Result<(), ()> {
+        self.commit()?;
+        self.out.clear();
+        let acks = self.acks.len() as u64;
+        for &(job, a, b, of) in &self.acks {
+            let ack = NetFrame::Ack { job, a, b, of };
+            put_framed(&mut self.out, &ack, &mut self.send_mac, &mut self.payload);
+        }
+        self.acks.clear();
+        if let Some(frame) = reply {
+            put_framed(&mut self.out, frame, &mut self.send_mac, &mut self.payload);
+        }
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        self.stream.write_all(&self.out).map_err(|_| ())?;
+        self.shared.counters.acks.fetch_add(acks, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Stages one accepted frame into the batch. `Ok(Some(reply))` =
+    /// flush, send `reply`, close (overload shed, limits reject);
+    /// `Err(())` = close (protocol violation, the crash-simulation hook,
+    /// or a commit that could not be made durable — no ack, so the
+    /// client retransmits).
+    fn dispatch(&mut self, frame: NetFrame) -> Result<Option<NetFrame>, ()> {
+        let shared = self.shared;
+        match frame {
+            NetFrame::Heartbeat => {
+                shared.counters.heartbeats.fetch_add(1, Ordering::Relaxed);
+            }
+            NetFrame::JobOpen { job, nranks, identity_check } => {
+                // The declared rank count sizes the merger's allocations,
+                // so it must be judged *before* the job is opened: a
+                // hostile open declaring 2^50 ranks costs the peer one
+                // typed reject, not the collector petabytes.
+                if nranks > MAX_NRANKS {
                     shared.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    return Err(());
+                    return Ok(Some(NetFrame::Reject { code: REJECT_LIMITS }));
                 }
-                _ => {
-                    // In order — or the first segment this incarnation
-                    // has seen for the rank. A restarted collector
-                    // adopts the client's seq as its watermark: the
-                    // missing prefix is durable in the previous
-                    // incarnation's conn WALs, and recovery replays the
-                    // union. The live merge degrades; the WAL does not.
-                    let rec = WalRecord::Segment { job, seg };
-                    if !shared.wal_log(wal, &rec) {
+                // Overload shedding applies to *new* jobs only: a
+                // retransmit of an accepted job's open must keep
+                // succeeding, or a reconnect during overload would
+                // orphan the job.
+                let known = lock(&shared.jobs).contains_key(&job);
+                if !known && shared.saturated() {
+                    shared.counters.sheds.fetch_add(1, Ordering::Relaxed);
+                    return Ok(Some(NetFrame::Busy { job }));
+                }
+                shared.job_entry(job, nranks, identity_check);
+                if !self.opened.contains(&job) && !self.batch.opens.contains(&job) {
+                    self.stage(&WalRecord::JobOpen { job, nranks, identity_check });
+                    self.batch.opens.push(job);
+                }
+                self.ack(job, 0, 0, KIND_JOB_OPEN);
+            }
+            NetFrame::Segment { job, seg } => {
+                let entry = shared.open_job(job)?;
+                let (rank, seq) = (seg.rank as u64, seg.seq as u64);
+                let expected = match self.batch.next_seq.get(&(job, rank)) {
+                    Some(&next) => Some(next),
+                    None => lock(&entry).next_seq.get(&rank).copied(),
+                };
+                match expected {
+                    Some(next) if seq < next => {
+                        // Retransmit of an already-durable frame: ack, drop.
+                        shared.counters.dup_frames.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Some(next) if seq > next => {
+                        // A gap on an in-order stream is a protocol error.
+                        shared.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
                         return Err(());
                     }
-                    if let WalRecord::Segment { seg, .. } = rec {
-                        e.handle.push_segment(seg);
+                    _ => {
+                        // In order — or the first segment this
+                        // incarnation has seen for the rank. A restarted
+                        // collector adopts the client's seq as its
+                        // watermark: the missing prefix is durable in the
+                        // previous incarnation's conn WALs, and recovery
+                        // replays the union. The live merge degrades; the
+                        // WAL does not.
+                        let rec = WalRecord::Segment { job, seg };
+                        self.stage(&rec);
+                        self.batch.next_seq.insert((job, rank), seq + 1);
+                        self.batch.folds.push((entry, rec));
                     }
-                    e.next_seq.insert(rank, seq + 1);
                 }
+                self.ack(job, rank, seq, KIND_SEGMENT);
             }
-            Ok(Dispatch::Reply(ack_bytes(job, rank, seq, KIND_SEGMENT)))
-        }
-        NetFrame::Complete { job, done } => {
-            let entry = shared.open_job(job)?;
-            let mut e = lock(&entry);
-            let rank = done.rank as u64;
-            if e.completed.contains(&rank) {
-                shared.counters.dup_frames.fetch_add(1, Ordering::Relaxed);
-            } else {
-                let rec = WalRecord::Complete { job, done };
-                if !shared.wal_log(wal, &rec) {
-                    return Err(());
+            NetFrame::Complete { job, done } => {
+                let entry = shared.open_job(job)?;
+                let rank = done.rank as u64;
+                if self.batch.completed.contains(&(job, rank))
+                    || lock(&entry).completed.contains(&rank)
+                {
+                    shared.counters.dup_frames.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    let rec = WalRecord::Complete { job, done };
+                    self.stage(&rec);
+                    self.batch.completed.insert((job, rank));
+                    self.batch.folds.push((entry, rec));
                 }
-                if let WalRecord::Complete { done, .. } = rec {
-                    e.handle.complete_rank(done);
-                }
-                e.completed.insert(rank);
+                self.ack(job, rank, 0, KIND_COMPLETE);
             }
-            Ok(Dispatch::Reply(ack_bytes(job, rank, 0, KIND_COMPLETE)))
+            NetFrame::Finished { job } => {
+                // Commit and ack what came before first: no container is
+                // written ahead of its records.
+                self.flush(None)?;
+                self.finish(job)?;
+            }
+            NetFrame::Hello { .. }
+            | NetFrame::HelloAck { .. }
+            | NetFrame::Ack { .. }
+            | NetFrame::Challenge { .. }
+            | NetFrame::AuthResponse { .. }
+            | NetFrame::Busy { .. }
+            | NetFrame::Reject { .. } => {
+                // Handshake-only or server-only frames after the
+                // handshake: a protocol violation either way.
+                shared.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                return Err(());
+            }
         }
-        NetFrame::Finished { job } => {
-            let entry = shared.open_job(job)?;
-            let mut e = lock(&entry);
-            if let Some(lossless) = e.finished {
-                shared.counters.dup_frames.fetch_add(1, Ordering::Relaxed);
-                return Ok(Dispatch::Reply(ack_bytes(job, u64::from(lossless), 0, KIND_FINISHED)));
-            }
-            if e.next_seq.is_empty() && e.completed.is_empty() {
-                // A finish replayed across a collector restart: this
-                // incarnation never saw the job's data (it was all acked
-                // before the crash). Finalizing now would overwrite the
-                // previous incarnation's container with an empty trace,
-                // so just settle the client; recovery owns the rebuild.
-                shared.counters.stale_finishes.fetch_add(1, Ordering::Relaxed);
-                // The replayed open counted toward `jobs_opened`, so a
-                // stale finish must settle `jobs_finished` too — or the
-                // open-jobs gauge inflates with every job replayed
-                // across a restart until `max_open_jobs` sheds forever.
-                shared.counters.jobs_finished.fetch_add(1, Ordering::Relaxed);
-                e.finished = Some(false);
-                return Ok(Dispatch::Reply(ack_bytes(job, 0, 0, KIND_FINISHED)));
-            }
-            let outcome = shared.session.finish_job(&e.handle);
-            let lossless = outcome.is_lossless();
-            if lossless {
-                // Only a lossless finish is marked settled in the WAL:
-                // recovery then trusts the container. Anything less and
-                // recovery re-replays the full record union instead.
-                let _ = shared.wal_log(wal, &WalRecord::Finished { job });
-            }
-            e.finished = Some(lossless);
-            let done = shared.counters.jobs_finished.fetch_add(1, Ordering::Relaxed) + 1;
-            if shared.cfg.kill_after_finished.is_some_and(|k| done >= k) {
-                // Crash simulation: sockets shut *before* this ack is
-                // written, so the client never learns the job finished.
-                shared.initiate_stop();
-            }
-            Ok(Dispatch::Reply(ack_bytes(job, u64::from(lossless), 0, KIND_FINISHED)))
+        Ok(None)
+    }
+
+    /// Finalizes `job` (everything before its finish is committed and
+    /// folded) and stages its `Finished` record and ack. `Err(())` =
+    /// close; after the crash-simulation hook fires, that stops the
+    /// connection with only the `Finished` record left to commit.
+    fn finish(&mut self, job: u64) -> Result<(), ()> {
+        let shared = self.shared;
+        let entry = shared.open_job(job)?;
+        let mut e = lock(&entry);
+        if let Some(lossless) = e.finished {
+            shared.counters.dup_frames.fetch_add(1, Ordering::Relaxed);
+            self.ack(job, u64::from(lossless), 0, KIND_FINISHED);
+            return Ok(());
         }
-        NetFrame::Hello { .. }
-        | NetFrame::HelloAck { .. }
-        | NetFrame::Ack { .. }
-        | NetFrame::Challenge { .. }
-        | NetFrame::AuthResponse { .. }
-        | NetFrame::Busy { .. }
-        | NetFrame::Reject { .. } => {
-            // Handshake-only or server-only frames after the handshake:
-            // a protocol violation either way.
-            shared.counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            Err(())
+        if e.next_seq.is_empty() && e.completed.is_empty() {
+            // A finish replayed across a collector restart: this
+            // incarnation never saw the job's data (it was all acked
+            // before the crash). Finalizing now would overwrite the
+            // previous incarnation's container with an empty trace, so
+            // just settle the client; recovery owns the rebuild.
+            shared.counters.stale_finishes.fetch_add(1, Ordering::Relaxed);
+            // The replayed open counted toward `jobs_opened`, so a stale
+            // finish must settle `jobs_finished` too — or the open-jobs
+            // gauge inflates with every job replayed across a restart
+            // until `max_open_jobs` sheds forever.
+            shared.counters.jobs_finished.fetch_add(1, Ordering::Relaxed);
+            e.finished = Some(false);
+            self.ack(job, 0, 0, KIND_FINISHED);
+            return Ok(());
+        }
+        let outcome = shared.session.finish_job(&e.handle);
+        let lossless = outcome.is_lossless();
+        if lossless {
+            // Only a lossless finish is marked settled in the WAL:
+            // recovery then trusts the container. Anything less and
+            // recovery re-replays the full record union instead.
+            self.stage(&WalRecord::Finished { job });
+        }
+        e.finished = Some(lossless);
+        let done = shared.counters.jobs_finished.fetch_add(1, Ordering::Relaxed) + 1;
+        self.ack(job, u64::from(lossless), 0, KIND_FINISHED);
+        if shared.cfg.kill_after_finished.is_some_and(|k| done >= k) {
+            // Crash simulation: sockets shut *before* this ack is
+            // written, so the client never learns the job finished, and
+            // no later frame of this read is staged — a crash here could
+            // not have logged one.
+            shared.initiate_stop();
+            return Err(());
+        }
+        Ok(())
+    }
+}
+
+/// Folds one committed record into its job, re-judging the watermark
+/// under the job lock: another connection may have folded the same
+/// `(rank, seq)` since this one staged it, and a record folds once.
+fn fold(shared: &ServeShared, entry: &Mutex<NetJobEntry>, rec: WalRecord) {
+    let mut e = lock(entry);
+    match rec {
+        WalRecord::Segment { seg, .. }
+            if e.next_seq.get(&(seg.rank as u64)).is_none_or(|&next| seg.seq as u64 >= next) =>
+        {
+            e.next_seq.insert(seg.rank as u64, seg.seq as u64 + 1);
+            e.handle.push_segment(seg);
+        }
+        WalRecord::Complete { done, .. } if !e.completed.contains(&(done.rank as u64)) => {
+            e.completed.insert(done.rank as u64);
+            e.handle.complete_rank(done);
+        }
+        _ => {
+            shared.counters.dup_frames.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -957,6 +1099,165 @@ mod tests {
         // The ack-before-durable WAL exists and holds the stream.
         let report = crate::recover::recover_dir(&dir.join("server")).expect("recover");
         assert_eq!(report.jobs.len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// One job's open, 32 segments over two ranks and both completions.
+    fn job_frames(job: u64) -> Vec<NetFrame> {
+        let mut frames = vec![NetFrame::JobOpen { job, nranks: 2, identity_check: false }];
+        for seq in 0..16u32 {
+            for rank in 0..2 {
+                let mut seg = segment(rank, seq, &[b"a", b"b", b"a"]);
+                seg.sealed = seq < 15;
+                frames.push(NetFrame::Segment { job, seg });
+            }
+        }
+        for rank in 0..2 {
+            frames.push(NetFrame::Complete { job, done: completion(rank, 48, 16) });
+        }
+        frames
+    }
+
+    #[test]
+    fn a_burst_of_frames_is_one_group_commit_acked_in_order() {
+        let dir = temp_dir("net-group-commit");
+        let server = test_server(&dir, NetServerConfig::new());
+        let mut s = raw_hello(&server);
+        let job = 11;
+        let frames = job_frames(job);
+        let burst: Vec<u8> = frames.iter().flat_map(|f| f.encode()).collect();
+        s.write_all(&burst).expect("write the burst");
+        // Every frame is acked exactly once, in frame order.
+        let mut rbuf = FrameReader::new(usize::MAX);
+        for f in &frames {
+            let ack = read_handshake_frame(&mut s, &mut rbuf, Duration::from_secs(5), false);
+            let Some(NetFrame::Ack { job: j, a, b, of }) = ack else {
+                panic!("expected the ack of {f:?}, got {ack:?}");
+            };
+            assert!(f.settled_by(j, a, b, of), "ack {:?} out of order for {f:?}", (j, a, b, of));
+        }
+        s.set_read_timeout(Some(Duration::from_millis(100))).expect("timeout");
+        assert!(
+            matches!(s.read(&mut [0u8; 64]), Err(ref e) if timed_out(e)),
+            "no ack beyond one per frame"
+        );
+        let stats = server.stop();
+        assert_eq!(stats.acks, frames.len() as u64, "{stats:?}");
+        assert_eq!(stats.dup_frames + stats.protocol_errors + stats.wal_errors, 0, "{stats:?}");
+        assert!(stats.wal_syncs >= 1, "{stats:?}");
+        assert!(
+            stats.wal_syncs < frames.len() as u64,
+            "a burst must share syncs: {} syncs for {} records",
+            stats.wal_syncs,
+            frames.len()
+        );
+
+        // Only the fsync boundaries moved: the conn WAL is byte-identical
+        // to one written a record (and a sync) at a time.
+        let conn_wal = crate::layout::wal_dir(&dir).join("conn-0.wal");
+        let oracle = dir.join("oracle.wal");
+        let mut w = WalWriter::create(&oracle).expect("oracle wal");
+        for f in frames {
+            w.append(&f.into_wal_record().expect("a durable record")).expect("append");
+        }
+        assert_eq!(w.syncs(), w.records(), "append is a batch of one");
+        let image = fs::read(&conn_wal).expect("conn wal");
+        assert_eq!(image, fs::read(&oracle).expect("oracle image"));
+        assert!(image.starts_with(crate::wal::WAL_MAGIC));
+        fs::remove_file(&oracle).expect("drop the oracle");
+
+        // Recovery rebuilds the unfinished job from the batched log.
+        let report = crate::recover::recover_dir(&dir).expect("recover");
+        assert_eq!(report.jobs.len(), 1, "{:?}", report.problems);
+        let rebuilt = &report.jobs[0];
+        assert_eq!(
+            (rebuilt.job, rebuilt.state, rebuilt.calls),
+            (job, crate::recover::RecoveryState::Recovered, 96),
+            "{:?}",
+            rebuilt.problems
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_kill_hook_commits_nothing_after_the_finished_record() {
+        let dir = temp_dir("net-kill-hook");
+        let server = test_server(&dir, NetServerConfig::new().kill_after_finished(1));
+        let mut s = raw_hello(&server);
+        // One read carries job 21 with its finish, then job 22: the
+        // simulated crash at the finish must log nothing of job 22.
+        let logged = job_frames(21);
+        let mut burst: Vec<u8> = logged.iter().flat_map(|f| f.encode()).collect();
+        burst.extend(NetFrame::Finished { job: 21 }.encode());
+        burst.extend(job_frames(22).iter().flat_map(|f| f.encode()));
+        s.write_all(&burst).expect("write the burst");
+        let mut rbuf = FrameReader::new(usize::MAX);
+        for f in &logged {
+            let ack = read_handshake_frame(&mut s, &mut rbuf, Duration::from_secs(5), false);
+            assert!(
+                matches!(ack, Some(NetFrame::Ack { job, a, b, of }) if f.settled_by(job, a, b, of)),
+                "expected the ack of {f:?}, got {ack:?}"
+            );
+        }
+        let after = read_handshake_frame(&mut s, &mut rbuf, Duration::from_secs(5), false);
+        assert_eq!(after, None, "the finish is never acked");
+        let stats = server.stop();
+        assert_eq!((stats.acks, stats.jobs_finished), (logged.len() as u64, 1), "{stats:?}");
+
+        // The conn WAL is job 21's records and its `Finished`, nothing more.
+        let oracle = dir.join("oracle.wal");
+        let mut w = WalWriter::create(&oracle).expect("oracle wal");
+        for f in logged {
+            w.append(&f.into_wal_record().expect("a durable record")).expect("append");
+        }
+        w.append(&WalRecord::Finished { job: 21 }).expect("append");
+        let conn_wal = crate::layout::wal_dir(&dir).join("conn-0.wal");
+        let replay = crate::wal::read_wal(&conn_wal).expect("read conn wal");
+        assert_eq!(replay.records.len() as u64, w.records(), "records logged after the crash");
+        assert_eq!(fs::read(&conn_wal).expect("conn wal"), fs::read(&oracle).expect("oracle"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_commit_acks_folds_and_advances_nothing() {
+        let dir = temp_dir("net-failed-commit");
+        let server = test_server(&dir, NetServerConfig::new());
+        let shared = server.shared.clone();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        // A durable collector whose conn WAL is gone (dropped after a
+        // failed rewind): no commit on this connection can succeed.
+        let mut conn = Conn {
+            shared: &shared,
+            stream,
+            send_mac: None,
+            wal: None,
+            opened: HashSet::new(),
+            batch: Batch::default(),
+            acks: Vec::new(),
+            out: Vec::new(),
+            payload: Vec::new(),
+        };
+        let job = 12;
+        for f in job_frames(job) {
+            assert!(matches!(conn.dispatch(f), Ok(None)));
+        }
+        assert_eq!(conn.acks.len(), 35);
+        assert_eq!(conn.flush(None), Err(()));
+        assert!(conn.opened.is_empty(), "the open is not logged");
+        assert!(conn.acks.is_empty() && conn.batch.folds.is_empty());
+        assert!(conn.batch.next_seq.is_empty() && conn.batch.completed.is_empty());
+        let entry = shared.open_job(job).expect("the session knows the job");
+        {
+            let e = lock(&entry);
+            assert!(e.next_seq.is_empty() && e.completed.is_empty(), "no watermark moved");
+        }
+        drop(conn);
+        let mut buf = [0u8; 64];
+        assert_eq!(peer.read(&mut buf).expect("read"), 0, "not one ack byte was written");
+        let stats = server.stop();
+        assert_eq!((stats.acks, stats.wal_syncs, stats.wal_bytes), (0, 0, 0), "{stats:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 }

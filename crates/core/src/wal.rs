@@ -14,10 +14,13 @@
 //! with the `PNT1` wire. The reader is torn-tail tolerant: it replays
 //! the longest clean prefix and reports (never propagates) the damage —
 //! exactly the semantics of the spill path's tmp+sync+rename, applied to
-//! an append-only file. The writer [`sync_data`](File::sync_data)s every
-//! append and, on a failed append (a real short write or an injected
-//! one), truncates back to the last clean frame so one lost record
-//! cannot poison the frames after it
+//! an append-only file. The writer stages records and makes a batch of
+//! them durable with one write and one [`sync_data`](File::sync_data)
+//! ([`WalWriter::commit`]; [`WalWriter::append`] is a batch of one). An
+//! owner that acks records sends an ack only after the `sync_data` that
+//! covers its record has returned. On a failed commit (a real short
+//! write or an injected one) the writer truncates back to the last clean
+//! frame so one lost batch cannot poison the frames after it
 //! ([`WalWriter::append_or_rewind`]).
 
 use std::fs::{File, OpenOptions};
@@ -126,21 +129,24 @@ impl WalRecord {
     }
 }
 
-fn frame(rec: &WalRecord) -> Vec<u8> {
-    let mut payload = Vec::new();
-    rec.serialize_payload(&mut payload);
-    encode_frame(rec.kind(), &payload)
-}
-
-/// Appending writer for one shard's WAL.
+/// Appending writer for one WAL. Records are [staged](WalWriter::stage)
+/// into a buffer the writer owns and made durable together by
+/// [`commit`](WalWriter::commit): one write, one `sync_data`.
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
     path: PathBuf,
-    /// File length up to the last fully-synced frame; a failed append
-    /// truncates back here.
+    /// File length up to the last committed frame; moves only after a
+    /// successful commit, and a failed one truncates back here.
     clean_len: u64,
     records: u64,
+    /// `sync_data` calls that made records durable (one per commit).
+    syncs: u64,
+    /// Framed records staged since the last commit, and their count.
+    staged: Vec<u8>,
+    staged_records: u64,
+    /// Reused payload scratch for [`stage`](WalWriter::stage).
+    payload: Vec<u8>,
 }
 
 impl WalWriter {
@@ -150,7 +156,16 @@ impl WalWriter {
         let mut file = OpenOptions::new().write(true).create(true).truncate(true).open(&path)?;
         file.write_all(WAL_MAGIC)?;
         file.sync_data()?;
-        Ok(WalWriter { file, path, clean_len: WAL_MAGIC.len() as u64, records: 0 })
+        Ok(WalWriter {
+            file,
+            path,
+            clean_len: WAL_MAGIC.len() as u64,
+            records: 0,
+            syncs: 0,
+            staged: Vec::new(),
+            staged_records: 0,
+            payload: Vec::new(),
+        })
     }
 
     /// Path this writer appends to.
@@ -158,33 +173,68 @@ impl WalWriter {
         &self.path
     }
 
-    /// Frames, appends, and syncs one record. Returns the frame size.
-    pub fn append(&mut self, rec: &WalRecord) -> std::io::Result<u64> {
-        let bytes = frame(rec);
-        self.file.write_all(&bytes)?;
-        self.file.sync_data()?;
-        self.clean_len += bytes.len() as u64;
-        self.records += 1;
-        Ok(bytes.len() as u64)
+    /// Frames one record into the staging buffer; nothing reaches the
+    /// file until [`commit`](WalWriter::commit).
+    pub fn stage(&mut self, rec: &WalRecord) {
+        self.payload.clear();
+        rec.serialize_payload(&mut self.payload);
+        frame::put_frame(&mut self.staged, rec.kind(), &self.payload);
+        self.staged_records += 1;
     }
 
-    /// Fault-injection hook: writes only the first half of the frame
-    /// (a torn append, as if the process died mid-write) and reports it
-    /// as a short-write error. Until
+    /// Writes every staged frame with one `write_all` and one
+    /// `sync_data`. Returns the bytes made durable (0, with no syscall,
+    /// when nothing is staged). The staged frames are consumed either
+    /// way: on an error none of them counts as durable, and
+    /// [`append_or_rewind`](WalWriter::append_or_rewind) truncates the
+    /// file back to [`clean_len`](WalWriter::clean_len).
+    pub fn commit(&mut self) -> std::io::Result<u64> {
+        if self.staged.is_empty() {
+            return Ok(0);
+        }
+        let written = self.file.write_all(&self.staged).and_then(|()| self.file.sync_data());
+        let (bytes, records) = (self.staged.len() as u64, self.staged_records);
+        self.discard_staged();
+        written?;
+        self.clean_len += bytes;
+        self.records += records;
+        self.syncs += 1;
+        Ok(bytes)
+    }
+
+    /// Frames, appends, and syncs one record: [`stage`](WalWriter::stage)
+    /// then [`commit`](WalWriter::commit). Returns the frame size.
+    pub fn append(&mut self, rec: &WalRecord) -> std::io::Result<u64> {
+        self.stage(rec);
+        self.commit()
+    }
+
+    /// Fault-injection hook: stages `rec`, then writes only the first
+    /// half of the staged bytes (a torn write, as if the process died
+    /// mid-commit) and reports it as a short-write error. Until
     /// [`append_or_rewind`](WalWriter::append_or_rewind) rewinds it, the
     /// file carries a torn tail, exactly what a crash leaves.
     pub fn append_torn(&mut self, rec: &WalRecord) -> std::io::Result<u64> {
-        let bytes = frame(rec);
-        self.file.write_all(&bytes[..bytes.len() / 2])?;
-        self.file.sync_data()?;
+        self.stage(rec);
+        let half = self.staged.len() / 2;
+        let total = self.staged.len();
+        let written =
+            self.file.write_all(&self.staged[..half]).and_then(|()| self.file.sync_data());
+        self.discard_staged();
+        written?;
         Err(std::io::Error::new(
             std::io::ErrorKind::WriteZero,
-            format!("injected short write after {} of {} bytes", bytes.len() / 2, bytes.len()),
+            format!("injected short write after {half} of {total} bytes"),
         ))
     }
 
-    /// Truncates back to the last fully-synced frame after a failed
-    /// append, so later records land on a clean boundary.
+    fn discard_staged(&mut self) {
+        self.staged.clear();
+        self.staged_records = 0;
+    }
+
+    /// Truncates back to the last committed frame after a failed
+    /// commit, so later records land on a clean boundary.
     fn truncate_to_clean(&mut self) -> std::io::Result<()> {
         self.file.set_len(self.clean_len)?;
         self.file.seek(SeekFrom::Start(self.clean_len))?;
@@ -193,12 +243,12 @@ impl WalWriter {
 
     /// The one durable-append routine every log owner (ingest shard,
     /// collector connection, degraded client) goes through: run `append`
-    /// ([`WalWriter::append`], or a fault plan's stand-in for it) on the
-    /// writer in `slot`, and on failure rewind the log to its last clean
-    /// frame so one lost record cannot poison the frames after it. If
-    /// even the rewind fails the writer is dropped from `slot` — nothing
-    /// appended behind a torn tail could ever be replayed. `None` means
-    /// the slot holds no writer.
+    /// ([`WalWriter::append`], [`WalWriter::commit`], or a fault plan's
+    /// stand-in for either) on the writer in `slot`, and on failure
+    /// rewind the log to its last clean frame so one lost record cannot
+    /// poison the frames after it. If even the rewind fails the writer
+    /// is dropped from `slot` — nothing appended behind a torn tail
+    /// could ever be replayed. `None` means the slot holds no writer.
     pub fn append_or_rewind(
         slot: &mut Option<WalWriter>,
         append: impl FnOnce(&mut WalWriter) -> std::io::Result<u64>,
@@ -211,12 +261,18 @@ impl WalWriter {
         Some(result)
     }
 
-    /// Records successfully appended.
+    /// Records successfully committed.
     pub fn records(&self) -> u64 {
         self.records
     }
 
-    /// Bytes in the file up to the last clean frame.
+    /// `sync_data` calls that made records durable: one per non-empty
+    /// commit, so at most [`records`](WalWriter::records).
+    pub fn syncs(&self) -> u64 {
+        self.syncs
+    }
+
+    /// Bytes in the file up to the last committed frame.
     pub fn clean_len(&self) -> u64 {
         self.clean_len
     }
@@ -288,6 +344,12 @@ mod tests {
             WalRecord::Complete { job: 3, done: completion(1, 9, 2) },
             WalRecord::Finished { job: 3 },
         ]
+    }
+
+    fn frame(rec: &WalRecord) -> Vec<u8> {
+        let mut payload = Vec::new();
+        rec.serialize_payload(&mut payload);
+        encode_frame(rec.kind(), &payload)
     }
 
     fn image(records: &[WalRecord]) -> Vec<u8> {
@@ -397,6 +459,73 @@ mod tests {
         assert_eq!(replay.records.len(), 3);
         assert!(replay.torn.is_none());
         assert_eq!(w.records(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn staged_records_are_invisible_until_commit() {
+        let dir = temp_dir("wal-stage");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("conn-0.wal");
+        let recs = sample_records();
+        let mut w = WalWriter::create(&path).expect("create wal");
+        for r in &recs {
+            w.stage(r);
+        }
+        assert_eq!(read_wal(&path).expect("read").records.len(), 0, "staged is not on disk");
+        assert_eq!((w.records(), w.syncs(), w.clean_len()), (0, 0, WAL_MAGIC.len() as u64));
+        // Only the fsync boundaries moved: the image is the one a
+        // record-at-a-time writer produces.
+        let img = image(&recs);
+        assert_eq!(w.commit().expect("commit"), (img.len() - WAL_MAGIC.len()) as u64);
+        assert_eq!(w.commit().expect("empty commit"), 0, "nothing staged: no write, no sync");
+        assert_eq!((w.records(), w.syncs()), (5, 1), "one sync for the whole batch");
+        assert_eq!(std::fs::read(&path).expect("read image"), img);
+        assert_eq!(w.clean_len(), img.len() as u64);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_commit_moves_nothing_and_the_next_lands_clean() {
+        let dir = temp_dir("wal-failed-commit");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("conn-0.wal");
+        let recs = sample_records();
+        let mut w = WalWriter::create(&path).expect("create wal");
+        w.append(&recs[0]).expect("append");
+        let (clean, records, syncs) = (w.clean_len(), w.records(), w.syncs());
+
+        // A commit whose write fails outright: nothing counts as durable
+        // and the staged frames are gone.
+        w.stage(&recs[1]);
+        let writable = std::mem::replace(&mut w.file, File::open(&path).expect("read-only"));
+        assert!(w.commit().is_err());
+        assert_eq!((w.clean_len(), w.records(), w.syncs()), (clean, records, syncs));
+        assert!(w.staged.is_empty(), "a failed commit consumes its batch");
+        w.file = writable;
+
+        // A torn commit (the fault stand-in) over a two-record batch:
+        // the torn bytes are on disk past the clean length until the
+        // rewind, and a reader replays exactly the committed prefix.
+        w.stage(&recs[1]);
+        let mut slot = Some(w);
+        let torn = WalWriter::append_or_rewind(&mut slot, |w| w.append_torn(&recs[2]));
+        assert!(matches!(torn, Some(Err(_))));
+        let mut w = slot.expect("rewind succeeded");
+        assert_eq!((w.clean_len(), w.records(), w.syncs()), (clean, records, syncs));
+        assert_eq!(std::fs::metadata(&path).expect("stat").len(), clean, "rewound");
+
+        // The next commit lands on the clean frame boundary.
+        w.stage(&recs[3]);
+        w.stage(&recs[4]);
+        w.commit().expect("commit after rewind");
+        let replay = read_wal(&path).expect("read");
+        assert!(replay.torn.is_none(), "{:?}", replay.torn);
+        assert_eq!(
+            std::fs::read(&path).expect("read image"),
+            image(&[recs[0].clone(), recs[3].clone(), recs[4].clone()])
+        );
+        assert_eq!((w.records(), w.syncs()), (3, 2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

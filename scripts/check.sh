@@ -190,11 +190,14 @@ tail -1 target/pilgrimd-net/serve.out | grep -q '"schema":1,"command":"serve".*"
   { echo "FAIL: pilgrimd serve envelope missing or not exit 0." >&2; exit 1; }
 # Envelopes are rendered from the counter-set declarations, so a counter
 # can no longer be declared and silently left out: two keys the
-# hand-written lists used to omit must be there.
+# hand-written lists used to omit must be there, and the collector's
+# group-commit sync count beside them.
 echo "$send_json" | grep -q '"frames_sent":' ||
   { echo "FAIL: pilgrimd send envelope lacks frames_sent." >&2; exit 1; }
 tail -1 target/pilgrimd-net/serve.out | grep -q '"peak_conn_buffer":' ||
   { echo "FAIL: pilgrimd serve envelope lacks peak_conn_buffer." >&2; exit 1; }
+tail -1 target/pilgrimd-net/serve.out | grep -q '"wal_syncs":' ||
+  { echo "FAIL: pilgrimd serve envelope lacks wal_syncs." >&2; exit 1; }
 for f in target/pilgrimd-net/*.pilgrim; do
   [ -e "$f" ] || { echo "FAIL: no delivered containers in target/pilgrimd-net." >&2; exit 1; }
   ./target/release/trace_tool validate "$f" > /dev/null ||
