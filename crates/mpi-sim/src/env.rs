@@ -6,15 +6,17 @@
 //! reported to the attached tracer as a [`CallRec`] carrying all input and
 //! output arguments — the PMPI wrapper contract of the paper (§3.1):
 //! prologue (timestamp), `PMPI_*` body, epilogue (record + tracer steps).
+//! Every traced operation runs through one wrapper, `Env::call`, which owns
+//! that order; an operation only supplies its body and its arguments.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::clock::{ClockModel, SimClock};
 use crate::comm::{CommHandle, CommInfo, CommTable, GroupHandle, GroupTable, COMM_WORLD};
 use crate::datatype::{BasicType, DatatypeHandle, TypeTable};
-use crate::fabric::{Fabric, Lane, Message, WorldRank};
+use crate::fabric::{Fabric, Message, RecvSlot, WorldRank};
 use crate::fault;
 use crate::heap::{Addr, SimHeap};
 use crate::hooks::{Arg, BoxedTracer, CallRec, Directive, ReplayDirector, TraceCtx};
@@ -38,11 +40,71 @@ pub struct Env {
     finalized: bool,
     /// Count of MPI calls made (paper plots total call counts in Fig 6).
     calls: u64,
+    /// The function the call in progress executes; with `calls` it keys
+    /// replay directives and names the call a replay halt reports.
+    func: FuncId,
     /// Fault plan: die right after this call number (1-based).
     kill_at: Option<u64>,
     /// Directed-replay seam: when set, recorded nondeterministic
     /// resolutions override the fabric's free choices.
     director: Option<Box<dyn ReplayDirector>>,
+}
+
+/// One side of a point-to-point call as its arguments read: `count`
+/// elements of `dt` at `buf`, to or from `peer` with `tag` on `comm`.
+#[derive(Clone, Copy)]
+struct P2p {
+    buf: Addr,
+    count: u64,
+    dt: DatatypeHandle,
+    peer: i32,
+    tag: i32,
+    comm: CommHandle,
+}
+
+impl P2p {
+    /// The record's `(buf, count, datatype, peer, tag, comm)`, then `tail`.
+    fn args(self, tail: Option<Arg>) -> Vec<Arg> {
+        let mut args = Vec::with_capacity(7);
+        args.extend([
+            Arg::Ptr(self.buf),
+            Arg::Int(self.count as i64),
+            Arg::Datatype(self.dt.0),
+            Arg::Rank(self.peer),
+            Arg::Tag(self.tag),
+            Arg::Comm(self.comm.0),
+        ]);
+        args.extend(tail);
+        args
+    }
+}
+
+/// The `(source, tag)` a record keeps of a status.
+fn status_arg(s: Status) -> Arg {
+    Arg::Status { source: s.source, tag: s.tag }
+}
+
+fn status_arr(statuses: impl IntoIterator<Item = Status>) -> Arg {
+    Arg::StatusArr(statuses.into_iter().map(|s| (s.source, s.tag)).collect())
+}
+
+/// The record of a Waitsome/Testsome: the request array, then how many
+/// completed, their indices and their statuses.
+fn some_args(raws: Vec<u64>, done: &[(usize, Status)]) -> Vec<Arg> {
+    vec![
+        Arg::Int(raws.len() as i64),
+        Arg::RequestArr(raws),
+        Arg::Int(done.len() as i64),
+        Arg::IntArr(done.iter().map(|&(i, _)| i as i64).collect()),
+        status_arr(done.iter().map(|&(_, s)| s)),
+    ]
+}
+
+/// The index and status a Waitany/Testany records: `-1` and the null
+/// status when nothing completed.
+fn any_args(done: Option<(usize, Status)>) -> (Arg, Arg) {
+    let (i, s) = done.map_or((-1, Status::proc_null()), |(i, s)| (i as i64, s));
+    (Arg::Int(i), status_arg(s))
 }
 
 impl Env {
@@ -69,6 +131,7 @@ impl Env {
             compute_spin: 0.0,
             finalized: false,
             calls: 0,
+            func: FuncId::Init,
             kill_at,
             director: None,
         }
@@ -136,44 +199,30 @@ impl Env {
     }
 
     // ------------------------------------------------------------------
-    // Tracer dispatch
+    // The PMPI wrapper and tracer dispatch
     // ------------------------------------------------------------------
 
-    /// Clock helpers for submodules: entry timestamp with call overhead.
-    pub(crate) fn clock_now_entry(&mut self) -> u64 {
+    /// The one PMPI wrapper every traced operation runs through: entry
+    /// timestamp, the call's software overhead, the `PMPI_*` body, exit
+    /// timestamp, then the record. `body` returns the call's result and
+    /// its full argument list. This order is what every virtual
+    /// timestamp of a trace means.
+    #[inline]
+    fn call<R>(&mut self, func: FuncId, body: impl FnOnce(&mut Env) -> (R, Vec<Arg>)) -> R {
+        self.func = func;
         let t0 = self.clock.now();
         self.clock.call_entry();
-        t0
+        let (ret, args) = body(self);
+        let t1 = self.clock.now();
+        self.emit(CallRec::new(func, args), t0, t1);
+        ret
     }
 
-    pub(crate) fn clock_now(&self) -> u64 {
-        self.clock.now()
-    }
-
-    pub(crate) fn emit_rec(&mut self, rec: CallRec, t0: u64, t1: u64) {
-        self.emit(rec, t0, t1);
-    }
-
+    /// The epilogue: counts the call, reports it, then applies an
+    /// injected kill.
     fn emit(&mut self, rec: CallRec, t0: u64, t1: u64) {
         self.calls += 1;
-        if let Some(mut tr) = self.tracer.take() {
-            // The hook may unwind (e.g. a tool collective hits a dead
-            // peer); restore the tracer first so its state — including any
-            // checkpoint it stored — survives the unwind, then re-raise.
-            let res = {
-                let ctx = TraceCtx {
-                    world_rank: self.rank,
-                    world_size: self.size,
-                    fabric: &self.fabric,
-                    comms: &self.comms,
-                };
-                catch_unwind(AssertUnwindSafe(|| tr.on_call(&ctx, &rec, t0, t1)))
-            };
-            self.tracer = Some(tr);
-            if let Err(e) = res {
-                resume_unwind(e);
-            }
-        }
+        self.hook(|tr, ctx| tr.on_call(ctx, &rec, t0, t1));
         // Injected kill: the call above completed (sends delivered, tracer
         // updated, checkpoint possibly stored), so peers can prove that
         // anything still missing from this rank will never arrive.
@@ -183,7 +232,10 @@ impl Env {
         }
     }
 
-    pub(crate) fn run_finalize_hook(&mut self) {
+    /// Runs a tracer callback. The hook may unwind (e.g. a tool collective
+    /// hits a dead peer); restore the tracer first so its state — including
+    /// any checkpoint it stored — survives the unwind, then re-raise.
+    fn hook(&mut self, f: impl FnOnce(&mut BoxedTracer, &TraceCtx<'_>)) {
         if let Some(mut tr) = self.tracer.take() {
             let res = {
                 let ctx = TraceCtx {
@@ -192,7 +244,7 @@ impl Env {
                     fabric: &self.fabric,
                     comms: &self.comms,
                 };
-                catch_unwind(AssertUnwindSafe(|| tr.on_finalize(&ctx)))
+                catch_unwind(AssertUnwindSafe(|| f(&mut tr, &ctx)))
             };
             self.tracer = Some(tr);
             if let Err(e) = res {
@@ -255,21 +307,15 @@ impl Env {
     // ------------------------------------------------------------------
 
     pub(crate) fn init(&mut self) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let t1 = self.clock.now();
-        self.emit(CallRec::new(FuncId::Init, vec![]), t0, t1);
+        self.call(FuncId::Init, |_| ((), vec![]));
     }
 
     /// `MPI_Finalize`: records the call, then runs the tracer's finalize
     /// hook (where Pilgrim performs inter-process compression).
     pub fn finalize(&mut self) {
         assert!(!self.finalized, "MPI_Finalize called twice");
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let t1 = self.clock.now();
-        self.emit(CallRec::new(FuncId::Finalize, vec![]), t0, t1);
-        self.run_finalize_hook();
+        self.call(FuncId::Finalize, |_| ((), vec![]));
+        self.hook(|tr, ctx| tr.on_finalize(ctx));
         self.finalized = true;
     }
 
@@ -279,82 +325,50 @@ impl Env {
 
     /// `MPI_Comm_rank`.
     pub fn comm_rank(&mut self, comm: CommHandle) -> usize {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let rank = self.comms.get(comm).my_rank;
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(FuncId::CommRank, vec![Arg::Comm(comm.0), Arg::Int(rank as i64)]),
-            t0,
-            t1,
-        );
-        rank
+        self.call(FuncId::CommRank, |env| {
+            let rank = env.comms.get(comm).my_rank;
+            (rank, vec![Arg::Comm(comm.0), Arg::Int(rank as i64)])
+        })
     }
 
     /// `MPI_Comm_size` (local group size).
     pub fn comm_size(&mut self, comm: CommHandle) -> usize {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let size = self.comms.get(comm).size();
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(FuncId::CommSize, vec![Arg::Comm(comm.0), Arg::Int(size as i64)]),
-            t0,
-            t1,
-        );
-        size
+        self.call(FuncId::CommSize, |env| {
+            let size = env.comms.get(comm).size();
+            (size, vec![Arg::Comm(comm.0), Arg::Int(size as i64)])
+        })
     }
 
     /// `MPI_Comm_set_name`.
     pub fn comm_set_name(&mut self, comm: CommHandle, name: &str) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        self.comms.get_mut(comm).name = Some(name.to_string());
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(FuncId::CommSetName, vec![Arg::Comm(comm.0), Arg::Str(name.to_string())]),
-            t0,
-            t1,
-        );
+        self.call(FuncId::CommSetName, |env| {
+            env.comms.get_mut(comm).name = Some(name.to_string());
+            ((), vec![Arg::Comm(comm.0), Arg::Str(name.to_string())])
+        })
     }
 
     /// `MPI_Comm_group`.
     pub fn comm_group(&mut self, comm: CommHandle) -> GroupHandle {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let members = self.comms.get(comm).group.clone();
-        let g = self.groups.insert(members);
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(FuncId::CommGroup, vec![Arg::Comm(comm.0), Arg::Group(g.0)]),
-            t0,
-            t1,
-        );
-        g
+        self.call(FuncId::CommGroup, |env| {
+            let g = env.groups.insert(env.comms.get(comm).group.clone());
+            (g, vec![Arg::Comm(comm.0), Arg::Group(g.0)])
+        })
     }
 
     /// `MPI_Group_incl`: group from the listed ranks of an existing group.
     pub fn group_incl(&mut self, group: GroupHandle, ranks: &[usize]) -> GroupHandle {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let base = self.groups.get(group).to_vec();
-        let members: Vec<WorldRank> = ranks.iter().map(|&r| base[r]).collect();
-        let g = self.groups.insert(members);
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::GroupIncl,
-                vec![
-                    Arg::Group(group.0),
-                    Arg::Int(ranks.len() as i64),
-                    Arg::IntArr(ranks.iter().map(|&r| r as i64).collect()),
-                    Arg::Group(g.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
-        g
+        self.call(FuncId::GroupIncl, |env| {
+            let base = env.groups.get(group);
+            let members: Vec<WorldRank> = ranks.iter().map(|&r| base[r]).collect();
+            let g = env.groups.insert(members);
+            let args = vec![
+                Arg::Group(group.0),
+                Arg::Int(ranks.len() as i64),
+                Arg::IntArr(ranks.iter().map(|&r| r as i64).collect()),
+                Arg::Group(g.0),
+            ];
+            (g, args)
+        })
     }
 
     /// World ranks of a group (helper, untraced).
@@ -364,11 +378,10 @@ impl Env {
 
     /// `MPI_Group_free`.
     pub fn group_free(&mut self, group: GroupHandle) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        self.groups.remove(group);
-        let t1 = self.clock.now();
-        self.emit(CallRec::new(FuncId::GroupFree, vec![Arg::Group(group.0)]), t0, t1);
+        self.call(FuncId::GroupFree, |env| {
+            env.groups.remove(group);
+            ((), vec![Arg::Group(group.0)])
+        })
     }
 
     // ------------------------------------------------------------------
@@ -388,68 +401,78 @@ impl Env {
     /// World rank of a concrete (non-wildcard) source on `info`, used for
     /// dead-sender detection; `None` for `MPI_ANY_SOURCE`.
     fn src_world_of(info: &CommInfo, src: i32) -> Option<WorldRank> {
-        if src == ANY_SOURCE {
-            None
-        } else {
-            Some(info.peer_world(src))
-        }
+        (src != ANY_SOURCE).then(|| info.peer_world(src))
     }
 
-    fn do_send(
-        &mut self,
-        buf: Addr,
-        count: u64,
-        dt: DatatypeHandle,
-        dest: i32,
-        tag: i32,
-        comm: CommHandle,
-    ) {
-        if dest == PROC_NULL {
+    /// Posts a receive for `(src, tag)` on `comm`.
+    fn post_recv(&self, src: i32, tag: i32, comm: CommHandle) -> Arc<RecvSlot> {
+        let info = self.comms.get(comm);
+        self.fabric.post_recv(self.rank, info.ctx, src, tag, Self::src_world_of(info, src))
+    }
+
+    fn do_send(&mut self, p: P2p) {
+        if p.peer == PROC_NULL {
             return;
         }
-        let data = self.pack_buf(buf, count, dt);
-        let info = self.comms.get(comm);
+        let data = self.pack_buf(p.buf, p.count, p.dt);
+        let info = self.comms.get(p.comm);
         let msg = Message {
             ctx: info.ctx,
             src_comm_rank: info.my_rank as i32,
-            tag,
+            tag: p.tag,
             data,
             send_time: self.clock.now(),
         };
-        let dest_world = info.peer_world(dest);
-        self.fabric.send(dest_world, msg);
+        self.fabric.send(info.peer_world(p.peer), msg);
     }
 
-    #[allow(clippy::too_many_arguments)] // mirrors the MPI C signature
-    fn send_like(
+    /// Receives one message matching `recv` into its buffer, honoring a
+    /// recorded wildcard resolution. `send`, when given, goes out after the
+    /// receive is posted and before it completes, so an incoming eager
+    /// message matches — `MPI_Sendrecv`'s order, deadlock-free for
+    /// exchanges.
+    fn receive(&mut self, recv: P2p, send: Option<P2p>) -> Status {
+        let directed = self.directed_match(recv.peer, recv.tag, recv.comm);
+        let slot = (recv.peer != PROC_NULL).then(|| {
+            let (src, tag) = directed.unwrap_or((recv.peer, recv.tag));
+            self.post_recv(src, tag, recv.comm)
+        });
+        if let Some(send) = send {
+            self.do_send(send);
+        }
+        let Some(slot) = slot else { return Status::proc_null() };
+        if let Some((src, tag)) = directed {
+            if !self.poll_directed(|_| slot.is_ready()) {
+                self.replay_halt(format!("recorded match (source {src}, tag {tag}) never arrived"));
+            }
+        }
+        let msg = slot.wait_take(&self.fabric, self.rank);
+        let d = self.types.get(recv.dt);
+        let (blocks, extent) = (d.blocks.clone(), d.extent);
+        self.deliver(msg, recv.buf, recv.count, &blocks, extent)
+    }
+
+    /// Delivers a matched message: the clock absorbs its arrival, the
+    /// payload is unpacked into `buf`, and its status is returned.
+    fn deliver(
         &mut self,
-        func: FuncId,
+        msg: Message,
         buf: Addr,
         count: u64,
-        dt: DatatypeHandle,
-        dest: i32,
-        tag: i32,
-        comm: CommHandle,
-    ) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        self.do_send(buf, count, dt, dest, tag, comm);
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                func,
-                vec![
-                    Arg::Ptr(buf),
-                    Arg::Int(count as i64),
-                    Arg::Datatype(dt.0),
-                    Arg::Rank(dest),
-                    Arg::Tag(tag),
-                    Arg::Comm(comm.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
+        blocks: &[(i64, u64)],
+        extent: u64,
+    ) -> Status {
+        let bytes = msg.data.len() as u64;
+        self.clock.absorb_message(msg.send_time, bytes);
+        self.heap.unpack(buf, blocks, extent, count, &msg.data);
+        Status { source: msg.src_comm_rank, tag: msg.tag, count: bytes }
+    }
+
+    fn send_like(&mut self, func: FuncId, p: P2p) {
+        self.call(func, |env| {
+            env.do_send(p);
+            ((), p.args(None))
+        })
     }
 
     /// `MPI_Send`. (Buffered/synchronous/ready variants share the eager
@@ -463,7 +486,7 @@ impl Env {
         tag: i32,
         comm: CommHandle,
     ) {
-        self.send_like(FuncId::Send, buf, count, dt, dest, tag, comm);
+        self.send_like(FuncId::Send, P2p { buf, count, dt, peer: dest, tag, comm });
     }
 
     /// `MPI_Bsend`.
@@ -476,7 +499,7 @@ impl Env {
         tag: i32,
         comm: CommHandle,
     ) {
-        self.send_like(FuncId::Bsend, buf, count, dt, dest, tag, comm);
+        self.send_like(FuncId::Bsend, P2p { buf, count, dt, peer: dest, tag, comm });
     }
 
     /// `MPI_Ssend`.
@@ -489,7 +512,7 @@ impl Env {
         tag: i32,
         comm: CommHandle,
     ) {
-        self.send_like(FuncId::Ssend, buf, count, dt, dest, tag, comm);
+        self.send_like(FuncId::Ssend, P2p { buf, count, dt, peer: dest, tag, comm });
     }
 
     /// `MPI_Rsend`.
@@ -502,7 +525,7 @@ impl Env {
         tag: i32,
         comm: CommHandle,
     ) {
-        self.send_like(FuncId::Rsend, buf, count, dt, dest, tag, comm);
+        self.send_like(FuncId::Rsend, P2p { buf, count, dt, peer: dest, tag, comm });
     }
 
     /// `MPI_Recv`.
@@ -515,36 +538,11 @@ impl Env {
         tag: i32,
         comm: CommHandle,
     ) -> Status {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let status = if src == PROC_NULL {
-            Status::proc_null()
-        } else {
-            let msg = self.recv_msg(FuncId::Recv, src, tag, comm);
-            self.clock.absorb_message(msg.send_time, msg.data.len() as u64);
-            let status =
-                Status { source: msg.src_comm_rank, tag: msg.tag, count: msg.data.len() as u64 };
-            self.unpack_buf(buf, count, dt, &msg.data);
-            status
-        };
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Recv,
-                vec![
-                    Arg::Ptr(buf),
-                    Arg::Int(count as i64),
-                    Arg::Datatype(dt.0),
-                    Arg::Rank(src),
-                    Arg::Tag(tag),
-                    Arg::Comm(comm.0),
-                    Arg::Status { source: status.source, tag: status.tag },
-                ],
-            ),
-            t0,
-            t1,
-        );
-        status
+        let p = P2p { buf, count, dt, peer: src, tag, comm };
+        self.call(FuncId::Recv, |env| {
+            let status = env.receive(p, None);
+            (status, p.args(Some(status_arg(status))))
+        })
     }
 
     /// `MPI_Sendrecv`.
@@ -563,66 +561,32 @@ impl Env {
         recvtag: i32,
         comm: CommHandle,
     ) -> Status {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        // Post the receive first so an incoming eager message matches, then
-        // send, then complete the receive — deadlock-free for exchanges.
-        let directed = self.directed_match(FuncId::Sendrecv, src, recvtag, comm);
-        let slot = if src == PROC_NULL {
-            None
-        } else {
-            let (psrc, ptag) = directed.unwrap_or((src, recvtag));
-            let info = self.comms.get(comm);
-            let src_world = Self::src_world_of(info, psrc);
-            Some(self.fabric.post_recv(self.rank, info.ctx, psrc, ptag, src_world))
-        };
-        self.do_send(sendbuf, sendcount, sendtype, dest, sendtag, comm);
-        let status = match slot {
-            None => Status::proc_null(),
-            Some(slot) => {
-                if directed.is_some() && !self.poll_directed(|_| slot.is_ready()) {
-                    self.replay_halt(
-                        FuncId::Sendrecv,
-                        "recorded sendrecv match never arrived".into(),
-                    );
-                }
-                let msg = slot.wait_take(&self.fabric, self.rank);
-                self.clock.absorb_message(msg.send_time, msg.data.len() as u64);
-                let status = Status {
-                    source: msg.src_comm_rank,
-                    tag: msg.tag,
-                    count: msg.data.len() as u64,
-                };
-                self.unpack_buf(recvbuf, recvcount, recvtype, &msg.data);
-                status
-            }
-        };
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Sendrecv,
-                vec![
-                    Arg::Ptr(sendbuf),
-                    Arg::Int(sendcount as i64),
-                    Arg::Datatype(sendtype.0),
-                    Arg::Rank(dest),
-                    Arg::Tag(sendtag),
-                    Arg::Ptr(recvbuf),
-                    Arg::Int(recvcount as i64),
-                    Arg::Datatype(recvtype.0),
-                    Arg::Rank(src),
-                    Arg::Tag(recvtag),
-                    Arg::Comm(comm.0),
-                    Arg::Status { source: status.source, tag: status.tag },
-                ],
-            ),
-            t0,
-            t1,
-        );
-        status
+        let send =
+            P2p { buf: sendbuf, count: sendcount, dt: sendtype, peer: dest, tag: sendtag, comm };
+        let recv =
+            P2p { buf: recvbuf, count: recvcount, dt: recvtype, peer: src, tag: recvtag, comm };
+        self.call(FuncId::Sendrecv, |env| {
+            let status = env.receive(recv, Some(send));
+            let args = vec![
+                Arg::Ptr(sendbuf),
+                Arg::Int(sendcount as i64),
+                Arg::Datatype(sendtype.0),
+                Arg::Rank(dest),
+                Arg::Tag(sendtag),
+                Arg::Ptr(recvbuf),
+                Arg::Int(recvcount as i64),
+                Arg::Datatype(recvtype.0),
+                Arg::Rank(src),
+                Arg::Tag(recvtag),
+                Arg::Comm(comm.0),
+                status_arg(status),
+            ];
+            (status, args)
+        })
     }
 
-    /// `MPI_Sendrecv_replace`: exchange using a single buffer.
+    /// `MPI_Sendrecv_replace`: exchange using a single buffer (the outgoing
+    /// data is sent before the incoming data replaces it).
     #[allow(clippy::too_many_arguments)] // mirrors the MPI C signature
     pub fn sendrecv_replace(
         &mut self,
@@ -635,94 +599,30 @@ impl Env {
         recvtag: i32,
         comm: CommHandle,
     ) -> Status {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let directed = self.directed_match(FuncId::SendrecvReplace, src, recvtag, comm);
-        let slot = if src == PROC_NULL {
-            None
-        } else {
-            let (psrc, ptag) = directed.unwrap_or((src, recvtag));
-            let info = self.comms.get(comm);
-            let src_world = Self::src_world_of(info, psrc);
-            Some(self.fabric.post_recv(self.rank, info.ctx, psrc, ptag, src_world))
-        };
-        // Send first (the outgoing data is snapshot before replacement).
-        self.do_send(buf, count, dt, dest, sendtag, comm);
-        let status = match slot {
-            None => Status::proc_null(),
-            Some(slot) => {
-                if directed.is_some() && !self.poll_directed(|_| slot.is_ready()) {
-                    self.replay_halt(
-                        FuncId::SendrecvReplace,
-                        "recorded sendrecv match never arrived".into(),
-                    );
-                }
-                let msg = slot.wait_take(&self.fabric, self.rank);
-                self.clock.absorb_message(msg.send_time, msg.data.len() as u64);
-                let status = Status {
-                    source: msg.src_comm_rank,
-                    tag: msg.tag,
-                    count: msg.data.len() as u64,
-                };
-                self.unpack_buf(buf, count, dt, &msg.data);
-                status
-            }
-        };
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::SendrecvReplace,
-                vec![
-                    Arg::Ptr(buf),
-                    Arg::Int(count as i64),
-                    Arg::Datatype(dt.0),
-                    Arg::Rank(dest),
-                    Arg::Tag(sendtag),
-                    Arg::Rank(src),
-                    Arg::Tag(recvtag),
-                    Arg::Comm(comm.0),
-                    Arg::Status { source: status.source, tag: status.tag },
-                ],
-            ),
-            t0,
-            t1,
-        );
-        status
+        let send = P2p { buf, count, dt, peer: dest, tag: sendtag, comm };
+        self.call(FuncId::SendrecvReplace, |env| {
+            let status = env.receive(P2p { peer: src, tag: recvtag, ..send }, Some(send));
+            let args = vec![
+                Arg::Ptr(buf),
+                Arg::Int(count as i64),
+                Arg::Datatype(dt.0),
+                Arg::Rank(dest),
+                Arg::Tag(sendtag),
+                Arg::Rank(src),
+                Arg::Tag(recvtag),
+                Arg::Comm(comm.0),
+                status_arg(status),
+            ];
+            (status, args)
+        })
     }
 
-    #[allow(clippy::too_many_arguments)] // mirrors the MPI C signature
-    fn isend_like(
-        &mut self,
-        func: FuncId,
-        buf: Addr,
-        count: u64,
-        dt: DatatypeHandle,
-        dest: i32,
-        tag: i32,
-        comm: CommHandle,
-    ) -> RequestHandle {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        self.do_send(buf, count, dt, dest, tag, comm);
-        let req = self.reqs.insert(ReqKind::Send);
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                func,
-                vec![
-                    Arg::Ptr(buf),
-                    Arg::Int(count as i64),
-                    Arg::Datatype(dt.0),
-                    Arg::Rank(dest),
-                    Arg::Tag(tag),
-                    Arg::Comm(comm.0),
-                    Arg::Request(req.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
-        req
+    fn isend_like(&mut self, func: FuncId, p: P2p) -> RequestHandle {
+        self.call(func, |env| {
+            env.do_send(p);
+            let req = env.reqs.insert(ReqKind::Send);
+            (req, p.args(Some(Arg::Request(req.0))))
+        })
     }
 
     /// `MPI_Isend`.
@@ -735,7 +635,7 @@ impl Env {
         tag: i32,
         comm: CommHandle,
     ) -> RequestHandle {
-        self.isend_like(FuncId::Isend, buf, count, dt, dest, tag, comm)
+        self.isend_like(FuncId::Isend, P2p { buf, count, dt, peer: dest, tag, comm })
     }
 
     /// `MPI_Ibsend`.
@@ -748,7 +648,7 @@ impl Env {
         tag: i32,
         comm: CommHandle,
     ) -> RequestHandle {
-        self.isend_like(FuncId::Ibsend, buf, count, dt, dest, tag, comm)
+        self.isend_like(FuncId::Ibsend, P2p { buf, count, dt, peer: dest, tag, comm })
     }
 
     /// `MPI_Issend`.
@@ -761,7 +661,7 @@ impl Env {
         tag: i32,
         comm: CommHandle,
     ) -> RequestHandle {
-        self.isend_like(FuncId::Issend, buf, count, dt, dest, tag, comm)
+        self.isend_like(FuncId::Issend, P2p { buf, count, dt, peer: dest, tag, comm })
     }
 
     /// `MPI_Irsend`.
@@ -774,7 +674,7 @@ impl Env {
         tag: i32,
         comm: CommHandle,
     ) -> RequestHandle {
-        self.isend_like(FuncId::Irsend, buf, count, dt, dest, tag, comm)
+        self.isend_like(FuncId::Irsend, P2p { buf, count, dt, peer: dest, tag, comm })
     }
 
     /// `MPI_Irecv`.
@@ -787,131 +687,76 @@ impl Env {
         tag: i32,
         comm: CommHandle,
     ) -> RequestHandle {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let req = if src == PROC_NULL {
-            self.reqs.insert(ReqKind::Send)
-        } else {
-            // A wildcard Irecv is directed at post time: the resolution was
-            // recorded at this call's index when its completion reported
-            // the matched (source, tag).
-            let (psrc, ptag) =
-                self.directed_match(FuncId::Irecv, src, tag, comm).unwrap_or((src, tag));
-            let info = self.comms.get(comm);
-            let src_world = Self::src_world_of(info, psrc);
-            let slot = self.fabric.post_recv(self.rank, info.ctx, psrc, ptag, src_world);
-            let d = self.types.get(dt);
-            self.reqs.insert(ReqKind::Recv {
-                slot,
-                buf,
-                blocks: d.blocks.clone(),
-                extent: d.extent,
-                count,
-            })
-        };
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Irecv,
-                vec![
-                    Arg::Ptr(buf),
-                    Arg::Int(count as i64),
-                    Arg::Datatype(dt.0),
-                    Arg::Rank(src),
-                    Arg::Tag(tag),
-                    Arg::Comm(comm.0),
-                    Arg::Request(req.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
-        req
+        let p = P2p { buf, count, dt, peer: src, tag, comm };
+        self.call(FuncId::Irecv, |env| {
+            let req = if src == PROC_NULL {
+                env.reqs.insert(ReqKind::Send)
+            } else {
+                // A wildcard Irecv is directed at post time: the resolution
+                // was recorded at this call's index when its completion
+                // reported the matched (source, tag).
+                let (psrc, ptag) = env.directed_match(src, tag, comm).unwrap_or((src, tag));
+                let slot = env.post_recv(psrc, ptag, comm);
+                let d = env.types.get(dt);
+                let (blocks, extent) = (d.blocks.clone(), d.extent);
+                env.reqs.insert(ReqKind::Recv { slot, buf, blocks, extent, count })
+            };
+            (req, p.args(Some(Arg::Request(req.0))))
+        })
     }
 
     /// `MPI_Probe`.
     pub fn probe(&mut self, src: i32, tag: i32, comm: CommHandle) -> Status {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let directed = self.directed_match(FuncId::Probe, src, tag, comm);
-        let (psrc, ptag) = directed.unwrap_or((src, tag));
-        let (ctx, src_world) = {
-            let info = self.comms.get(comm);
-            (info.ctx, Self::src_world_of(info, psrc))
-        };
-        if directed.is_some()
-            && !self.poll_directed(|me| me.fabric.iprobe(me.rank, ctx, psrc, ptag).is_some())
-        {
-            self.replay_halt(
-                FuncId::Probe,
-                format!("recorded probe hit (source {psrc}, tag {ptag}) never arrived"),
-            );
-        }
-        let (s, t, count) = self.fabric.probe(self.rank, ctx, psrc, ptag, src_world);
-        let status = Status { source: s, tag: t, count };
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Probe,
-                vec![
-                    Arg::Rank(src),
-                    Arg::Tag(tag),
-                    Arg::Comm(comm.0),
-                    Arg::Status { source: s, tag: t },
-                ],
-            ),
-            t0,
-            t1,
-        );
-        status
+        self.call(FuncId::Probe, |env| {
+            let directed = env.directed_match(src, tag, comm);
+            let (psrc, ptag) = directed.unwrap_or((src, tag));
+            let info = env.comms.get(comm);
+            let (ctx, src_world) = (info.ctx, Self::src_world_of(info, psrc));
+            if directed.is_some()
+                && !env.poll_directed(|me| me.fabric.iprobe(me.rank, ctx, psrc, ptag).is_some())
+            {
+                env.replay_halt(format!(
+                    "recorded probe hit (source {psrc}, tag {ptag}) never arrived"
+                ));
+            }
+            let (source, found_tag, count) = env.fabric.probe(env.rank, ctx, psrc, ptag, src_world);
+            let status = Status { source, tag: found_tag, count };
+            (status, vec![Arg::Rank(src), Arg::Tag(tag), Arg::Comm(comm.0), status_arg(status)])
+        })
     }
 
     /// `MPI_Iprobe`.
     pub fn iprobe(&mut self, src: i32, tag: i32, comm: CommHandle) -> Option<Status> {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let ctx = self.comms.get(comm).ctx;
-        // An Iprobe's flag is nondeterministic even for concrete (src,
-        // tag), so directed replay consults the directive on every call:
-        // a recorded miss replays as a miss without touching the fabric, a
-        // recorded hit waits for exactly the recorded message.
-        let directive =
-            if self.director.is_some() { self.next_directive(FuncId::Iprobe) } else { None };
-        let found = match directive {
-            Some(Directive::Flag(false)) => None,
-            Some(Directive::MatchSource { source, tag: ptag }) => {
-                let dsrc = self.comms.get(comm).my_rank as i32 + source;
-                if !self.poll_directed(|me| me.fabric.iprobe(me.rank, ctx, dsrc, ptag).is_some()) {
-                    self.replay_halt(
-                        FuncId::Iprobe,
-                        format!("recorded iprobe hit (source {dsrc}, tag {ptag}) never arrived"),
-                    );
+        self.call(FuncId::Iprobe, |env| {
+            let ctx = env.comms.get(comm).ctx;
+            // An Iprobe's flag is nondeterministic even for concrete (src,
+            // tag), so directed replay consults the directive on every
+            // call: a recorded miss replays as a miss without touching the
+            // fabric, a recorded hit waits for exactly the recorded message.
+            let found = match env.next_directive() {
+                Some(Directive::Flag(false)) => None,
+                Some(Directive::MatchSource { source, tag: ptag }) => {
+                    let dsrc = env.comms.get(comm).my_rank as i32 + source;
+                    if !env.poll_directed(|me| me.fabric.iprobe(me.rank, ctx, dsrc, ptag).is_some())
+                    {
+                        env.replay_halt(format!(
+                            "recorded iprobe hit (source {dsrc}, tag {ptag}) never arrived"
+                        ));
+                    }
+                    env.fabric.iprobe(env.rank, ctx, dsrc, ptag)
                 }
-                self.fabric.iprobe(self.rank, ctx, dsrc, ptag)
-            }
-            _ => self.fabric.iprobe(self.rank, ctx, src, tag),
-        };
-        let status = found.map(|(s, t, count)| Status { source: s, tag: t, count });
-        let t1 = self.clock.now();
-        let (flag, s, t) = match status {
-            Some(st) => (1, st.source, st.tag),
-            None => (0, PROC_NULL, ANY_TAG),
-        };
-        self.emit(
-            CallRec::new(
-                FuncId::Iprobe,
-                vec![
-                    Arg::Rank(src),
-                    Arg::Tag(tag),
-                    Arg::Comm(comm.0),
-                    Arg::Int(flag),
-                    Arg::Status { source: s, tag: t },
-                ],
-            ),
-            t0,
-            t1,
-        );
-        status
+                _ => env.fabric.iprobe(env.rank, ctx, src, tag),
+            };
+            let status = found.map(|(source, tag, count)| Status { source, tag, count });
+            let args = vec![
+                Arg::Rank(src),
+                Arg::Tag(tag),
+                Arg::Comm(comm.0),
+                Arg::Int(status.is_some() as i64),
+                status_arg(status.unwrap_or_else(Status::proc_null)),
+            ];
+            (status, args)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -946,51 +791,39 @@ impl Env {
         }
     }
 
-    /// Completes a ready (or send-type) request, producing its status.
-    /// Persistent requests become inactive instead of being freed.
-    fn complete(&mut self, h: RequestHandle) -> Status {
-        if self.reqs.is_persistent(h) {
-            let taken = match self.reqs.get_mut(h) {
+    /// The completion step every wait/test call shares: completes a ready
+    /// (or send-type) request and releases its handle to `REQUEST_NULL`. A
+    /// null handle completes at once; a persistent request becomes
+    /// inactive instead and keeps its handle.
+    fn complete(&mut self, h: &mut RequestHandle) -> Status {
+        if *h == REQUEST_NULL {
+            return Status::proc_null();
+        }
+        if self.reqs.is_persistent(*h) {
+            let taken = match self.reqs.get_mut(*h) {
                 ReqKind::PersistentSend { active, .. } => {
                     *active = false;
                     None
                 }
-                ReqKind::PersistentRecv { pending, .. } => pending.take(),
+                ReqKind::PersistentRecv { buf, count, pending, .. } => {
+                    pending.take().map(|pending| (*buf, *count, pending))
+                }
                 _ => unreachable!(),
             };
             return match taken {
                 None => Status::proc_null(),
-                Some((slot, blocks, extent)) => {
+                Some((buf, count, (slot, blocks, extent))) => {
                     let msg = slot.wait_take(&self.fabric, self.rank);
-                    self.clock.absorb_message(msg.send_time, msg.data.len() as u64);
-                    let status = Status {
-                        source: msg.src_comm_rank,
-                        tag: msg.tag,
-                        count: msg.data.len() as u64,
-                    };
-                    let (buf, count) = match self.reqs.get(h) {
-                        ReqKind::PersistentRecv { buf, count, .. } => (*buf, *count),
-                        _ => unreachable!(),
-                    };
-                    self.heap.unpack(buf, &blocks, extent, count, &msg.data);
-                    status
+                    self.deliver(msg, buf, count, &blocks, extent)
                 }
             };
         }
-        let kind = self.reqs.remove(h);
-        match kind {
+        let status = match self.reqs.remove(*h) {
             ReqKind::PersistentSend { .. } | ReqKind::PersistentRecv { .. } => unreachable!(),
             ReqKind::Send => Status::proc_null(),
             ReqKind::Recv { slot, buf, blocks, extent, count } => {
                 let msg = slot.wait_take(&self.fabric, self.rank);
-                self.clock.absorb_message(msg.send_time, msg.data.len() as u64);
-                let status = Status {
-                    source: msg.src_comm_rank,
-                    tag: msg.tag,
-                    count: msg.data.len() as u64,
-                };
-                self.heap.unpack(buf, &blocks, extent, count, &msg.data);
-                status
+                self.deliver(msg, buf, count, &blocks, extent)
             }
             ReqKind::Coll { coll, round, lane_rank: _, op } => {
                 let (contribs, sync) = coll.wait_collect(&self.fabric, round, self.rank);
@@ -999,44 +832,52 @@ impl Env {
                 match op {
                     NbOp::Barrier => {}
                     NbOp::Allreduce { recv, lanes, op } => {
-                        let mut acc = bytes_to_u64s(&contribs[0]);
-                        for c in contribs.iter().skip(1) {
-                            let next = bytes_to_u64s(c);
-                            op.combine(&mut acc, &next);
-                        }
+                        let acc = Self::reduce_contribs(&contribs, op);
                         debug_assert_eq!(acc.len(), lanes);
                         self.heap.write_u64s(recv, &acc);
                     }
                     NbOp::Idup { parent, new_handle } => {
-                        let ctx = u64::from_le_bytes(
-                            contribs[0].as_slice().try_into().expect("ctx bytes"),
-                        );
-                        let p = self.comms.get(parent);
-                        let info = CommInfo {
-                            ctx,
-                            group: p.group.clone(),
-                            my_rank: p.my_rank,
-                            remote_group: None,
-                            union_offset: 0,
-                            app_round: std::cell::Cell::new(0),
-                            tool_round: std::cell::Cell::new(0),
-                            name: None,
-                            cart: None,
-                        };
-                        self.fabric.ensure_coll(ctx, Lane::App, &info.group);
-                        self.fabric.ensure_coll(ctx, Lane::Tool, &info.group);
-                        self.comms.fill(new_handle, info);
+                        let group = self.comms.get(parent).group.clone();
+                        self.install_intra(le_u64(&contribs[0]), group, Some(new_handle));
                     }
                 }
                 Status::proc_null()
             }
-        }
+        };
+        *h = REQUEST_NULL;
+        status
     }
 
-    /// Spin-waits until `pred` holds, yielding and checking for aborts.
-    fn poll_until<F: FnMut(&Self) -> bool>(&self, mut pred: F) {
+    /// Completes every request of `reqs`, in order.
+    fn complete_all(&mut self, reqs: &mut [RequestHandle]) -> Vec<Status> {
+        reqs.iter_mut().map(|r| self.complete(r)).collect()
+    }
+
+    /// Index of the first active request at or after `from` that can
+    /// complete without blocking.
+    fn next_ready(&self, reqs: &[RequestHandle], from: usize) -> Option<usize> {
+        (from..reqs.len()).find(|&i| self.req_active(reqs[i]) && self.req_ready(reqs[i]))
+    }
+
+    /// Completes, in index order, every request that is ready.
+    fn complete_ready(&mut self, reqs: &mut [RequestHandle]) -> Vec<(usize, Status)> {
+        let mut done = Vec::new();
+        let mut from = 0;
+        while let Some(i) = self.next_ready(reqs, from) {
+            done.push((i, self.complete(&mut reqs[i])));
+            from = i + 1;
+        }
+        done
+    }
+
+    /// Spins until `pred` holds, yielding, then sleeping and checking for
+    /// aborts. Gives up and returns `false` once `deadline` has passed.
+    fn poll_until<F: FnMut(&Self) -> bool>(&self, deadline: Option<Instant>, mut pred: F) -> bool {
         let mut spins = 0u32;
         while !pred(self) {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return false;
+            }
             if spins < 64 {
                 std::thread::yield_now();
             } else {
@@ -1045,6 +886,7 @@ impl Env {
             }
             spins += 1;
         }
+        true
     }
 
     // ------------------------------------------------------------------
@@ -1063,9 +905,9 @@ impl Env {
         self.director = Some(director);
     }
 
-    /// The directive recorded for the upcoming call, if any.
-    fn next_directive(&mut self, func: FuncId) -> Option<Directive> {
-        let idx = self.calls;
+    /// The directive recorded for the call in progress, if any.
+    fn next_directive(&mut self) -> Option<Directive> {
+        let (idx, func) = (self.calls, self.func);
         self.director.as_mut().and_then(|d| d.directive(idx, func))
     }
 
@@ -1074,17 +916,11 @@ impl Env {
     /// or calls without a recorded resolution. The directive's source is
     /// a delta relative to the caller's rank in `comm` (the same relative
     /// form the trace encoder uses), absolutized here.
-    fn directed_match(
-        &mut self,
-        func: FuncId,
-        src: i32,
-        tag: i32,
-        comm: CommHandle,
-    ) -> Option<(i32, i32)> {
+    fn directed_match(&mut self, src: i32, tag: i32, comm: CommHandle) -> Option<(i32, i32)> {
         if self.director.is_none() || src == PROC_NULL || (src != ANY_SOURCE && tag != ANY_TAG) {
             return None;
         }
-        match self.next_directive(func) {
+        match self.next_directive() {
             Some(Directive::MatchSource { source, tag }) => {
                 let me = self.comms.get(comm).my_rank as i32;
                 Some((me + source, tag))
@@ -1093,32 +929,18 @@ impl Env {
         }
     }
 
-    /// Bounded directed wait: spins until `pred` holds or a real-time
-    /// budget expires. A directive that can never be satisfied must fail
-    /// fast (the caller raises a replay halt), not hang the world.
-    fn poll_directed<F: FnMut(&Self) -> bool>(&self, mut pred: F) -> bool {
-        let deadline = std::time::Instant::now() + Duration::from_secs(3);
-        let mut spins = 0u32;
-        while !pred(self) {
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            if spins < 64 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(Duration::from_micros(100));
-                self.fabric.check_abort();
-            }
-            spins += 1;
-        }
-        true
+    /// Bounded directed wait: a directive that can never be satisfied must
+    /// fail fast (the caller raises a replay halt), not hang the world.
+    fn poll_directed<F: FnMut(&Self) -> bool>(&self, pred: F) -> bool {
+        self.poll_until(Some(Instant::now() + Duration::from_secs(3)), pred)
     }
 
     /// Divergence during directed replay: the recorded resolution cannot
     /// be reproduced. Reports the detail to the director, marks the rank
     /// dead (peers unwind through dead-peer detection), then unwinds.
-    fn replay_halt(&mut self, func: FuncId, detail: String) -> ! {
-        let idx = self.calls;
+    #[cold]
+    fn replay_halt(&mut self, detail: String) -> ! {
+        let (idx, func) = (self.calls, self.func);
         if let Some(d) = self.director.as_mut() {
             d.unsatisfied(self.rank, idx, func, detail);
         }
@@ -1126,64 +948,39 @@ impl Env {
         fault::raise_killed(self.rank, self.calls)
     }
 
+    /// A recorded completion index, checked to name an active request.
+    fn recorded_index(&mut self, reqs: &[RequestHandle], i: u32) -> usize {
+        let i = i as usize;
+        if i >= reqs.len() || !self.req_active(reqs[i]) {
+            self.replay_halt(format!("recorded completion index {i} is not an active request"));
+        }
+        i
+    }
+
+    /// Waits for the recorded completion index of a directed
+    /// Waitany/Testany to become ready.
+    fn await_recorded(&mut self, reqs: &[RequestHandle], i: u32) -> usize {
+        let i = self.recorded_index(reqs, i);
+        if !self.poll_directed(|me| me.req_ready(reqs[i])) {
+            self.replay_halt(format!("recorded completion index {i} never became ready"));
+        }
+        i
+    }
+
     /// Completes exactly the recorded index set, in recorded order, for a
     /// directed Waitsome/Testsome.
     fn complete_directed_set(
         &mut self,
-        func: FuncId,
         reqs: &mut [RequestHandle],
         indices: &[u32],
-        out: &mut Vec<(usize, Status)>,
-    ) {
+    ) -> Vec<(usize, Status)> {
         for &i in indices {
-            let i = i as usize;
-            if i >= reqs.len() || !self.req_active(reqs[i]) {
-                self.replay_halt(
-                    func,
-                    format!("recorded completion index {i} is not an active request"),
-                );
-            }
+            self.recorded_index(reqs, i);
         }
         if !self.poll_directed(|me| indices.iter().all(|&i| me.req_ready(reqs[i as usize]))) {
-            self.replay_halt(
-                func,
-                format!("recorded completion set {indices:?} never became ready"),
-            );
+            self.replay_halt(format!("recorded completion set {indices:?} never became ready"));
         }
-        for &i in indices {
-            let i = i as usize;
-            let persistent = self.reqs.is_persistent(reqs[i]);
-            let status = self.complete(reqs[i]);
-            if !persistent {
-                reqs[i] = REQUEST_NULL;
-            }
-            out.push((i, status));
-        }
-    }
-
-    /// Completes one blocking receive of `(src, tag)` on `comm`, honoring
-    /// a recorded wildcard resolution when a director is installed.
-    fn recv_msg(&mut self, func: FuncId, src: i32, tag: i32, comm: CommHandle) -> Message {
-        match self.directed_match(func, src, tag, comm) {
-            Some((dsrc, dtag)) => {
-                let info = self.comms.get(comm);
-                let (ctx, src_world) = (info.ctx, Self::src_world_of(info, dsrc));
-                let slot = self.fabric.post_recv(self.rank, ctx, dsrc, dtag, src_world);
-                if !self.poll_directed(|_| slot.is_ready()) {
-                    self.replay_halt(
-                        func,
-                        format!("recorded match (source {dsrc}, tag {dtag}) never arrived"),
-                    );
-                }
-                slot.wait_take(&self.fabric, self.rank)
-            }
-            None => {
-                let info = self.comms.get(comm);
-                let (ctx, src_world) = (info.ctx, Self::src_world_of(info, src));
-                let slot = self.fabric.post_recv(self.rank, ctx, src, tag, src_world);
-                slot.wait_take(&self.fabric, self.rank)
-            }
-        }
+        indices.iter().map(|&i| (i as usize, self.complete(&mut reqs[i as usize]))).collect()
     }
 
     /// Whether request `h` waits on something a failed rank will never
@@ -1222,494 +1019,215 @@ impl Env {
         }
     }
 
+    /// Blocks until some active request of `reqs` is ready (unwinding when
+    /// all of them are stuck on failed ranks); returns the first one.
+    fn wait_ready(&self, reqs: &[RequestHandle]) -> usize {
+        let mut first = 0;
+        self.poll_until(None, |me| match me.next_ready(reqs, 0) {
+            Some(i) => {
+                first = i;
+                true
+            }
+            None => {
+                me.check_all_stuck(reqs);
+                false
+            }
+        });
+        first
+    }
+
     fn raw_reqs(reqs: &[RequestHandle]) -> Vec<u64> {
         reqs.iter().map(|r| r.0).collect()
     }
 
     /// `MPI_Wait`. The request is consumed and set to `REQUEST_NULL`.
     pub fn wait(&mut self, req: &mut RequestHandle) -> Status {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
         let raw = req.0;
-        let status = if *req == REQUEST_NULL {
-            Status::proc_null()
-        } else {
-            let persistent = self.reqs.is_persistent(*req);
-            let s = self.complete(*req);
-            if !persistent {
-                *req = REQUEST_NULL;
-            }
-            s
-        };
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Wait,
-                vec![Arg::Request(raw), Arg::Status { source: status.source, tag: status.tag }],
-            ),
-            t0,
-            t1,
-        );
-        status
+        self.call(FuncId::Wait, |env| {
+            let status = env.complete(req);
+            (status, vec![Arg::Request(raw), status_arg(status)])
+        })
     }
 
     /// `MPI_Waitall`.
     pub fn waitall(&mut self, reqs: &mut [RequestHandle]) -> Vec<Status> {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let raws = Self::raw_reqs(reqs);
-        let mut statuses = Vec::with_capacity(reqs.len());
-        for r in reqs.iter_mut() {
-            if *r == REQUEST_NULL {
-                statuses.push(Status::proc_null());
-            } else {
-                let persistent = self.reqs.is_persistent(*r);
-                statuses.push(self.complete(*r));
-                if !persistent {
-                    *r = REQUEST_NULL;
-                }
-            }
-        }
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Waitall,
-                vec![
-                    Arg::Int(raws.len() as i64),
-                    Arg::RequestArr(raws),
-                    Arg::StatusArr(statuses.iter().map(|s| (s.source, s.tag)).collect()),
-                ],
-            ),
-            t0,
-            t1,
-        );
-        statuses
+        self.call(FuncId::Waitall, |env| {
+            let raws = Self::raw_reqs(reqs);
+            let statuses = env.complete_all(reqs);
+            let args = vec![
+                Arg::Int(raws.len() as i64),
+                Arg::RequestArr(raws),
+                status_arr(statuses.iter().copied()),
+            ];
+            (statuses, args)
+        })
     }
 
     /// `MPI_Waitany`: blocks until one live request completes; returns its
     /// index, or `None` if every entry is `REQUEST_NULL`.
     pub fn waitany(&mut self, reqs: &mut [RequestHandle]) -> Option<(usize, Status)> {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let raws = Self::raw_reqs(reqs);
-        if !reqs.iter().any(|&r| self.req_active(r)) {
-            let t1 = self.clock.now();
-            self.emit(
-                CallRec::new(
-                    FuncId::Waitany,
-                    vec![
-                        Arg::Int(raws.len() as i64),
-                        Arg::RequestArr(raws),
-                        Arg::Int(-1),
-                        Arg::Status { source: PROC_NULL, tag: ANY_TAG },
-                    ],
-                ),
-                t0,
-                t1,
-            );
-            return None;
-        }
-        let mut idx = usize::MAX;
-        match self.next_directive(FuncId::Waitany) {
-            Some(Directive::CompleteOne { index: Some(i) }) => {
-                let i = i as usize;
-                if i >= reqs.len() || !self.req_active(reqs[i]) {
-                    self.replay_halt(
-                        FuncId::Waitany,
-                        format!("recorded completion index {i} is not an active request"),
-                    );
-                }
-                if !self.poll_directed(|me| me.req_ready(reqs[i])) {
-                    self.replay_halt(
-                        FuncId::Waitany,
-                        format!("recorded completion index {i} never became ready"),
-                    );
-                }
-                idx = i;
-            }
-            Some(d) => self.replay_halt(
-                FuncId::Waitany,
-                format!("directive {d:?} cannot complete a waitany with active requests"),
-            ),
-            None => self.poll_until(|me| {
-                for (i, r) in reqs.iter().enumerate() {
-                    if me.req_active(*r) && me.req_ready(*r) {
-                        idx = i;
-                        return true;
-                    }
-                }
-                me.check_all_stuck(reqs);
-                false
-            }),
-        }
-        let persistent = self.reqs.is_persistent(reqs[idx]);
-        let status = self.complete(reqs[idx]);
-        if !persistent {
-            reqs[idx] = REQUEST_NULL;
-        }
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Waitany,
-                vec![
-                    Arg::Int(raws.len() as i64),
-                    Arg::RequestArr(raws),
-                    Arg::Int(idx as i64),
-                    Arg::Status { source: status.source, tag: status.tag },
-                ],
-            ),
-            t0,
-            t1,
-        );
-        Some((idx, status))
+        self.call(FuncId::Waitany, |env| {
+            let raws = Self::raw_reqs(reqs);
+            let done = reqs.iter().any(|&r| env.req_active(r)).then(|| {
+                let i = match env.next_directive() {
+                    Some(Directive::CompleteOne { index: Some(i) }) => env.await_recorded(reqs, i),
+                    Some(d) => env.replay_halt(format!(
+                        "directive {d:?} cannot complete a waitany with active requests"
+                    )),
+                    None => env.wait_ready(reqs),
+                };
+                (i, env.complete(&mut reqs[i]))
+            });
+            let (index, status) = any_args(done);
+            (done, vec![Arg::Int(raws.len() as i64), Arg::RequestArr(raws), index, status])
+        })
     }
 
     /// `MPI_Waitsome`: blocks until at least one completes; completes all
     /// that are ready. Returns (index, status) pairs.
-    #[allow(clippy::needless_range_loop)] // indices mutate `reqs` in place
     pub fn waitsome(&mut self, reqs: &mut [RequestHandle]) -> Vec<(usize, Status)> {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let raws = Self::raw_reqs(reqs);
-        let mut out = Vec::new();
-        if reqs.iter().any(|&r| self.req_active(r)) {
-            match self.next_directive(FuncId::Waitsome) {
-                Some(Directive::CompleteSet { indices }) if !indices.is_empty() => {
-                    self.complete_directed_set(FuncId::Waitsome, reqs, &indices, &mut out);
-                }
-                Some(d) => self.replay_halt(
-                    FuncId::Waitsome,
-                    format!("directive {d:?} cannot complete a waitsome with active requests"),
-                ),
-                None => {
-                    self.poll_until(|me| {
-                        if reqs.iter().any(|&r| me.req_active(r) && me.req_ready(r)) {
-                            return true;
-                        }
-                        me.check_all_stuck(reqs);
-                        false
-                    });
-                    for i in 0..reqs.len() {
-                        if self.req_active(reqs[i]) && self.req_ready(reqs[i]) {
-                            let persistent = self.reqs.is_persistent(reqs[i]);
-                            let status = self.complete(reqs[i]);
-                            if !persistent {
-                                reqs[i] = REQUEST_NULL;
-                            }
-                            out.push((i, status));
-                        }
+        self.call(FuncId::Waitsome, |env| {
+            let raws = Self::raw_reqs(reqs);
+            let done = if reqs.iter().any(|&r| env.req_active(r)) {
+                match env.next_directive() {
+                    Some(Directive::CompleteSet { indices }) if !indices.is_empty() => {
+                        env.complete_directed_set(reqs, &indices)
+                    }
+                    Some(d) => env.replay_halt(format!(
+                        "directive {d:?} cannot complete a waitsome with active requests"
+                    )),
+                    None => {
+                        env.wait_ready(reqs);
+                        env.complete_ready(reqs)
                     }
                 }
-            }
-        }
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Waitsome,
-                vec![
-                    Arg::Int(raws.len() as i64),
-                    Arg::RequestArr(raws),
-                    Arg::Int(out.len() as i64),
-                    Arg::IntArr(out.iter().map(|&(i, _)| i as i64).collect()),
-                    Arg::StatusArr(out.iter().map(|&(_, s)| (s.source, s.tag)).collect()),
-                ],
-            ),
-            t0,
-            t1,
-        );
-        out
+            } else {
+                Vec::new()
+            };
+            let args = some_args(raws, &done);
+            (done, args)
+        })
     }
 
     /// `MPI_Test`.
     pub fn test(&mut self, req: &mut RequestHandle) -> Option<Status> {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
         let raw = req.0;
-        let ready = if *req == REQUEST_NULL {
-            false
-        } else {
-            match self.next_directive(FuncId::Test) {
+        self.call(FuncId::Test, |env| {
+            let ready = *req == REQUEST_NULL
+                || match env.next_directive() {
+                    Some(Directive::Flag(true)) => {
+                        let h = *req;
+                        if !env.poll_directed(|me| me.req_ready(h)) {
+                            env.replay_halt("recorded successful test never became ready".into());
+                        }
+                        true
+                    }
+                    Some(Directive::Flag(false)) => false,
+                    Some(d) => env.replay_halt(format!("directive {d:?} cannot resolve a test")),
+                    None => env.req_ready(*req),
+                };
+            let result = ready.then(|| env.complete(req));
+            let args = vec![
+                Arg::Request(raw),
+                Arg::Int(result.is_some() as i64),
+                status_arg(result.unwrap_or_else(Status::proc_null)),
+            ];
+            (result, args)
+        })
+    }
+
+    /// `MPI_Testall`: completes all iff all are ready.
+    pub fn testall(&mut self, reqs: &mut [RequestHandle]) -> Option<Vec<Status>> {
+        self.call(FuncId::Testall, |env| {
+            let raws = Self::raw_reqs(reqs);
+            let all_ready = |me: &Env| reqs.iter().all(|&r| !me.req_active(r) || me.req_ready(r));
+            let ready = match env.next_directive() {
                 Some(Directive::Flag(true)) => {
-                    let h = *req;
-                    if !self.poll_directed(|me| me.req_ready(h)) {
-                        self.replay_halt(
-                            FuncId::Test,
-                            "recorded successful test never became ready".into(),
-                        );
+                    if !env.poll_directed(all_ready) {
+                        env.replay_halt("recorded successful testall never became ready".into());
                     }
                     true
                 }
                 Some(Directive::Flag(false)) => false,
-                Some(d) => {
-                    self.replay_halt(FuncId::Test, format!("directive {d:?} cannot resolve a test"))
-                }
-                None => self.req_ready(*req),
-            }
-        };
-        let result = if *req == REQUEST_NULL {
-            Some(Status::proc_null())
-        } else if ready {
-            let persistent = self.reqs.is_persistent(*req);
-            let s = self.complete(*req);
-            if !persistent {
-                *req = REQUEST_NULL;
-            }
-            Some(s)
-        } else {
-            None
-        };
-        let t1 = self.clock.now();
-        let (flag, s, t) = match result {
-            Some(st) => (1, st.source, st.tag),
-            None => (0, PROC_NULL, ANY_TAG),
-        };
-        self.emit(
-            CallRec::new(
-                FuncId::Test,
-                vec![Arg::Request(raw), Arg::Int(flag), Arg::Status { source: s, tag: t }],
-            ),
-            t0,
-            t1,
-        );
-        result
-    }
-
-    /// `MPI_Testall`: completes all iff all are ready.
-    #[allow(clippy::needless_range_loop)] // indices mutate `reqs` in place
-    pub fn testall(&mut self, reqs: &mut [RequestHandle]) -> Option<Vec<Status>> {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let raws = Self::raw_reqs(reqs);
-        let all_ready = match self.next_directive(FuncId::Testall) {
-            Some(Directive::Flag(true)) => {
-                if !self
-                    .poll_directed(|me| reqs.iter().all(|&r| !me.req_active(r) || me.req_ready(r)))
-                {
-                    self.replay_halt(
-                        FuncId::Testall,
-                        "recorded successful testall never became ready".into(),
-                    );
-                }
-                true
-            }
-            Some(Directive::Flag(false)) => false,
-            Some(d) => self
-                .replay_halt(FuncId::Testall, format!("directive {d:?} cannot resolve a testall")),
-            None => reqs.iter().all(|&r| !self.req_active(r) || self.req_ready(r)),
-        };
-        let result = if all_ready {
-            let mut statuses = Vec::with_capacity(reqs.len());
-            for r in reqs.iter_mut() {
-                if *r == REQUEST_NULL || !self.req_active(*r) {
-                    statuses.push(Status::proc_null());
-                } else {
-                    let persistent = self.reqs.is_persistent(*r);
-                    statuses.push(self.complete(*r));
-                    if !persistent {
-                        *r = REQUEST_NULL;
-                    }
-                }
-            }
-            Some(statuses)
-        } else {
-            None
-        };
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Testall,
-                vec![
-                    Arg::Int(raws.len() as i64),
-                    Arg::RequestArr(raws),
-                    Arg::Int(result.is_some() as i64),
-                    Arg::StatusArr(
-                        result
-                            .as_deref()
-                            .unwrap_or(&[])
-                            .iter()
-                            .map(|s| (s.source, s.tag))
-                            .collect(),
-                    ),
-                ],
-            ),
-            t0,
-            t1,
-        );
-        result
+                Some(d) => env.replay_halt(format!("directive {d:?} cannot resolve a testall")),
+                None => all_ready(env),
+            };
+            let result = ready.then(|| env.complete_all(reqs));
+            let args = vec![
+                Arg::Int(raws.len() as i64),
+                Arg::RequestArr(raws),
+                Arg::Int(result.is_some() as i64),
+                status_arr(result.iter().flatten().copied()),
+            ];
+            (result, args)
+        })
     }
 
     /// `MPI_Testany`.
-    #[allow(clippy::needless_range_loop)] // indices mutate `reqs` in place
     pub fn testany(&mut self, reqs: &mut [RequestHandle]) -> Option<(usize, Status)> {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let raws = Self::raw_reqs(reqs);
-        let mut result = None;
-        match self.next_directive(FuncId::Testany) {
-            Some(Directive::CompleteOne { index: Some(i) }) => {
-                let i = i as usize;
-                if i >= reqs.len() || !self.req_active(reqs[i]) {
-                    self.replay_halt(
-                        FuncId::Testany,
-                        format!("recorded completion index {i} is not an active request"),
-                    );
+        self.call(FuncId::Testany, |env| {
+            let raws = Self::raw_reqs(reqs);
+            let index = match env.next_directive() {
+                Some(Directive::CompleteOne { index: Some(i) }) => {
+                    Some(env.await_recorded(reqs, i))
                 }
-                if !self.poll_directed(|me| me.req_ready(reqs[i])) {
-                    self.replay_halt(
-                        FuncId::Testany,
-                        format!("recorded completion index {i} never became ready"),
-                    );
-                }
-                let persistent = self.reqs.is_persistent(reqs[i]);
-                let status = self.complete(reqs[i]);
-                if !persistent {
-                    reqs[i] = REQUEST_NULL;
-                }
-                result = Some((i, status));
-            }
-            Some(Directive::CompleteOne { index: None }) => {}
-            Some(d) => self
-                .replay_halt(FuncId::Testany, format!("directive {d:?} cannot resolve a testany")),
-            None => {
-                for i in 0..reqs.len() {
-                    if self.req_active(reqs[i]) && self.req_ready(reqs[i]) {
-                        let persistent = self.reqs.is_persistent(reqs[i]);
-                        let status = self.complete(reqs[i]);
-                        if !persistent {
-                            reqs[i] = REQUEST_NULL;
-                        }
-                        result = Some((i, status));
-                        break;
-                    }
-                }
-            }
-        }
-        let t1 = self.clock.now();
-        let (flag, idx, s, t) = match result {
-            Some((i, st)) => (1, i as i64, st.source, st.tag),
-            None => (0, -1, PROC_NULL, ANY_TAG),
-        };
-        self.emit(
-            CallRec::new(
-                FuncId::Testany,
-                vec![
-                    Arg::Int(raws.len() as i64),
-                    Arg::RequestArr(raws),
-                    Arg::Int(idx),
-                    Arg::Int(flag),
-                    Arg::Status { source: s, tag: t },
-                ],
-            ),
-            t0,
-            t1,
-        );
-        result
+                Some(Directive::CompleteOne { index: None }) => None,
+                Some(d) => env.replay_halt(format!("directive {d:?} cannot resolve a testany")),
+                None => env.next_ready(reqs, 0),
+            };
+            let done = index.map(|i| (i, env.complete(&mut reqs[i])));
+            let (index, status) = any_args(done);
+            let flag = Arg::Int(done.is_some() as i64);
+            (done, vec![Arg::Int(raws.len() as i64), Arg::RequestArr(raws), index, flag, status])
+        })
     }
 
     /// `MPI_Testsome` — the paper's §1 example: completes whatever subset
     /// is ready right now, in nondeterministic order across iterations.
-    #[allow(clippy::needless_range_loop)] // indices mutate `reqs` in place
     pub fn testsome(&mut self, reqs: &mut [RequestHandle]) -> Vec<(usize, Status)> {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let raws = Self::raw_reqs(reqs);
-        let mut out = Vec::new();
-        match self.next_directive(FuncId::Testsome) {
-            Some(Directive::CompleteSet { indices }) => {
-                self.complete_directed_set(FuncId::Testsome, reqs, &indices, &mut out);
-            }
-            Some(d) => self.replay_halt(
-                FuncId::Testsome,
-                format!("directive {d:?} cannot resolve a testsome"),
-            ),
-            None => {
-                for i in 0..reqs.len() {
-                    if self.req_active(reqs[i]) && self.req_ready(reqs[i]) {
-                        let persistent = self.reqs.is_persistent(reqs[i]);
-                        let status = self.complete(reqs[i]);
-                        if !persistent {
-                            reqs[i] = REQUEST_NULL;
-                        }
-                        out.push((i, status));
-                    }
+        self.call(FuncId::Testsome, |env| {
+            let raws = Self::raw_reqs(reqs);
+            let done = match env.next_directive() {
+                Some(Directive::CompleteSet { indices }) => {
+                    env.complete_directed_set(reqs, &indices)
                 }
-            }
-        }
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Testsome,
-                vec![
-                    Arg::Int(raws.len() as i64),
-                    Arg::RequestArr(raws),
-                    Arg::Int(out.len() as i64),
-                    Arg::IntArr(out.iter().map(|&(i, _)| i as i64).collect()),
-                    Arg::StatusArr(out.iter().map(|&(_, s)| (s.source, s.tag)).collect()),
-                ],
-            ),
-            t0,
-            t1,
-        );
-        out
+                Some(d) => env.replay_halt(format!("directive {d:?} cannot resolve a testsome")),
+                None => env.complete_ready(reqs),
+            };
+            let args = some_args(raws, &done);
+            (done, args)
+        })
     }
 
     /// `MPI_Request_free`: releases a request without completing it. (For
     /// pending receives the transfer still happens; the simulator simply
     /// stops tracking it, as MPI permits.)
     pub fn request_free(&mut self, req: &mut RequestHandle) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
         let raw = req.0;
-        if *req != REQUEST_NULL {
-            let _ = self.reqs.remove(*req);
-            *req = REQUEST_NULL;
-        }
-        let t1 = self.clock.now();
-        self.emit(CallRec::new(FuncId::RequestFree, vec![Arg::Request(raw)]), t0, t1);
+        self.call(FuncId::RequestFree, |env| {
+            if *req != REQUEST_NULL {
+                env.reqs.remove(*req);
+                *req = REQUEST_NULL;
+            }
+            ((), vec![Arg::Request(raw)])
+        })
     }
 }
 
 impl Env {
-    #[allow(clippy::too_many_arguments)] // mirrors the MPI C signature
-    fn persistent_send_like(
-        &mut self,
-        func: FuncId,
-        buf: Addr,
-        count: u64,
-        dt: DatatypeHandle,
-        dest: i32,
-        tag: i32,
-        comm: CommHandle,
-    ) -> RequestHandle {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let req = self.reqs.insert(ReqKind::PersistentSend {
-            buf,
-            count,
-            dtype: dt.0,
-            dest,
-            tag,
-            comm,
-            active: false,
-        });
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                func,
-                vec![
-                    Arg::Ptr(buf),
-                    Arg::Int(count as i64),
-                    Arg::Datatype(dt.0),
-                    Arg::Rank(dest),
-                    Arg::Tag(tag),
-                    Arg::Comm(comm.0),
-                    Arg::Request(req.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
-        req
+    fn persistent_send_like(&mut self, func: FuncId, p: P2p) -> RequestHandle {
+        self.call(func, |env| {
+            let req = env.reqs.insert(ReqKind::PersistentSend {
+                buf: p.buf,
+                count: p.count,
+                dtype: p.dt.0,
+                dest: p.peer,
+                tag: p.tag,
+                comm: p.comm,
+                active: false,
+            });
+            (req, p.args(Some(Arg::Request(req.0))))
+        })
     }
 
     /// `MPI_Send_init`: creates an inactive persistent send request.
@@ -1722,7 +1240,7 @@ impl Env {
         tag: i32,
         comm: CommHandle,
     ) -> RequestHandle {
-        self.persistent_send_like(FuncId::SendInit, buf, count, dt, dest, tag, comm)
+        self.persistent_send_like(FuncId::SendInit, P2p { buf, count, dt, peer: dest, tag, comm })
     }
 
     /// `MPI_Bsend_init`.
@@ -1735,7 +1253,7 @@ impl Env {
         tag: i32,
         comm: CommHandle,
     ) -> RequestHandle {
-        self.persistent_send_like(FuncId::BsendInit, buf, count, dt, dest, tag, comm)
+        self.persistent_send_like(FuncId::BsendInit, P2p { buf, count, dt, peer: dest, tag, comm })
     }
 
     /// `MPI_Ssend_init`.
@@ -1748,7 +1266,7 @@ impl Env {
         tag: i32,
         comm: CommHandle,
     ) -> RequestHandle {
-        self.persistent_send_like(FuncId::SsendInit, buf, count, dt, dest, tag, comm)
+        self.persistent_send_like(FuncId::SsendInit, P2p { buf, count, dt, peer: dest, tag, comm })
     }
 
     /// `MPI_Rsend_init`.
@@ -1761,7 +1279,7 @@ impl Env {
         tag: i32,
         comm: CommHandle,
     ) -> RequestHandle {
-        self.persistent_send_like(FuncId::RsendInit, buf, count, dt, dest, tag, comm)
+        self.persistent_send_like(FuncId::RsendInit, P2p { buf, count, dt, peer: dest, tag, comm })
     }
 
     /// `MPI_Recv_init`: creates an inactive persistent receive request.
@@ -1774,64 +1292,35 @@ impl Env {
         tag: i32,
         comm: CommHandle,
     ) -> RequestHandle {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let req = self.reqs.insert(ReqKind::PersistentRecv {
-            buf,
-            count,
-            dtype: dt.0,
-            src,
-            tag,
-            comm,
-            pending: None,
-        });
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::RecvInit,
-                vec![
-                    Arg::Ptr(buf),
-                    Arg::Int(count as i64),
-                    Arg::Datatype(dt.0),
-                    Arg::Rank(src),
-                    Arg::Tag(tag),
-                    Arg::Comm(comm.0),
-                    Arg::Request(req.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
-        req
+        let p = P2p { buf, count, dt, peer: src, tag, comm };
+        self.call(FuncId::RecvInit, |env| {
+            let kind =
+                ReqKind::PersistentRecv { buf, count, dtype: dt.0, src, tag, comm, pending: None };
+            let req = env.reqs.insert(kind);
+            (req, p.args(Some(Arg::Request(req.0))))
+        })
     }
 
     /// Activates one persistent request (untraced inner operation).
     fn do_start(&mut self, h: RequestHandle) {
-        match self.reqs.get(h) {
+        match *self.reqs.get(h) {
             ReqKind::PersistentSend { buf, count, dtype, dest, tag, comm, active } => {
                 assert!(!active, "MPI_Start on an active request");
-                let (buf, count, dt, dest, tag, comm) =
-                    (*buf, *count, DatatypeHandle(*dtype), *dest, *tag, *comm);
-                self.do_send(buf, count, dt, dest, tag, comm);
-                match self.reqs.get_mut(h) {
-                    ReqKind::PersistentSend { active, .. } => *active = true,
-                    _ => unreachable!(),
+                self.do_send(P2p { buf, count, dt: DatatypeHandle(dtype), peer: dest, tag, comm });
+                if let ReqKind::PersistentSend { active, .. } = self.reqs.get_mut(h) {
+                    *active = true;
                 }
             }
-            ReqKind::PersistentRecv { dtype, src, tag, comm, pending, .. } => {
+            ReqKind::PersistentRecv { dtype, src, tag, comm, ref pending, .. } => {
                 assert!(pending.is_none(), "MPI_Start on an active request");
-                let (dt, src, tag, comm) = (DatatypeHandle(*dtype), *src, *tag, *comm);
                 if src == PROC_NULL {
                     return;
                 }
-                let info = self.comms.get(comm);
-                let src_world = Self::src_world_of(info, src);
-                let slot = self.fabric.post_recv(self.rank, info.ctx, src, tag, src_world);
-                let d = self.types.get(dt);
+                let slot = self.post_recv(src, tag, comm);
+                let d = self.types.get(DatatypeHandle(dtype));
                 let entry = (slot, d.blocks.clone(), d.extent);
-                match self.reqs.get_mut(h) {
-                    ReqKind::PersistentRecv { pending, .. } => *pending = Some(entry),
-                    _ => unreachable!(),
+                if let ReqKind::PersistentRecv { pending, .. } = self.reqs.get_mut(h) {
+                    *pending = Some(entry);
                 }
             }
             _ => panic!("MPI_Start on a non-persistent request"),
@@ -1840,38 +1329,33 @@ impl Env {
 
     /// `MPI_Start`.
     pub fn start(&mut self, req: RequestHandle) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        self.do_start(req);
-        let t1 = self.clock.now();
-        self.emit(CallRec::new(FuncId::Start, vec![Arg::Request(req.0)]), t0, t1);
+        self.call(FuncId::Start, |env| {
+            env.do_start(req);
+            ((), vec![Arg::Request(req.0)])
+        })
     }
 
     /// `MPI_Startall`.
     pub fn startall(&mut self, reqs: &[RequestHandle]) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        for &r in reqs {
-            self.do_start(r);
-        }
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Startall,
-                vec![
-                    Arg::Int(reqs.len() as i64),
-                    Arg::RequestArr(reqs.iter().map(|r| r.0).collect()),
-                ],
-            ),
-            t0,
-            t1,
-        );
+        self.call(FuncId::Startall, |env| {
+            for &r in reqs {
+                env.do_start(r);
+            }
+            ((), vec![Arg::Int(reqs.len() as i64), Arg::RequestArr(Self::raw_reqs(reqs))])
+        })
     }
+}
+
+/// Reads the little-endian u64 at the start of `b`.
+fn le_u64(b: &[u8]) -> u64 {
+    let mut lane = [0u8; 8];
+    lane.copy_from_slice(&b[..8]);
+    u64::from_le_bytes(lane)
 }
 
 /// Interprets a byte buffer as little-endian u64 lanes.
 pub(crate) fn bytes_to_u64s(b: &[u8]) -> Vec<u64> {
-    b.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect()
+    b.chunks_exact(8).map(le_u64).collect()
 }
 
 /// Serializes u64 lanes to bytes.

@@ -8,12 +8,12 @@ use crate::comm::CommHandle;
 use crate::datatype::DatatypeHandle;
 use crate::fabric::Lane;
 use crate::heap::Addr;
-use crate::hooks::{Arg, CallRec};
+use crate::hooks::Arg;
 use crate::request::{NbOp, ReqKind, RequestHandle};
 use crate::types::ReduceOp;
 use crate::FuncId;
 
-use super::{bytes_to_u64s, u64s_to_bytes, Env};
+use super::{bytes_to_u64s, le_u64, u64s_to_bytes, Env};
 
 impl Env {
     /// One blocking exchange round on the communicator's app lane: deposits
@@ -57,25 +57,18 @@ impl Env {
 
     /// `MPI_Barrier`.
     pub fn barrier(&mut self, comm: CommHandle) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        self.exchange_raw(comm, Vec::new());
-        let t1 = self.clock.now();
-        self.emit(CallRec::new(FuncId::Barrier, vec![Arg::Comm(comm.0)]), t0, t1);
+        self.call(FuncId::Barrier, |env| {
+            env.exchange_raw(comm, Vec::new());
+            ((), vec![Arg::Comm(comm.0)])
+        })
     }
 
     /// `MPI_Ibarrier`.
     pub fn ibarrier(&mut self, comm: CommHandle) -> RequestHandle {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let req = self.exchange_nb_raw(comm, Vec::new(), NbOp::Barrier);
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(FuncId::Ibarrier, vec![Arg::Comm(comm.0), Arg::Request(req.0)]),
-            t0,
-            t1,
-        );
-        req
+        self.call(FuncId::Ibarrier, |env| {
+            let req = env.exchange_nb_raw(comm, Vec::new(), NbOp::Barrier);
+            (req, vec![Arg::Comm(comm.0), Arg::Request(req.0)])
+        })
     }
 
     /// `MPI_Bcast`.
@@ -87,34 +80,27 @@ impl Env {
         root: i32,
         comm: CommHandle,
     ) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let my_rank = self.comms.get(comm).my_rank;
-        let contrib =
-            if my_rank == root as usize { self.pack_buf(buf, count, dt) } else { Vec::new() };
-        let (res, _) = self.exchange_raw(comm, contrib);
-        if my_rank != root as usize {
-            let data = res[root as usize].clone();
-            self.unpack_buf(buf, count, dt, &data);
-        }
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Bcast,
-                vec![
-                    Arg::Ptr(buf),
-                    Arg::Int(count as i64),
-                    Arg::Datatype(dt.0),
-                    Arg::Rank(root),
-                    Arg::Comm(comm.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
+        self.call(FuncId::Bcast, |env| {
+            let my_rank = env.comms.get(comm).my_rank;
+            let contrib =
+                if my_rank == root as usize { env.pack_buf(buf, count, dt) } else { Vec::new() };
+            let (res, _) = env.exchange_raw(comm, contrib);
+            if my_rank != root as usize {
+                let data = res[root as usize].clone();
+                env.unpack_buf(buf, count, dt, &data);
+            }
+            let args = vec![
+                Arg::Ptr(buf),
+                Arg::Int(count as i64),
+                Arg::Datatype(dt.0),
+                Arg::Rank(root),
+                Arg::Comm(comm.0),
+            ];
+            ((), args)
+        })
     }
 
-    fn reduce_contribs(contribs: &[Vec<u8>], op: ReduceOp) -> Vec<u64> {
+    pub(super) fn reduce_contribs(contribs: &[Vec<u8>], op: ReduceOp) -> Vec<u64> {
         let mut acc = bytes_to_u64s(&contribs[0]);
         for c in &contribs[1..] {
             let next = bytes_to_u64s(c);
@@ -135,32 +121,25 @@ impl Env {
         root: i32,
         comm: CommHandle,
     ) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let contrib = self.pack_buf(sendbuf, count, dt);
-        let (res, _) = self.exchange_raw(comm, contrib);
-        let my_rank = self.comms.get(comm).my_rank;
-        if my_rank == root as usize {
-            let acc = Self::reduce_contribs(&res, op);
-            self.heap.write_u64s(recvbuf, &acc);
-        }
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Reduce,
-                vec![
-                    Arg::Ptr(sendbuf),
-                    Arg::Ptr(recvbuf),
-                    Arg::Int(count as i64),
-                    Arg::Datatype(dt.0),
-                    Arg::Op(op.id()),
-                    Arg::Rank(root),
-                    Arg::Comm(comm.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
+        self.call(FuncId::Reduce, |env| {
+            let contrib = env.pack_buf(sendbuf, count, dt);
+            let (res, _) = env.exchange_raw(comm, contrib);
+            let my_rank = env.comms.get(comm).my_rank;
+            if my_rank == root as usize {
+                let acc = Self::reduce_contribs(&res, op);
+                env.heap.write_u64s(recvbuf, &acc);
+            }
+            let args = vec![
+                Arg::Ptr(sendbuf),
+                Arg::Ptr(recvbuf),
+                Arg::Int(count as i64),
+                Arg::Datatype(dt.0),
+                Arg::Op(op.id()),
+                Arg::Rank(root),
+                Arg::Comm(comm.0),
+            ];
+            ((), args)
+        })
     }
 
     /// `MPI_Allreduce`.
@@ -173,28 +152,21 @@ impl Env {
         op: ReduceOp,
         comm: CommHandle,
     ) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let contrib = self.pack_buf(sendbuf, count, dt);
-        let (res, _) = self.exchange_raw(comm, contrib);
-        let acc = Self::reduce_contribs(&res, op);
-        self.heap.write_u64s(recvbuf, &acc);
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Allreduce,
-                vec![
-                    Arg::Ptr(sendbuf),
-                    Arg::Ptr(recvbuf),
-                    Arg::Int(count as i64),
-                    Arg::Datatype(dt.0),
-                    Arg::Op(op.id()),
-                    Arg::Comm(comm.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
+        self.call(FuncId::Allreduce, |env| {
+            let contrib = env.pack_buf(sendbuf, count, dt);
+            let (res, _) = env.exchange_raw(comm, contrib);
+            let acc = Self::reduce_contribs(&res, op);
+            env.heap.write_u64s(recvbuf, &acc);
+            let args = vec![
+                Arg::Ptr(sendbuf),
+                Arg::Ptr(recvbuf),
+                Arg::Int(count as i64),
+                Arg::Datatype(dt.0),
+                Arg::Op(op.id()),
+                Arg::Comm(comm.0),
+            ];
+            ((), args)
+        })
     }
 
     /// `MPI_Iallreduce`.
@@ -207,29 +179,22 @@ impl Env {
         op: ReduceOp,
         comm: CommHandle,
     ) -> RequestHandle {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let contrib = self.pack_buf(sendbuf, count, dt);
-        let lanes = contrib.len() / 8;
-        let req = self.exchange_nb_raw(comm, contrib, NbOp::Allreduce { recv: recvbuf, lanes, op });
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Iallreduce,
-                vec![
-                    Arg::Ptr(sendbuf),
-                    Arg::Ptr(recvbuf),
-                    Arg::Int(count as i64),
-                    Arg::Datatype(dt.0),
-                    Arg::Op(op.id()),
-                    Arg::Comm(comm.0),
-                    Arg::Request(req.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
-        req
+        self.call(FuncId::Iallreduce, |env| {
+            let contrib = env.pack_buf(sendbuf, count, dt);
+            let lanes = contrib.len() / 8;
+            let req =
+                env.exchange_nb_raw(comm, contrib, NbOp::Allreduce { recv: recvbuf, lanes, op });
+            let args = vec![
+                Arg::Ptr(sendbuf),
+                Arg::Ptr(recvbuf),
+                Arg::Int(count as i64),
+                Arg::Datatype(dt.0),
+                Arg::Op(op.id()),
+                Arg::Comm(comm.0),
+                Arg::Request(req.0),
+            ];
+            (req, args)
+        })
     }
 
     /// `MPI_Gather`.
@@ -245,36 +210,29 @@ impl Env {
         root: i32,
         comm: CommHandle,
     ) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let contrib = self.pack_buf(sendbuf, sendcount, sendtype);
-        let (res, _) = self.exchange_raw(comm, contrib);
-        let my_rank = self.comms.get(comm).my_rank;
-        if my_rank == root as usize {
-            let extent = self.types.get(recvtype).extent;
-            for (i, data) in res.iter().enumerate() {
-                let dst = recvbuf + (i as u64) * recvcount * extent;
-                self.unpack_buf(dst, recvcount, recvtype, data);
+        self.call(FuncId::Gather, |env| {
+            let contrib = env.pack_buf(sendbuf, sendcount, sendtype);
+            let (res, _) = env.exchange_raw(comm, contrib);
+            let my_rank = env.comms.get(comm).my_rank;
+            if my_rank == root as usize {
+                let extent = env.types.get(recvtype).extent;
+                for (i, data) in res.iter().enumerate() {
+                    let dst = recvbuf + (i as u64) * recvcount * extent;
+                    env.unpack_buf(dst, recvcount, recvtype, data);
+                }
             }
-        }
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Gather,
-                vec![
-                    Arg::Ptr(sendbuf),
-                    Arg::Int(sendcount as i64),
-                    Arg::Datatype(sendtype.0),
-                    Arg::Ptr(recvbuf),
-                    Arg::Int(recvcount as i64),
-                    Arg::Datatype(recvtype.0),
-                    Arg::Rank(root),
-                    Arg::Comm(comm.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
+            let args = vec![
+                Arg::Ptr(sendbuf),
+                Arg::Int(sendcount as i64),
+                Arg::Datatype(sendtype.0),
+                Arg::Ptr(recvbuf),
+                Arg::Int(recvcount as i64),
+                Arg::Datatype(recvtype.0),
+                Arg::Rank(root),
+                Arg::Comm(comm.0),
+            ];
+            ((), args)
+        })
     }
 
     /// `MPI_Gatherv` (displacements in elements of the receive type).
@@ -291,37 +249,30 @@ impl Env {
         root: i32,
         comm: CommHandle,
     ) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let contrib = self.pack_buf(sendbuf, sendcount, sendtype);
-        let (res, _) = self.exchange_raw(comm, contrib);
-        let my_rank = self.comms.get(comm).my_rank;
-        if my_rank == root as usize {
-            let extent = self.types.get(recvtype).extent;
-            for (i, data) in res.iter().enumerate() {
-                let dst = (recvbuf as i64 + displs[i] * extent as i64) as Addr;
-                self.unpack_buf(dst, recvcounts[i], recvtype, data);
+        self.call(FuncId::Gatherv, |env| {
+            let contrib = env.pack_buf(sendbuf, sendcount, sendtype);
+            let (res, _) = env.exchange_raw(comm, contrib);
+            let my_rank = env.comms.get(comm).my_rank;
+            if my_rank == root as usize {
+                let extent = env.types.get(recvtype).extent;
+                for (i, data) in res.iter().enumerate() {
+                    let dst = (recvbuf as i64 + displs[i] * extent as i64) as Addr;
+                    env.unpack_buf(dst, recvcounts[i], recvtype, data);
+                }
             }
-        }
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Gatherv,
-                vec![
-                    Arg::Ptr(sendbuf),
-                    Arg::Int(sendcount as i64),
-                    Arg::Datatype(sendtype.0),
-                    Arg::Ptr(recvbuf),
-                    Arg::IntArr(recvcounts.iter().map(|&c| c as i64).collect()),
-                    Arg::IntArr(displs.to_vec()),
-                    Arg::Datatype(recvtype.0),
-                    Arg::Rank(root),
-                    Arg::Comm(comm.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
+            let args = vec![
+                Arg::Ptr(sendbuf),
+                Arg::Int(sendcount as i64),
+                Arg::Datatype(sendtype.0),
+                Arg::Ptr(recvbuf),
+                Arg::IntArr(recvcounts.iter().map(|&c| c as i64).collect()),
+                Arg::IntArr(displs.to_vec()),
+                Arg::Datatype(recvtype.0),
+                Arg::Rank(root),
+                Arg::Comm(comm.0),
+            ];
+            ((), args)
+        })
     }
 
     /// `MPI_Scatter`.
@@ -337,40 +288,33 @@ impl Env {
         root: i32,
         comm: CommHandle,
     ) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let my_rank = self.comms.get(comm).my_rank;
-        let comm_size = self.comms.get(comm).size();
-        let contrib = if my_rank == root as usize {
-            self.pack_buf(sendbuf, sendcount * comm_size as u64, sendtype)
-        } else {
-            Vec::new()
-        };
-        let (res, _) = self.exchange_raw(comm, contrib);
-        let full = &res[root as usize];
-        let elem = self.types.get(sendtype).size;
-        let chunk = (sendcount * elem) as usize;
-        let mine = &full[my_rank * chunk..(my_rank + 1) * chunk];
-        let mine = mine.to_vec();
-        self.unpack_buf(recvbuf, recvcount, recvtype, &mine);
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Scatter,
-                vec![
-                    Arg::Ptr(sendbuf),
-                    Arg::Int(sendcount as i64),
-                    Arg::Datatype(sendtype.0),
-                    Arg::Ptr(recvbuf),
-                    Arg::Int(recvcount as i64),
-                    Arg::Datatype(recvtype.0),
-                    Arg::Rank(root),
-                    Arg::Comm(comm.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
+        self.call(FuncId::Scatter, |env| {
+            let my_rank = env.comms.get(comm).my_rank;
+            let comm_size = env.comms.get(comm).size();
+            let contrib = if my_rank == root as usize {
+                env.pack_buf(sendbuf, sendcount * comm_size as u64, sendtype)
+            } else {
+                Vec::new()
+            };
+            let (res, _) = env.exchange_raw(comm, contrib);
+            let full = &res[root as usize];
+            let elem = env.types.get(sendtype).size;
+            let chunk = (sendcount * elem) as usize;
+            let mine = &full[my_rank * chunk..(my_rank + 1) * chunk];
+            let mine = mine.to_vec();
+            env.unpack_buf(recvbuf, recvcount, recvtype, &mine);
+            let args = vec![
+                Arg::Ptr(sendbuf),
+                Arg::Int(sendcount as i64),
+                Arg::Datatype(sendtype.0),
+                Arg::Ptr(recvbuf),
+                Arg::Int(recvcount as i64),
+                Arg::Datatype(recvtype.0),
+                Arg::Rank(root),
+                Arg::Comm(comm.0),
+            ];
+            ((), args)
+        })
     }
 
     /// `MPI_Scatterv` (send displacements in elements of the send type).
@@ -387,57 +331,50 @@ impl Env {
         root: i32,
         comm: CommHandle,
     ) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let my_rank = self.comms.get(comm).my_rank;
-        let contrib = if my_rank == root as usize {
-            // Pack each rank's chunk separately, concatenated with a length
-            // prefix so chunks can be recovered.
-            let mut out = Vec::new();
-            for (i, &cnt) in sendcounts.iter().enumerate() {
-                let extent = self.types.get(sendtype).extent;
-                let src = (sendbuf as i64 + displs[i] * extent as i64) as Addr;
-                let chunk = self.pack_buf(src, cnt, sendtype);
-                out.extend_from_slice(&(chunk.len() as u64).to_le_bytes());
-                out.extend_from_slice(&chunk);
+        self.call(FuncId::Scatterv, |env| {
+            let my_rank = env.comms.get(comm).my_rank;
+            let contrib = if my_rank == root as usize {
+                // Pack each rank's chunk separately, concatenated with a length
+                // prefix so chunks can be recovered.
+                let mut out = Vec::new();
+                for (i, &cnt) in sendcounts.iter().enumerate() {
+                    let extent = env.types.get(sendtype).extent;
+                    let src = (sendbuf as i64 + displs[i] * extent as i64) as Addr;
+                    let chunk = env.pack_buf(src, cnt, sendtype);
+                    out.extend_from_slice(&(chunk.len() as u64).to_le_bytes());
+                    out.extend_from_slice(&chunk);
+                }
+                out
+            } else {
+                Vec::new()
+            };
+            let (res, _) = env.exchange_raw(comm, contrib);
+            // Recover my chunk from the root's contribution.
+            let full = &res[root as usize];
+            let mut pos = 0usize;
+            let mut mine = Vec::new();
+            for i in 0..env.comms.get(comm).size() {
+                let len = le_u64(&full[pos..]) as usize;
+                pos += 8;
+                if i == my_rank {
+                    mine = full[pos..pos + len].to_vec();
+                }
+                pos += len;
             }
-            out
-        } else {
-            Vec::new()
-        };
-        let (res, _) = self.exchange_raw(comm, contrib);
-        // Recover my chunk from the root's contribution.
-        let full = &res[root as usize];
-        let mut pos = 0usize;
-        let mut mine = Vec::new();
-        for i in 0..self.comms.get(comm).size() {
-            let len = u64::from_le_bytes(full[pos..pos + 8].try_into().unwrap()) as usize;
-            pos += 8;
-            if i == my_rank {
-                mine = full[pos..pos + len].to_vec();
-            }
-            pos += len;
-        }
-        self.unpack_buf(recvbuf, recvcount, recvtype, &mine);
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Scatterv,
-                vec![
-                    Arg::Ptr(sendbuf),
-                    Arg::IntArr(sendcounts.iter().map(|&c| c as i64).collect()),
-                    Arg::IntArr(displs.to_vec()),
-                    Arg::Datatype(sendtype.0),
-                    Arg::Ptr(recvbuf),
-                    Arg::Int(recvcount as i64),
-                    Arg::Datatype(recvtype.0),
-                    Arg::Rank(root),
-                    Arg::Comm(comm.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
+            env.unpack_buf(recvbuf, recvcount, recvtype, &mine);
+            let args = vec![
+                Arg::Ptr(sendbuf),
+                Arg::IntArr(sendcounts.iter().map(|&c| c as i64).collect()),
+                Arg::IntArr(displs.to_vec()),
+                Arg::Datatype(sendtype.0),
+                Arg::Ptr(recvbuf),
+                Arg::Int(recvcount as i64),
+                Arg::Datatype(recvtype.0),
+                Arg::Rank(root),
+                Arg::Comm(comm.0),
+            ];
+            ((), args)
+        })
     }
 
     /// `MPI_Allgather`.
@@ -452,33 +389,26 @@ impl Env {
         recvtype: DatatypeHandle,
         comm: CommHandle,
     ) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let contrib = self.pack_buf(sendbuf, sendcount, sendtype);
-        let (res, _) = self.exchange_raw(comm, contrib);
-        let extent = self.types.get(recvtype).extent;
-        for (i, data) in res.iter().enumerate() {
-            let dst = recvbuf + (i as u64) * recvcount * extent;
-            let data = data.clone();
-            self.unpack_buf(dst, recvcount, recvtype, &data);
-        }
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Allgather,
-                vec![
-                    Arg::Ptr(sendbuf),
-                    Arg::Int(sendcount as i64),
-                    Arg::Datatype(sendtype.0),
-                    Arg::Ptr(recvbuf),
-                    Arg::Int(recvcount as i64),
-                    Arg::Datatype(recvtype.0),
-                    Arg::Comm(comm.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
+        self.call(FuncId::Allgather, |env| {
+            let contrib = env.pack_buf(sendbuf, sendcount, sendtype);
+            let (res, _) = env.exchange_raw(comm, contrib);
+            let extent = env.types.get(recvtype).extent;
+            for (i, data) in res.iter().enumerate() {
+                let dst = recvbuf + (i as u64) * recvcount * extent;
+                let data = data.clone();
+                env.unpack_buf(dst, recvcount, recvtype, &data);
+            }
+            let args = vec![
+                Arg::Ptr(sendbuf),
+                Arg::Int(sendcount as i64),
+                Arg::Datatype(sendtype.0),
+                Arg::Ptr(recvbuf),
+                Arg::Int(recvcount as i64),
+                Arg::Datatype(recvtype.0),
+                Arg::Comm(comm.0),
+            ];
+            ((), args)
+        })
     }
 
     /// `MPI_Allgatherv`.
@@ -494,34 +424,27 @@ impl Env {
         recvtype: DatatypeHandle,
         comm: CommHandle,
     ) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let contrib = self.pack_buf(sendbuf, sendcount, sendtype);
-        let (res, _) = self.exchange_raw(comm, contrib);
-        let extent = self.types.get(recvtype).extent;
-        for (i, data) in res.iter().enumerate() {
-            let dst = (recvbuf as i64 + displs[i] * extent as i64) as Addr;
-            let data = data.clone();
-            self.unpack_buf(dst, recvcounts[i], recvtype, &data);
-        }
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Allgatherv,
-                vec![
-                    Arg::Ptr(sendbuf),
-                    Arg::Int(sendcount as i64),
-                    Arg::Datatype(sendtype.0),
-                    Arg::Ptr(recvbuf),
-                    Arg::IntArr(recvcounts.iter().map(|&c| c as i64).collect()),
-                    Arg::IntArr(displs.to_vec()),
-                    Arg::Datatype(recvtype.0),
-                    Arg::Comm(comm.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
+        self.call(FuncId::Allgatherv, |env| {
+            let contrib = env.pack_buf(sendbuf, sendcount, sendtype);
+            let (res, _) = env.exchange_raw(comm, contrib);
+            let extent = env.types.get(recvtype).extent;
+            for (i, data) in res.iter().enumerate() {
+                let dst = (recvbuf as i64 + displs[i] * extent as i64) as Addr;
+                let data = data.clone();
+                env.unpack_buf(dst, recvcounts[i], recvtype, &data);
+            }
+            let args = vec![
+                Arg::Ptr(sendbuf),
+                Arg::Int(sendcount as i64),
+                Arg::Datatype(sendtype.0),
+                Arg::Ptr(recvbuf),
+                Arg::IntArr(recvcounts.iter().map(|&c| c as i64).collect()),
+                Arg::IntArr(displs.to_vec()),
+                Arg::Datatype(recvtype.0),
+                Arg::Comm(comm.0),
+            ];
+            ((), args)
+        })
     }
 
     /// `MPI_Alltoall`.
@@ -536,37 +459,30 @@ impl Env {
         recvtype: DatatypeHandle,
         comm: CommHandle,
     ) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let comm_size = self.comms.get(comm).size();
-        let my_rank = self.comms.get(comm).my_rank;
-        let contrib = self.pack_buf(sendbuf, sendcount * comm_size as u64, sendtype);
-        let (res, _) = self.exchange_raw(comm, contrib);
-        let elem = self.types.get(sendtype).size;
-        let chunk = (sendcount * elem) as usize;
-        let extent = self.types.get(recvtype).extent;
-        for (i, data) in res.iter().enumerate() {
-            let piece = data[my_rank * chunk..(my_rank + 1) * chunk].to_vec();
-            let dst = recvbuf + (i as u64) * recvcount * extent;
-            self.unpack_buf(dst, recvcount, recvtype, &piece);
-        }
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Alltoall,
-                vec![
-                    Arg::Ptr(sendbuf),
-                    Arg::Int(sendcount as i64),
-                    Arg::Datatype(sendtype.0),
-                    Arg::Ptr(recvbuf),
-                    Arg::Int(recvcount as i64),
-                    Arg::Datatype(recvtype.0),
-                    Arg::Comm(comm.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
+        self.call(FuncId::Alltoall, |env| {
+            let comm_size = env.comms.get(comm).size();
+            let my_rank = env.comms.get(comm).my_rank;
+            let contrib = env.pack_buf(sendbuf, sendcount * comm_size as u64, sendtype);
+            let (res, _) = env.exchange_raw(comm, contrib);
+            let elem = env.types.get(sendtype).size;
+            let chunk = (sendcount * elem) as usize;
+            let extent = env.types.get(recvtype).extent;
+            for (i, data) in res.iter().enumerate() {
+                let piece = data[my_rank * chunk..(my_rank + 1) * chunk].to_vec();
+                let dst = recvbuf + (i as u64) * recvcount * extent;
+                env.unpack_buf(dst, recvcount, recvtype, &piece);
+            }
+            let args = vec![
+                Arg::Ptr(sendbuf),
+                Arg::Int(sendcount as i64),
+                Arg::Datatype(sendtype.0),
+                Arg::Ptr(recvbuf),
+                Arg::Int(recvcount as i64),
+                Arg::Datatype(recvtype.0),
+                Arg::Comm(comm.0),
+            ];
+            ((), args)
+        })
     }
 
     /// `MPI_Alltoallv`.
@@ -583,56 +499,49 @@ impl Env {
         recvtype: DatatypeHandle,
         comm: CommHandle,
     ) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let my_rank = self.comms.get(comm).my_rank;
-        // Length-prefixed per-destination chunks.
-        let mut contrib = Vec::new();
-        for (i, &cnt) in sendcounts.iter().enumerate() {
-            let extent = self.types.get(sendtype).extent;
-            let src = (sendbuf as i64 + sdispls[i] * extent as i64) as Addr;
-            let chunk = self.pack_buf(src, cnt, sendtype);
-            contrib.extend_from_slice(&(chunk.len() as u64).to_le_bytes());
-            contrib.extend_from_slice(&chunk);
-        }
-        let (res, _) = self.exchange_raw(comm, contrib);
-        let extent = self.types.get(recvtype).extent;
-        for (i, data) in res.iter().enumerate() {
-            // Extract chunk destined to my_rank from sender i.
-            let mut pos = 0usize;
-            let mut mine: Option<Vec<u8>> = None;
-            for j in 0..res.len() {
-                let len = u64::from_le_bytes(data[pos..pos + 8].try_into().unwrap()) as usize;
-                pos += 8;
-                if j == my_rank {
-                    mine = Some(data[pos..pos + len].to_vec());
-                    break;
-                }
-                pos += len;
+        self.call(FuncId::Alltoallv, |env| {
+            let my_rank = env.comms.get(comm).my_rank;
+            // Length-prefixed per-destination chunks.
+            let mut contrib = Vec::new();
+            for (i, &cnt) in sendcounts.iter().enumerate() {
+                let extent = env.types.get(sendtype).extent;
+                let src = (sendbuf as i64 + sdispls[i] * extent as i64) as Addr;
+                let chunk = env.pack_buf(src, cnt, sendtype);
+                contrib.extend_from_slice(&(chunk.len() as u64).to_le_bytes());
+                contrib.extend_from_slice(&chunk);
             }
-            let mine = mine.expect("alltoallv chunk present");
-            let dst = (recvbuf as i64 + rdispls[i] * extent as i64) as Addr;
-            self.unpack_buf(dst, recvcounts[i], recvtype, &mine);
-        }
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::Alltoallv,
-                vec![
-                    Arg::Ptr(sendbuf),
-                    Arg::IntArr(sendcounts.iter().map(|&c| c as i64).collect()),
-                    Arg::IntArr(sdispls.to_vec()),
-                    Arg::Datatype(sendtype.0),
-                    Arg::Ptr(recvbuf),
-                    Arg::IntArr(recvcounts.iter().map(|&c| c as i64).collect()),
-                    Arg::IntArr(rdispls.to_vec()),
-                    Arg::Datatype(recvtype.0),
-                    Arg::Comm(comm.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
+            let (res, _) = env.exchange_raw(comm, contrib);
+            let extent = env.types.get(recvtype).extent;
+            for (i, data) in res.iter().enumerate() {
+                // Extract chunk destined to my_rank from sender i.
+                let mut pos = 0usize;
+                let mut mine: Option<Vec<u8>> = None;
+                for j in 0..res.len() {
+                    let len = le_u64(&data[pos..]) as usize;
+                    pos += 8;
+                    if j == my_rank {
+                        mine = Some(data[pos..pos + len].to_vec());
+                        break;
+                    }
+                    pos += len;
+                }
+                let mine = mine.expect("alltoallv chunk present");
+                let dst = (recvbuf as i64 + rdispls[i] * extent as i64) as Addr;
+                env.unpack_buf(dst, recvcounts[i], recvtype, &mine);
+            }
+            let args = vec![
+                Arg::Ptr(sendbuf),
+                Arg::IntArr(sendcounts.iter().map(|&c| c as i64).collect()),
+                Arg::IntArr(sdispls.to_vec()),
+                Arg::Datatype(sendtype.0),
+                Arg::Ptr(recvbuf),
+                Arg::IntArr(recvcounts.iter().map(|&c| c as i64).collect()),
+                Arg::IntArr(rdispls.to_vec()),
+                Arg::Datatype(recvtype.0),
+                Arg::Comm(comm.0),
+            ];
+            ((), args)
+        })
     }
 
     /// `MPI_Reduce_scatter_block`.
@@ -645,32 +554,25 @@ impl Env {
         op: ReduceOp,
         comm: CommHandle,
     ) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let comm_size = self.comms.get(comm).size();
-        let my_rank = self.comms.get(comm).my_rank;
-        let contrib = self.pack_buf(sendbuf, recvcount * comm_size as u64, dt);
-        let (res, _) = self.exchange_raw(comm, contrib);
-        let acc = Self::reduce_contribs(&res, op);
-        let lanes_per_rank = acc.len() / comm_size;
-        let mine = &acc[my_rank * lanes_per_rank..(my_rank + 1) * lanes_per_rank];
-        self.heap.write_u64s(recvbuf, mine);
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::ReduceScatterBlock,
-                vec![
-                    Arg::Ptr(sendbuf),
-                    Arg::Ptr(recvbuf),
-                    Arg::Int(recvcount as i64),
-                    Arg::Datatype(dt.0),
-                    Arg::Op(op.id()),
-                    Arg::Comm(comm.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
+        self.call(FuncId::ReduceScatterBlock, |env| {
+            let comm_size = env.comms.get(comm).size();
+            let my_rank = env.comms.get(comm).my_rank;
+            let contrib = env.pack_buf(sendbuf, recvcount * comm_size as u64, dt);
+            let (res, _) = env.exchange_raw(comm, contrib);
+            let acc = Self::reduce_contribs(&res, op);
+            let lanes_per_rank = acc.len() / comm_size;
+            let mine = &acc[my_rank * lanes_per_rank..(my_rank + 1) * lanes_per_rank];
+            env.heap.write_u64s(recvbuf, mine);
+            let args = vec![
+                Arg::Ptr(sendbuf),
+                Arg::Ptr(recvbuf),
+                Arg::Int(recvcount as i64),
+                Arg::Datatype(dt.0),
+                Arg::Op(op.id()),
+                Arg::Comm(comm.0),
+            ];
+            ((), args)
+        })
     }
 
     #[allow(clippy::too_many_arguments)] // mirrors the MPI C signature
@@ -685,32 +587,25 @@ impl Env {
         comm: CommHandle,
         exclusive: bool,
     ) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let contrib = self.pack_buf(sendbuf, count, dt);
-        let (res, _) = self.exchange_raw(comm, contrib);
-        let my_rank = self.comms.get(comm).my_rank;
-        let upto = if exclusive { my_rank } else { my_rank + 1 };
-        if upto > 0 {
-            let acc = Self::reduce_contribs(&res[..upto], op);
-            self.heap.write_u64s(recvbuf, &acc);
-        }
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                func,
-                vec![
-                    Arg::Ptr(sendbuf),
-                    Arg::Ptr(recvbuf),
-                    Arg::Int(count as i64),
-                    Arg::Datatype(dt.0),
-                    Arg::Op(op.id()),
-                    Arg::Comm(comm.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
+        self.call(func, |env| {
+            let contrib = env.pack_buf(sendbuf, count, dt);
+            let (res, _) = env.exchange_raw(comm, contrib);
+            let my_rank = env.comms.get(comm).my_rank;
+            let upto = if exclusive { my_rank } else { my_rank + 1 };
+            if upto > 0 {
+                let acc = Self::reduce_contribs(&res[..upto], op);
+                env.heap.write_u64s(recvbuf, &acc);
+            }
+            let args = vec![
+                Arg::Ptr(sendbuf),
+                Arg::Ptr(recvbuf),
+                Arg::Int(count as i64),
+                Arg::Datatype(dt.0),
+                Arg::Op(op.id()),
+                Arg::Comm(comm.0),
+            ];
+            ((), args)
+        })
     }
 
     /// `MPI_Scan`.

@@ -1,7 +1,7 @@
 //! Derived datatype construction calls.
 
 use crate::datatype::DatatypeHandle;
-use crate::hooks::{Arg, CallRec};
+use crate::hooks::Arg;
 use crate::FuncId;
 
 use super::Env;
@@ -9,19 +9,10 @@ use super::Env;
 impl Env {
     /// `MPI_Type_contiguous`.
     pub fn type_contiguous(&mut self, count: u64, base: DatatypeHandle) -> DatatypeHandle {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let new = self.types.contiguous(count, base);
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::TypeContiguous,
-                vec![Arg::Int(count as i64), Arg::Datatype(base.0), Arg::Datatype(new.0)],
-            ),
-            t0,
-            t1,
-        );
-        new
+        self.call(FuncId::TypeContiguous, |env| {
+            let new = env.types.contiguous(count, base);
+            (new, vec![Arg::Int(count as i64), Arg::Datatype(base.0), Arg::Datatype(new.0)])
+        })
     }
 
     /// `MPI_Type_vector`.
@@ -32,25 +23,17 @@ impl Env {
         stride: i64,
         base: DatatypeHandle,
     ) -> DatatypeHandle {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let new = self.types.vector(count, blocklen, stride, base);
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::TypeVector,
-                vec![
-                    Arg::Int(count as i64),
-                    Arg::Int(blocklen as i64),
-                    Arg::Int(stride),
-                    Arg::Datatype(base.0),
-                    Arg::Datatype(new.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
-        new
+        self.call(FuncId::TypeVector, |env| {
+            let new = env.types.vector(count, blocklen, stride, base);
+            let args = vec![
+                Arg::Int(count as i64),
+                Arg::Int(blocklen as i64),
+                Arg::Int(stride),
+                Arg::Datatype(base.0),
+                Arg::Datatype(new.0),
+            ];
+            (new, args)
+        })
     }
 
     /// `MPI_Type_indexed`.
@@ -60,25 +43,17 @@ impl Env {
         displs: &[i64],
         base: DatatypeHandle,
     ) -> DatatypeHandle {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let new = self.types.indexed(blocklens, displs, base);
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::TypeIndexed,
-                vec![
-                    Arg::Int(blocklens.len() as i64),
-                    Arg::IntArr(blocklens.iter().map(|&b| b as i64).collect()),
-                    Arg::IntArr(displs.to_vec()),
-                    Arg::Datatype(base.0),
-                    Arg::Datatype(new.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
-        new
+        self.call(FuncId::TypeIndexed, |env| {
+            let new = env.types.indexed(blocklens, displs, base);
+            let args = vec![
+                Arg::Int(blocklens.len() as i64),
+                Arg::IntArr(blocklens.iter().map(|&b| b as i64).collect()),
+                Arg::IntArr(displs.to_vec()),
+                Arg::Datatype(base.0),
+                Arg::Datatype(new.0),
+            ];
+            (new, args)
+        })
     }
 
     /// `MPI_Type_create_struct`.
@@ -88,43 +63,33 @@ impl Env {
         displs: &[i64],
         types: &[DatatypeHandle],
     ) -> DatatypeHandle {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        let new = self.types.structured(blocklens, displs, types);
-        let t1 = self.clock.now();
-        self.emit(
-            CallRec::new(
-                FuncId::TypeCreateStruct,
-                vec![
-                    Arg::Int(blocklens.len() as i64),
-                    Arg::IntArr(blocklens.iter().map(|&b| b as i64).collect()),
-                    Arg::IntArr(displs.to_vec()),
-                    Arg::IntArr(types.iter().map(|t| t.0 as i64).collect()),
-                    Arg::Datatype(new.0),
-                ],
-            ),
-            t0,
-            t1,
-        );
-        new
+        self.call(FuncId::TypeCreateStruct, |env| {
+            let new = env.types.structured(blocklens, displs, types);
+            let args = vec![
+                Arg::Int(blocklens.len() as i64),
+                Arg::IntArr(blocklens.iter().map(|&b| b as i64).collect()),
+                Arg::IntArr(displs.to_vec()),
+                Arg::IntArr(types.iter().map(|t| t.0 as i64).collect()),
+                Arg::Datatype(new.0),
+            ];
+            (new, args)
+        })
     }
 
     /// `MPI_Type_commit`.
     pub fn type_commit(&mut self, dt: DatatypeHandle) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        self.types.commit(dt);
-        let t1 = self.clock.now();
-        self.emit(CallRec::new(FuncId::TypeCommit, vec![Arg::Datatype(dt.0)]), t0, t1);
+        self.call(FuncId::TypeCommit, |env| {
+            env.types.commit(dt);
+            ((), vec![Arg::Datatype(dt.0)])
+        })
     }
 
     /// `MPI_Type_free`.
     pub fn type_free(&mut self, dt: DatatypeHandle) {
-        let t0 = self.clock.now();
-        self.clock.call_entry();
-        self.types.free(dt);
-        let t1 = self.clock.now();
-        self.emit(CallRec::new(FuncId::TypeFree, vec![Arg::Datatype(dt.0)]), t0, t1);
+        self.call(FuncId::TypeFree, |env| {
+            env.types.free(dt);
+            ((), vec![Arg::Datatype(dt.0)])
+        })
     }
 
     /// Size in bytes of one element of a datatype (helper, untraced).

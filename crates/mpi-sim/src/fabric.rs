@@ -13,10 +13,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::fault::{self, FaultPlan};
 use crate::types::{ANY_SOURCE, ANY_TAG};
@@ -31,6 +29,17 @@ pub const WORLD_CONTEXT: ContextId = 0;
 
 /// Sentinel for "awaited source unknown" in a receive slot.
 const SRC_UNKNOWN: usize = usize::MAX;
+
+/// Locks `m`, recovering the data of a poisoned lock: a panicking rank
+/// must not wedge the whole simulated world.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Waits on `cv` for at most `d`, recovering a poisoned lock like [`lock`].
+fn timed_wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>, d: Duration) -> MutexGuard<'a, T> {
+    cv.wait_timeout(guard, d).unwrap_or_else(PoisonError::into_inner).0
+}
 
 /// Exchange lanes: application collectives and tracer-internal traffic are
 /// kept in separate matching domains so tracing never perturbs matching.
@@ -90,12 +99,12 @@ impl RecvSlot {
 
     /// Non-blocking poll; takes the message if present.
     pub fn try_take(&self) -> Option<Message> {
-        self.filled.lock().take()
+        lock(&self.filled).take()
     }
 
     /// Whether a message has arrived (without consuming it).
     pub fn is_ready(&self) -> bool {
-        self.filled.lock().is_some()
+        lock(&self.filled).is_some()
     }
 
     /// Whether this slot's concrete source can still send to it.
@@ -127,7 +136,7 @@ impl RecvSlot {
     /// Blocks until the message arrives, unwinding if the world aborts or
     /// the awaited source has failed and can no longer send.
     pub fn wait_take(&self, fabric: &Fabric, me: WorldRank) -> Message {
-        let mut guard = self.filled.lock();
+        let mut guard = lock(&self.filled);
         loop {
             if let Some(m) = guard.take() {
                 return m;
@@ -138,23 +147,23 @@ impl RecvSlot {
                 drop(guard);
                 fault::raise_peer_failure(me, src);
             }
-            self.cond.wait_for(&mut guard, Duration::from_millis(50));
+            guard = timed_wait(&self.cond, guard, Duration::from_millis(50));
             fabric.check_abort();
         }
     }
 
     /// Waits up to `d` for a fill; returns readiness.
     fn wait_timeout(&self, d: Duration) -> bool {
-        let mut guard = self.filled.lock();
+        let mut guard = lock(&self.filled);
         if guard.is_some() {
             return true;
         }
-        self.cond.wait_for(&mut guard, d);
+        guard = timed_wait(&self.cond, guard, d);
         guard.is_some()
     }
 
     fn fill(&self, m: Message) {
-        let mut guard = self.filled.lock();
+        let mut guard = lock(&self.filled);
         debug_assert!(guard.is_none(), "recv slot filled twice");
         *guard = Some(m);
         self.cond.notify_all();
@@ -186,6 +195,46 @@ struct Mailbox {
     inner: Mutex<MailboxInner>,
     /// Signaled when a message lands in the unexpected queue (for probes).
     arrived: Condvar,
+}
+
+impl Mailbox {
+    /// Hands `msg` to the earliest posted receive it matches (post order:
+    /// MPI's non-overtaking rule), or queues it as unexpected.
+    fn deliver(&self, msg: Message) {
+        let mut inner = lock(&self.inner);
+        let hit = inner.posted.iter().position(|p| matches(p.ctx, p.src, p.tag, &msg));
+        match hit.and_then(|i| inner.posted.remove(i)) {
+            Some(posted) => {
+                drop(inner);
+                posted.slot.fill(msg);
+            }
+            None => {
+                inner.unexpected.push_back(msg);
+                self.arrived.notify_all();
+            }
+        }
+    }
+
+    /// Posts `slot` as a receive for `(ctx, src, tag)`, filling it at once
+    /// with the earliest unexpected message `accept` takes.
+    fn post(
+        &self,
+        slot: &Arc<RecvSlot>,
+        ctx: ContextId,
+        src: i32,
+        tag: i32,
+        accept: impl Fn(&Message) -> bool,
+    ) {
+        let mut inner = lock(&self.inner);
+        let hit = inner.unexpected.iter().position(accept);
+        match hit.and_then(|i| inner.unexpected.remove(i)) {
+            Some(msg) => {
+                drop(inner);
+                slot.fill(msg);
+            }
+            None => inner.posted.push_back(PostedRecv { ctx, src, tag, slot: slot.clone() }),
+        }
+    }
 }
 
 /// One round of a collective exchange: contributions by comm rank, the
@@ -226,7 +275,7 @@ impl CollCtx {
 
     /// Deposits `contrib` for `round`; does not wait.
     pub fn deposit(&self, round: u64, comm_rank: usize, contrib: Vec<u8>, time: u64) {
-        let mut rounds = self.m.lock();
+        let mut rounds = lock(&self.m);
         let r = rounds.entry(round).or_default();
         if r.contribs.is_empty() {
             r.contribs.resize(self.size, None);
@@ -239,16 +288,16 @@ impl CollCtx {
         r.max_time = r.max_time.max(time);
         r.deposited += 1;
         if r.deposited == self.size {
+            // Every member deposited exactly once, so no slot is empty.
             let contribs = std::mem::take(&mut r.contribs);
-            r.result =
-                Some(Arc::new(contribs.into_iter().map(|c| c.expect("missing contrib")).collect()));
+            r.result = Some(Arc::new(contribs.into_iter().flatten().collect()));
             self.cv.notify_all();
         }
     }
 
     /// Polls for the result of `round`; consumes this rank's read.
     pub fn try_collect(&self, round: u64) -> Option<(Arc<Vec<Vec<u8>>>, u64)> {
-        let mut rounds = self.m.lock();
+        let mut rounds = lock(&self.m);
         let r = rounds.get_mut(&round)?;
         let result = r.result.clone()?;
         let time = r.max_time;
@@ -261,7 +310,7 @@ impl CollCtx {
 
     /// Whether `round` has completed (without consuming the read).
     pub fn is_ready(&self, round: u64) -> bool {
-        let rounds = self.m.lock();
+        let rounds = lock(&self.m);
         rounds.get(&round).is_some_and(|r| r.result.is_some())
     }
 
@@ -289,7 +338,7 @@ impl CollCtx {
         if !fabric.has_failures() {
             return None;
         }
-        let rounds = self.m.lock();
+        let rounds = lock(&self.m);
         rounds.get(&round).and_then(|r| self.missing_dead(r, fabric))
     }
 
@@ -301,7 +350,7 @@ impl CollCtx {
         round: u64,
         me: WorldRank,
     ) -> (Arc<Vec<Vec<u8>>>, u64) {
-        let mut rounds = self.m.lock();
+        let mut rounds = lock(&self.m);
         loop {
             if let Some(r) = rounds.get_mut(&round) {
                 if let Some(result) = r.result.clone() {
@@ -319,7 +368,7 @@ impl CollCtx {
                     }
                 }
             }
-            self.cv.wait_for(&mut rounds, Duration::from_millis(50));
+            rounds = timed_wait(&self.cv, rounds, Duration::from_millis(50));
             fabric.check_abort();
         }
     }
@@ -413,7 +462,7 @@ impl Fabric {
     /// Records `rank` as dead after completing `calls` MPI calls. Called by
     /// the dying rank itself, after its final call's sends and deposits.
     pub fn mark_dead(&self, rank: WorldRank, calls: u64) {
-        self.dead.lock().insert(rank, calls);
+        lock(&self.dead).insert(rank, calls);
         self.any_dead.store(true, Ordering::Release);
     }
 
@@ -421,20 +470,20 @@ impl Fabric {
     /// peer failure): peers must not block on its future app messages, but
     /// its tracer still participates in the merge.
     pub fn mark_bailed(&self, rank: WorldRank) {
-        self.bailed.lock().push(rank);
+        lock(&self.bailed).push(rank);
         self.any_dead.store(true, Ordering::Release);
     }
 
     /// Whether `rank` has been killed.
     pub fn is_dead(&self, rank: WorldRank) -> bool {
-        self.any_dead.load(Ordering::Acquire) && self.dead.lock().contains_key(&rank)
+        self.any_dead.load(Ordering::Acquire) && lock(&self.dead).contains_key(&rank)
     }
 
     /// Whether `rank` will never send application traffic again (killed or
     /// bailed).
     pub fn is_app_unreachable(&self, rank: WorldRank) -> bool {
         self.any_dead.load(Ordering::Acquire)
-            && (self.dead.lock().contains_key(&rank) || self.bailed.lock().contains(&rank))
+            && (lock(&self.dead).contains_key(&rank) || lock(&self.bailed).contains(&rank))
     }
 
     /// Whether any rank has died or bailed (cheap fast path).
@@ -444,19 +493,19 @@ impl Fabric {
 
     /// All dead ranks with their final call counts, sorted by rank.
     pub fn dead_ranks(&self) -> Vec<(WorldRank, u64)> {
-        let mut v: Vec<_> = self.dead.lock().iter().map(|(&r, &c)| (r, c)).collect();
+        let mut v: Vec<_> = lock(&self.dead).iter().map(|(&r, &c)| (r, c)).collect();
         v.sort_unstable();
         v
     }
 
     /// Stores a crash-consistent tracer snapshot for `rank`.
     pub fn store_checkpoint(&self, rank: WorldRank, calls: u64, bytes: Vec<u8>) {
-        self.checkpoints.lock().insert(rank, (calls, bytes));
+        lock(&self.checkpoints).insert(rank, (calls, bytes));
     }
 
     /// Latest checkpoint for `rank`, if one was stored.
     pub fn load_checkpoint(&self, rank: WorldRank) -> Option<(u64, Vec<u8>)> {
-        self.checkpoints.lock().get(&rank).cloned()
+        lock(&self.checkpoints).get(&rank).cloned()
     }
 
     /// Tool-channel messages silently dropped by the fault plan so far.
@@ -472,7 +521,7 @@ impl Fabric {
     /// Idempotently registers the collective lane for a communicator,
     /// recording its member list (lane rank -> world rank).
     pub fn ensure_coll(&self, ctx: ContextId, lane: Lane, group: &[WorldRank]) -> Arc<CollCtx> {
-        let mut colls = self.colls.lock();
+        let mut colls = lock(&self.colls);
         let c = colls
             .entry((ctx, lane))
             .or_insert_with(|| Arc::new(CollCtx::new(lane, group.to_vec())));
@@ -482,8 +531,7 @@ impl Fabric {
 
     /// Looks up a registered collective lane.
     pub fn coll(&self, ctx: ContextId, lane: Lane) -> Arc<CollCtx> {
-        self.colls
-            .lock()
+        lock(&self.colls)
             .get(&(ctx, lane))
             .cloned()
             .unwrap_or_else(|| panic!("no collective lane for context {ctx} {lane:?}"))
@@ -500,7 +548,7 @@ impl Fabric {
         if let Some(plan) = &self.plan {
             if plan.delay_prob > 0.0 {
                 let seq = {
-                    let mut m = self.app_seq.lock();
+                    let mut m = lock(&self.app_seq);
                     let e = m.entry(dest_world).or_insert(0);
                     let s = *e;
                     *e += 1;
@@ -510,16 +558,7 @@ impl Fabric {
                     msg.send_time.saturating_add(plan.delay_for(dest_world, msg.tag, seq));
             }
         }
-        let mb = &self.mailboxes[dest_world];
-        let mut inner = mb.inner.lock();
-        if let Some(i) = inner.posted.iter().position(|p| matches(p.ctx, p.src, p.tag, &msg)) {
-            let posted = inner.posted.remove(i).expect("index in range");
-            drop(inner);
-            posted.slot.fill(msg);
-        } else {
-            inner.unexpected.push_back(msg);
-            mb.arrived.notify_all();
-        }
+        self.mailboxes[dest_world].deliver(msg);
     }
 
     /// Posts a receive at `me`; returns a slot completed by the matching
@@ -539,15 +578,7 @@ impl Fabric {
         if let Some(w) = src_world {
             slot.src_world.store(w, Ordering::Release);
         }
-        let mb = &self.mailboxes[me];
-        let mut inner = mb.inner.lock();
-        if let Some(i) = inner.unexpected.iter().position(|m| matches(ctx, src, tag, m)) {
-            let msg = inner.unexpected.remove(i).expect("index in range");
-            drop(inner);
-            slot.fill(msg);
-        } else {
-            inner.posted.push_back(PostedRecv { ctx, src, tag, slot: slot.clone() });
-        }
+        self.mailboxes[me].post(&slot, ctx, src, tag, |m| matches(ctx, src, tag, m));
         slot
     }
 
@@ -559,7 +590,7 @@ impl Fabric {
         src: i32,
         tag: i32,
     ) -> Option<(i32, i32, u64)> {
-        let inner = self.mailboxes[me].inner.lock();
+        let inner = lock(&self.mailboxes[me].inner);
         inner
             .unexpected
             .iter()
@@ -578,7 +609,7 @@ impl Fabric {
         src_world: Option<WorldRank>,
     ) -> (i32, i32, u64) {
         let mb = &self.mailboxes[me];
-        let mut inner = mb.inner.lock();
+        let mut inner = lock(&mb.inner);
         loop {
             if let Some(m) = inner.unexpected.iter().find(|m| matches(ctx, src, tag, m)) {
                 return (m.src_comm_rank, m.tag, m.data.len() as u64);
@@ -589,7 +620,7 @@ impl Fabric {
                     fault::raise_peer_failure(me, w);
                 }
             }
-            mb.arrived.wait_for(&mut inner, Duration::from_millis(50));
+            inner = timed_wait(&mb.arrived, inner, Duration::from_millis(50));
             self.check_abort();
         }
     }
@@ -604,7 +635,7 @@ impl Fabric {
         if let Some(plan) = &self.plan {
             if plan.drop_prob > 0.0 {
                 let seq = {
-                    let mut m = self.tool_seq.lock();
+                    let mut m = lock(&self.tool_seq);
                     let e = m.entry((src_world, dest_world)).or_insert(0);
                     let s = *e;
                     *e += 1;
@@ -618,46 +649,22 @@ impl Fabric {
         }
         let msg =
             Message { ctx: u64::MAX, src_comm_rank: src_world as i32, tag, data, send_time: 0 };
-        let mb = &self.tool_mailboxes[dest_world];
-        let mut inner = mb.inner.lock();
-        if let Some(i) = inner.posted.iter().position(|p| matches(p.ctx, p.src, p.tag, &msg)) {
-            let posted = inner.posted.remove(i).expect("index in range");
-            drop(inner);
-            posted.slot.fill(msg);
-        } else {
-            inner.unexpected.push_back(msg);
-            mb.arrived.notify_all();
-        }
+        self.tool_mailboxes[dest_world].deliver(msg);
     }
 
     /// Posts a tool-channel receive for (src, tag) at `me`.
     fn post_tool_recv(&self, me: WorldRank, src_world: WorldRank, tag: i32) -> Arc<RecvSlot> {
         let slot = Arc::new(RecvSlot::for_tool(src_world));
-        let mb = &self.tool_mailboxes[me];
-        let mut inner = mb.inner.lock();
-        if let Some(i) = inner
-            .unexpected
-            .iter()
-            .position(|m| m.src_comm_rank == src_world as i32 && m.tag == tag)
-        {
-            let msg = inner.unexpected.remove(i).expect("index in range");
-            drop(inner);
-            slot.fill(msg);
-        } else {
-            inner.posted.push_back(PostedRecv {
-                ctx: u64::MAX,
-                src: src_world as i32,
-                tag,
-                slot: slot.clone(),
-            });
-        }
+        let src = src_world as i32;
+        self.tool_mailboxes[me]
+            .post(&slot, u64::MAX, src, tag, |m| m.src_comm_rank == src && m.tag == tag);
         slot
     }
 
     /// Removes a posted (unfilled) tool receive so a late message cannot
     /// fill a slot nobody waits on anymore; it will queue as unexpected.
     fn cancel_tool_recv(&self, me: WorldRank, slot: &Arc<RecvSlot>) {
-        let mut inner = self.tool_mailboxes[me].inner.lock();
+        let mut inner = lock(&self.tool_mailboxes[me].inner);
         inner.posted.retain(|p| !Arc::ptr_eq(&p.slot, slot));
     }
 
@@ -667,7 +674,7 @@ impl Fabric {
             return;
         };
         {
-            let mut taken = self.stalls_taken.lock();
+            let mut taken = lock(&self.stalls_taken);
             if taken.contains(&me) {
                 return;
             }
@@ -965,6 +972,28 @@ mod tests {
         // The tool channel still flows: bailed ranks merge their traces.
         f.tool_send(1, 0, 3, vec![1]);
         assert_eq!(f.tool_recv(1, 0, 3), vec![1]);
+    }
+
+    #[test]
+    fn lock_recovers_a_poisoned_mutex() {
+        let m = Mutex::new(41);
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = lock(&m);
+            panic!("a rank panics while holding the lock");
+        }));
+        assert!(m.is_poisoned());
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 42);
+    }
+
+    #[test]
+    fn timed_wait_returns_holding_the_lock() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        let held = timed_wait(&cv, lock(&m), Duration::from_millis(5));
+        assert!(m.try_lock().is_err());
+        drop(held);
+        assert!(m.try_lock().is_ok());
     }
 
     #[test]
