@@ -597,17 +597,25 @@ fn main() {
                     }
                 }
             } else {
-                let replayed = pilgrim::replay(&trace);
-                let same = replayed.decode_all_ranks() == trace.decode_all_ranks();
-                out.raw("calls", replayed.total_calls()).raw("ranks", replayed.nranks);
-                out.raw("identical", same).raw("divergence", "null");
-                // Governor-degraded (frozen/sealed) traces replay every call
-                // but legitimately renumber grammar segments on retrace:
-                // that is a degraded verdict, not a loss.
-                if trace.is_degraded() {
-                    3
-                } else {
-                    i32::from(!same)
+                match pilgrim::replay(&trace) {
+                    Ok(replayed) => {
+                        let same = replayed.decode_all_ranks() == trace.decode_all_ranks();
+                        out.raw("calls", replayed.total_calls()).raw("ranks", replayed.nranks);
+                        out.raw("identical", same).raw("divergence", "null");
+                        // Governor-degraded (frozen/sealed) traces replay
+                        // every call but legitimately renumber grammar
+                        // segments on retrace: that is a degraded verdict,
+                        // not a loss.
+                        if trace.is_degraded() {
+                            3
+                        } else {
+                            i32::from(!same)
+                        }
+                    }
+                    Err(d) => {
+                        out.raw("identical", false).raw("divergence", divergence_json(&d));
+                        1
+                    }
                 }
             };
             println!("{}", out.raw("fidelity", fidelity_json(&trace)).finish());

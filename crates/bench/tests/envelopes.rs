@@ -76,3 +76,44 @@ fn an_unparsable_scale_flag_is_a_usage_error_not_the_default_experiment() {
     assert_usage_error(fig8, &["--iters", "abc", "--max-procs", "4"], "--iters needs a numeric");
     assert_usage_error(fig8, &["--max-procs"], "--max-procs needs a numeric");
 }
+
+/// A CRC-valid one-call container whose call is `MPI_Comm_rank(7)` — an
+/// `Int` where the communicator belongs: it decodes, but no replay can
+/// follow it. Both replays exit 1 with the divergence, never 101.
+#[test]
+fn replay_of_a_call_it_cannot_follow_exits_1_with_the_divergence() {
+    let mut sig = pilgrim::encode::SigWriter::new(mpi_sim::FuncId::CommRank.id());
+    sig.int(7);
+    let mut cst = pilgrim::Cst::new();
+    let mut grammar = pilgrim_sequitur::Grammar::new();
+    grammar.push(cst.observe(sig.bytes(), 1));
+    let trace = pilgrim::GlobalTrace {
+        nranks: 1,
+        encoder_cfg: pilgrim::EncoderConfig::default(),
+        cst,
+        grammar: grammar.to_flat(),
+        rank_lengths: vec![1],
+        unique_grammars: 1,
+        duration_grammars: vec![],
+        interval_grammars: vec![],
+        duration_rank_map: vec![],
+        interval_rank_map: vec![],
+        completeness: pilgrim::TraceCompleteness::complete(),
+        nondet: None,
+    };
+    let path =
+        std::env::temp_dir().join(format!("pilgrim-unfollowable-{}.pilgrim", std::process::id()));
+    std::fs::write(&path, pilgrim::write_container(&trace)).expect("write the container");
+    let path = path.to_str().expect("utf-8 temp path");
+    for args in [vec!["replay", path], vec!["replay", path, "--strict"]] {
+        let out =
+            Command::new(env!("CARGO_BIN_EXE_trace_tool")).args(&args).output().expect("runs");
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.status.code(), Some(1), "{args:?} stdout: {stdout} stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        let divergence = r#""divergence":{"rank":0,"call_index":0,"expected":"MPI_Comm_rank: Comm at argument 0","got":"Int(7)"}"#;
+        assert!(stdout.contains(divergence), "{args:?} stdout lacks the divergence: {stdout}");
+    }
+    let _ = std::fs::remove_file(path);
+}

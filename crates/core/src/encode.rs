@@ -474,6 +474,14 @@ fn read_aux(buf: &[u8], pos: &mut usize) -> Option<(bool, i64)> {
     }
 }
 
+/// An element or byte count the rest of `sig` can hold: every element
+/// takes at least one byte, so a larger count is corruption, never an
+/// allocation.
+fn read_count(sig: &[u8], pos: &mut usize) -> Option<usize> {
+    let n = usize::try_from(read_varint(sig, pos)?).ok()?;
+    (n <= sig.len().saturating_sub(*pos)).then_some(n)
+}
+
 /// Decodes a full signature back into its argument list.
 pub fn decode_signature(sig: &[u8]) -> Option<EncodedCall> {
     let mut pos = 0usize;
@@ -495,7 +503,7 @@ pub fn decode_signature(sig: &[u8]) -> Option<EncodedCall> {
             ValTag::Group => EncodedArg::Group(read_varint(sig, &mut pos)?),
             ValTag::Request => EncodedArg::Request(read_varint(sig, &mut pos)?),
             ValTag::RequestArr => {
-                let n = read_varint(sig, &mut pos)? as usize;
+                let n = read_count(sig, &mut pos)?;
                 let mut v = Vec::with_capacity(n);
                 for _ in 0..n {
                     let x = read_varint(sig, &mut pos)?;
@@ -514,7 +522,7 @@ pub fn decode_signature(sig: &[u8]) -> Option<EncodedCall> {
                 EncodedArg::Status { source, tag }
             }
             ValTag::StatusArr => {
-                let n = read_varint(sig, &mut pos)? as usize;
+                let n = read_count(sig, &mut pos)?;
                 let mut v = Vec::with_capacity(n);
                 for _ in 0..n {
                     let source = read_rank_code(sig, &mut pos)?;
@@ -524,7 +532,7 @@ pub fn decode_signature(sig: &[u8]) -> Option<EncodedCall> {
                 EncodedArg::StatusArr(v)
             }
             ValTag::IntArr => {
-                let n = read_varint(sig, &mut pos)? as usize;
+                let n = read_count(sig, &mut pos)?;
                 let mut v = Vec::with_capacity(n);
                 for _ in 0..n {
                     v.push(unzigzag(read_varint(sig, &mut pos)?));
@@ -540,7 +548,7 @@ pub fn decode_signature(sig: &[u8]) -> Option<EncodedCall> {
                 EncodedArg::Key(v)
             }
             ValTag::Str => {
-                let n = read_varint(sig, &mut pos)? as usize;
+                let n = read_count(sig, &mut pos)?;
                 let s = String::from_utf8(sig.get(pos..pos + n)?.to_vec()).ok()?;
                 pos += n;
                 EncodedArg::Str(s)

@@ -435,3 +435,29 @@ fn a_rank_the_trace_does_not_have_is_an_error_not_a_panic() {
     assert!(trace.decode_rank(99).is_empty());
     assert_eq!(trace.decode_rank(3), trace.decode_all_ranks()[3]);
 }
+
+/// A count in a signature that the bytes after it cannot hold — every
+/// element takes at least one byte — is corruption, not an allocation or
+/// an overflow: `RequestArr`, `StatusArr`, `IntArr` and `Str` at 2^40 and
+/// at `u64::MAX`, read directly and through a CRC-valid container.
+#[test]
+fn signature_counts_past_the_bytes_left_are_corruption_not_allocation() {
+    const REQUEST_ARR: u8 = 8;
+    const STATUS_ARR: u8 = 11;
+    const INT_ARR: u8 = 12;
+    const STR: u8 = 15;
+    for tag in [REQUEST_ARR, STATUS_ARR, INT_ARR, STR] {
+        for count in [1u64 << 40, u64::MAX] {
+            let mut sig = vec![1, tag];
+            pilgrim_sequitur::write_varint(&mut sig, count);
+            assert_eq!(pilgrim::decode_signature(&sig), None, "tag {tag} count {count}");
+            let mut cst = Cst::new();
+            cst.observe(&sig, 1);
+            let bytes =
+                write_container(&GlobalTrace { cst, ..crafted_trace(flat_of(&[0]), vec![1]) });
+            let read = GlobalTrace::decode_container(&bytes)
+                .and_then(|trace| pilgrim::decode_rank_calls(&trace, 0));
+            assert_eq!(read, Err(DecodeError::BadSignature { term: 0 }), "tag {tag} count {count}");
+        }
+    }
+}

@@ -142,7 +142,7 @@ fn full_ladder_trace_decodes_verifies_and_replays() {
     // A live replay executes every decoded call without deadlock and
     // reproduces each rank's call count (allocator churn means segment
     // ids — and thus raw signatures — legitimately renumber on retrace).
-    let retraced = pilgrim::replay_and_retrace(&trace, PilgrimConfig::new());
+    let retraced = pilgrim::replay_and_retrace(&trace, PilgrimConfig::new()).expect("replay");
     assert_eq!(retraced.nranks, trace.nranks);
     assert_eq!(retraced.rank_lengths, trace.rank_lengths);
 }

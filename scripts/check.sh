@@ -295,7 +295,7 @@ check_panics crates/mpi-sim/src/fabric.rs 0
 # are at 0; `sequitur/src/tests.rs` is the crate's unit-test module.
 # An entry naming a file that no longer exists fails, so a deleted
 # module's allowance cannot linger.
-panic_allowlist="crates/core/src/lib.rs:1 crates/core/src/replay.rs:8"
+panic_allowlist="crates/core/src/lib.rs:1"
 panic_budget() {
   local entry
   for entry in $panic_allowlist; do
