@@ -442,16 +442,17 @@ impl Fabric {
         self.plan.as_ref()
     }
 
-    /// Marks the world as failed (called when a rank panics) so blocked
-    /// peers unblock with a panic instead of hanging forever.
+    /// Marks the world as failed (called when a rank panics or halts) so
+    /// blocked peers unblock with a panic instead of hanging forever.
     pub fn abort(&self) {
         self.aborted.store(true, Ordering::SeqCst);
     }
 
-    /// Panics if the world has been aborted.
+    /// Unwinds if the world has been aborted, past the panic hook: the
+    /// failing rank has reported, and its peers' unwinds are consequences.
     pub fn check_abort(&self) {
         if self.aborted.load(Ordering::SeqCst) {
-            panic!("mpi-sim world aborted: another rank panicked");
+            std::panic::resume_unwind(Box::new("mpi-sim world aborted: another rank failed"));
         }
     }
 
